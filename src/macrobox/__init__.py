@@ -70,7 +70,6 @@ from .macro import (
     rohrlich_conditional_variance,
 )
 from .symmetry import (
-    EffectivePairDist,
     JPDValidityReport,
     QuadDistribution,
     SymmetricJPD,

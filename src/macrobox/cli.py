@@ -226,7 +226,8 @@ def _sorted_outcome_pairs():
     return tuple(product(OUTCOMES, repeat=2))
 
 
-def _render_pair_table(box: PairBox, heading: str) -> list:
+def _render_pair_box(box: PairBox, payload: dict, heading: str) -> list:
+    """Text lines for a pair box: the table, its correlations and CHSH value."""
     lines = [heading]
     for i in range(box.s_a):
         for j in range(box.s_b):
@@ -234,6 +235,12 @@ def _render_pair_table(box: PairBox, heading: str) -> list:
                 f"{format_event((x,), (y,))}={rational_to_str(box.prob(i, j, x, y))}"
                 for x, y in _sorted_outcome_pairs())
             lines.append(f"settings ({i},{j}): {cells}")
+    correlations = " ".join(
+        f"<a{i} b{j}>={payload['correlations'][f'{i},{j}']}"
+        for i in range(box.s_a) for j in range(box.s_b))
+    lines.append(f"correlations: {correlations}")
+    if "chsh" in payload:
+        lines.append(f"chsh: {payload['chsh']}")
     return lines
 
 
@@ -260,13 +267,7 @@ def run_box(config: RunConfig) -> str:
     payload = _box_payload(box)
     if config.fmt == "json":
         return canonical_json(payload)
-    lines = _render_pair_table(box, f"pair box (s_a={box.s_a}, s_b={box.s_b})")
-    correlations = " ".join(
-        f"<a{i} b{j}>={payload['correlations'][f'{i},{j}']}"
-        for i in range(box.s_a) for j in range(box.s_b))
-    lines.append(f"correlations: {correlations}")
-    if "chsh" in payload:
-        lines.append(f"chsh: {payload['chsh']}")
+    lines = _render_pair_box(box, payload, f"pair box (s_a={box.s_a}, s_b={box.s_b})")
     lines.append(f"validation: {'ok' if payload['valid'] else '; '.join(payload['violations'])}")
     return "\n".join(lines) + "\n"
 
@@ -279,13 +280,7 @@ def run_effective(config: RunConfig) -> str:
         payload["n"] = model.n
         if config.fmt == "json":
             return canonical_json(payload)
-        lines = _render_pair_table(box, f"effective pair distribution (n={model.n})")
-        correlations = " ".join(
-            f"<a{i} b{j}>={payload['correlations'][f'{i},{j}']}"
-            for i in range(box.s_a) for j in range(box.s_b))
-        lines.append(f"correlations: {correlations}")
-        if "chsh" in payload:
-            lines.append(f"chsh: {payload['chsh']}")
+        lines = _render_pair_box(box, payload, f"effective pair distribution (n={model.n})")
         return "\n".join(lines) + "\n"
     quad = effective_quad(model)
     if config.fmt == "json":

@@ -71,21 +71,19 @@ def _require_settings(model: EnsembleModel, i: int, j: int) -> None:
         raise DomainError(f"bob setting {j} out of range (s_b={model.s_b})")
 
 
-# For a product model every term of an index sum depends only on the
-# coincidence pattern of its indices, so above these limits the literal
-# loops are replaced by one representative marginal per pattern times the
-# pattern count.  The grouped and literal evaluations agree exactly and the
-# tests compare them.
-_PAIR_SUM_LITERAL_LIMIT = 24
-_QUAD_SUM_LITERAL_LIMIT = 8
-
-
-def _group_pair_sums(model: EnsembleModel) -> bool:
-    return isinstance(model, IndependentPairs) and model.n > _PAIR_SUM_LITERAL_LIMIT
-
-
-def _group_quad_sums(model: EnsembleModel) -> bool:
-    return isinstance(model, IndependentPairs) and model.n > _QUAD_SUM_LITERAL_LIMIT
+# Each microscopic index sum is a list of (weight, slot spec) terms.  For a
+# product model every term depends only on the coincidence pattern of its
+# particle indices, so the sum runs over one representative spec per
+# pattern weighted by the pattern's count; any other model gets the literal
+# loop, one term of weight 1 per index tuple.  A pattern whose count is 0
+# (too few pairs for that many distinct particles) is skipped, so no
+# out-of-range particle is ever asked for.
+def _weighted_correlator_sum(model: EnsembleModel, terms) -> Fraction:
+    total = ZERO
+    for weight, spec in terms:
+        if weight:
+            total += weight * marginal_correlator(model, spec)
+    return total
 
 
 def macro_average(model: EnsembleModel, side: str, setting: int) -> Fraction:
@@ -103,15 +101,13 @@ def macro_correlation(model: EnsembleModel, i: int, j: int) -> Fraction:
     effective-pair correlation; the two routes must agree exactly."""
     _require_settings(model, i, j)
     n = model.n
-    if _group_pair_sums(model):
-        micro = n * marginal_correlator(model, [(ALICE, 0, i), (BOB, 0, j)])
-        micro += (n * (n - 1)
-                  * marginal_correlator(model, [(ALICE, 0, i), (BOB, 1, j)]))
+    if isinstance(model, IndependentPairs):
+        terms = [(n, [(ALICE, 0, i), (BOB, 0, j)]),
+                 (n * (n - 1), [(ALICE, 0, i), (BOB, 1, j)])]
     else:
-        micro = ZERO
-        for k in range(n):
-            for l in range(n):
-                micro += marginal_correlator(model, [(ALICE, k, i), (BOB, l, j)])
+        terms = ((1, [(ALICE, k, i), (BOB, l, j)])
+                 for k in range(n) for l in range(n))
+    micro = _weighted_correlator_sum(model, terms)
     via_effective = n * n * pair_correlation(effective_pair(model), i, j)
     if micro != via_effective:
         raise PathDisagreementError(
@@ -130,17 +126,12 @@ def macro_local_second_moment(model: EnsembleModel, side: str, setting: int) -> 
     else:
         _require_settings(model, 0, setting)
     n = model.n
-    micro = Fraction(n)
-    if _group_pair_sums(model):
-        micro += (n * (n - 1)
-                  * marginal_correlator(model, [(side, 0, setting), (side, 1, setting)]))
+    if isinstance(model, IndependentPairs):
+        terms = [(n * (n - 1), [(side, 0, setting), (side, 1, setting)])]
     else:
-        for k in range(n):
-            for l in range(n):
-                if k == l:
-                    continue
-                micro += marginal_correlator(
-                    model, [(side, k, setting), (side, l, setting)])
+        terms = ((1, [(side, k, setting), (side, l, setting)])
+                 for k, l in permutations(range(n), 2))
+    micro = n + _weighted_correlator_sum(model, terms)
     if n >= 2:
         if side == ALICE:
             same = effective_correlator(model, setting, 0, 2, 0)
@@ -161,37 +152,25 @@ def macro_joint_second_moment(model: EnsembleModel, i: int, j: int) -> Fraction:
     form N^2 (N-1) (1/(N-1) + <a a'> + <b b'> + (N-1) <a a' b b'>) for N >= 2."""
     _require_settings(model, i, j)
     n = model.n
-    micro = Fraction(n * n)
-    if _group_quad_sums(model):
-        aa = n * (n - 1) * marginal_correlator(model, [(ALICE, 0, i), (ALICE, 1, i)])
-        bb = n * (n - 1) * marginal_correlator(model, [(BOB, 0, j), (BOB, 1, j)])
-        micro += n * aa + n * bb
+    if isinstance(model, IndependentPairs):
         # Coincidence classes of ordered distinct pairs (k,l) x (m,o): the two
         # pairs can share both particles (in either order), exactly one, or none.
-        four = lambda k, l, m, o: marginal_correlator(
-            model, [(ALICE, k, i), (ALICE, l, i), (BOB, m, j), (BOB, o, j)])
         pairs2 = n * (n - 1)
-        micro += pairs2 * four(0, 1, 0, 1)
-        micro += pairs2 * four(0, 1, 1, 0)
-        triples = n * (n - 1) * (n - 2)
-        micro += triples * (four(0, 1, 0, 2) + four(0, 1, 1, 2)
-                            + four(0, 1, 2, 0) + four(0, 1, 2, 1))
-        micro += pairs2 * (n - 2) * (n - 3) * four(0, 1, 2, 3)
+        triples = pairs2 * (n - 2)
+        terms = [(n * pairs2, [(ALICE, 0, i), (ALICE, 1, i)]),
+                 (n * pairs2, [(BOB, 0, j), (BOB, 1, j)])]
+        terms += [(count, [(ALICE, 0, i), (ALICE, 1, i), (BOB, m, j), (BOB, o, j)])
+                  for count, m, o in ((pairs2, 0, 1), (pairs2, 1, 0),
+                                      (triples, 0, 2), (triples, 1, 2),
+                                      (triples, 2, 0), (triples, 2, 1),
+                                      (triples * (n - 3), 2, 3))]
     else:
-        aa = ZERO
-        bb = ZERO
-        for k in range(n):
-            for l in range(n):
-                if k == l:
-                    continue
-                aa += marginal_correlator(model, [(ALICE, k, i), (ALICE, l, i)])
-                bb += marginal_correlator(model, [(BOB, k, j), (BOB, l, j)])
-        micro += n * aa + n * bb
-        for k, l in permutations(range(n), 2):
-            for m, o in permutations(range(n), 2):
-                micro += marginal_correlator(
-                    model,
-                    [(ALICE, k, i), (ALICE, l, i), (BOB, m, j), (BOB, o, j)])
+        pairs = list(permutations(range(n), 2))
+        terms = [(n, [(ALICE, k, i), (ALICE, l, i)]) for k, l in pairs]
+        terms += [(n, [(BOB, k, j), (BOB, l, j)]) for k, l in pairs]
+        terms += [(1, [(ALICE, k, i), (ALICE, l, i), (BOB, m, j), (BOB, o, j)])
+                  for k, l in pairs for m, o in pairs]
+    micro = n * n + _weighted_correlator_sum(model, terms)
     if n >= 2:
         quad = effective_quad(model)
         via_effective = n * n * (n - 1) * (

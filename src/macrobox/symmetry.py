@@ -4,16 +4,19 @@ Collective measurements cannot tell which particle contributed which
 outcome, so all observable statistics factor through distributions averaged
 over particle relabelings: the effective single-pair and two-pair
 distributions, and symmetric joint probability distributions (JPDs) with
-``copies`` outcome slots per setting per side.
+``copies`` outcome slots per setting per side.  All of them are one
+symmetrized slot distribution each, with one and two slots per side for the
+effective pair and quad.
 
 For product models every such average collapses to a sum over partial
 matchings between Alice slots and Bob slots: an injective assignment of
 slots to particles is determined, up to counting, by which Alice slot lands
 on the same pair as which Bob slot.  The number of assignments realizing a
 matching of size m is (N)_m (N-m)_(a-m) (N-a)_(b-m) with a and b the slot
-counts per side, which a small subset DP sums exactly.  The generic route
-(explicit enumeration of ordered index tuples through model marginals) is
-kept for arbitrary models and serves as the oracle in tests.
+counts per side and (N)_k = math.perm(N, k), which a small subset DP sums
+exactly.  Every other model goes through the explicit enumeration of
+ordered index tuples through model marginals; tests run it on product
+models wrapped as explicit tables as the oracle for the DP.
 
 Closed-form evaluators for the maximally nonlocal 2x2 box are implemented
 alongside the enumerators and cross-checked against them.
@@ -21,6 +24,7 @@ alongside the enumerators and cross-checked against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -34,7 +38,6 @@ from .boxes import (
     ZERO,
     PairBox,
     canonical_json,
-    make_pr_box,
     outcome_from_symbol,
     outcome_sort_key,
     outcome_symbol,
@@ -44,31 +47,20 @@ from .boxes import (
 from .ensemble import EnsembleModel, IndependentPairs, marginal, marginal_correlator
 from .errors import ConstructionError, DomainError, SignallingError
 
-#: The effective single-pair distribution has exactly the shape of a pair box.
-EffectivePairDist = PairBox
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1); 1 for k=0, 0 once the factors cross zero."""
-    result = 1
-    for step in range(k):
-        factor = n - step
-        if factor <= 0:
-            return 0
-        result *= factor
-    return result
-
 
 def matching_assignment_count(n: int, matched: int, a_slots: int, b_slots: int) -> int:
     """Injective slot-to-particle assignments inducing an exact matching.
 
     Counts pairs of injective maps (Alice slots -> particles, Bob slots ->
     particles) whose set of cross-side particle coincidences is one fixed
-    matching of size ``matched``.
+    matching of size ``matched``; 0 when either side has more slots than
+    there are particles.
     """
-    return (falling_factorial(n, matched)
-            * falling_factorial(n - matched, a_slots - matched)
-            * falling_factorial(n - a_slots, b_slots - matched))
+    if a_slots > n or b_slots > n:
+        return 0
+    return (math.perm(n, matched)
+            * math.perm(n - matched, a_slots - matched)
+            * math.perm(n - a_slots, b_slots - matched))
 
 
 def format_event(a_outcomes: Sequence[int], b_outcomes: Sequence[int]) -> str:
@@ -96,33 +88,16 @@ def effective_pair(model: EnsembleModel) -> PairBox:
     """Average of all N^2 cross-side single-particle marginals, per setting pair.
 
     The result is the single pair of boxes that macroscopic correlation
-    measurements cannot distinguish from the full N-pair ensemble.  For a
-    product model every same-pair term equals the (0, 0) marginal and every
-    cross-pair term equals the (0, 1) marginal, so the N^2-term average
-    collapses to two marginal evaluations.
+    measurements cannot distinguish from the full N-pair ensemble.  Each
+    setting pair is the one-slot-per-side symmetrized distribution, so
+    product models go through the matching DP and other models through the
+    explicit enumeration of particle pairs.
     """
-    n = model.n
-    weight = Fraction(1, n * n)
     table = {}
     for i in range(model.s_a):
         for j in range(model.s_b):
-            acc = {(x, y): ZERO for x in OUTCOMES for y in OUTCOMES}
-            if isinstance(model, IndependentPairs):
-                same = marginal(model, [(ALICE, 0, i), (BOB, 0, j)])
-                for key, p in same.items():
-                    acc[key] += n * p
-                if n >= 2:
-                    cross = marginal(model, [(ALICE, 0, i), (BOB, 1, j)])
-                    for key, p in cross.items():
-                        acc[key] += n * (n - 1) * p
-            else:
-                for k in range(n):
-                    for l in range(n):
-                        dist = marginal(model, [(ALICE, k, i), (BOB, l, j)])
-                        for key, p in dist.items():
-                            acc[key] += p
-            for (x, y), p in acc.items():
-                table[(i, j, x, y)] = p * weight
+            for ((x,), (y,)), p in _symmetrized_entries(model, (i,), (j,)).items():
+                table[(i, j, x, y)] = p
     box = PairBox(s_a=model.s_a, s_b=model.s_b, table=table)
     report = validate_pairbox(box)
     if not report.ok:
@@ -221,7 +196,7 @@ def _symmetrized_product_entry(box: PairBox, n: int,
             if not (mask >> v) & 1:
                 rest *= bob_single[v]
         total += count * value * rest
-    return total / (falling_factorial(n, a_count) * falling_factorial(n, b_count))
+    return total / (math.perm(n, a_count) * math.perm(n, b_count))
 
 
 def _symmetrized_generic_entries(model: EnsembleModel,
@@ -234,10 +209,6 @@ def _symmetrized_generic_entries(model: EnsembleModel,
     """
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
-    if n < a_count or n < b_count:
-        raise DomainError(
-            f"need at least {max(a_count, b_count)} pairs for {a_count}+{b_count} "
-            f"slots, got n={n}")
     entries = {
         (a_out, b_out): ZERO
         for a_out in product(OUTCOMES, repeat=a_count)
@@ -251,7 +222,7 @@ def _symmetrized_generic_entries(model: EnsembleModel,
             for outcomes, p in dist.items():
                 key = (outcomes[:a_count], outcomes[a_count:])
                 entries[key] += p
-    norm = falling_factorial(n, a_count) * falling_factorial(n, b_count)
+    norm = math.perm(n, a_count) * math.perm(n, b_count)
     return {key: p / norm for key, p in entries.items()}
 
 
@@ -275,14 +246,14 @@ def _canonical_within_blocks(settings: tuple, outcomes: tuple) -> tuple:
 def _symmetrized_entries(model: EnsembleModel,
                          a_settings: tuple, b_settings: tuple) -> dict:
     """Complete symmetrized slot distribution, fast path for product models."""
-    if not isinstance(model, IndependentPairs):
-        return _symmetrized_generic_entries(model, a_settings, b_settings)
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
     if n < a_count or n < b_count:
         raise DomainError(
             f"need at least {max(a_count, b_count)} pairs for {a_count}+{b_count} "
             f"slots, got n={n}")
+    if not isinstance(model, IndependentPairs):
+        return _symmetrized_generic_entries(model, a_settings, b_settings)
     cache: dict = {}
     entries = {}
     for a_out in product(OUTCOMES, repeat=a_count):
@@ -336,8 +307,8 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
         mean_b = sum((y * box.marginal_b(bob_setting, y) for y in OUTCOMES), ZERO)
         total = ZERO
         for matched in range(min(alice_count, bob_count) + 1):
-            ways = (_binomial(alice_count, matched) * _binomial(bob_count, matched)
-                    * _factorial(matched)
+            ways = (math.comb(alice_count, matched) * math.comb(bob_count, matched)
+                    * math.factorial(matched)
                     * matching_assignment_count(n, matched, alice_count, bob_count))
             if ways == 0:
                 continue
@@ -345,8 +316,7 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
                     * mean_a ** (alice_count - matched)
                     * mean_b ** (bob_count - matched))
             total += ways * term
-        return total / (falling_factorial(n, alice_count)
-                        * falling_factorial(n, bob_count))
+        return total / (math.perm(n, alice_count) * math.perm(n, bob_count))
     total = ZERO
     count = 0
     for a_particles in permutations(range(n), alice_count):
@@ -356,19 +326,6 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
             total += marginal_correlator(model, spec)
             count += 1
     return total / count
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return falling_factorial(n, k) // _factorial(k)
-
-
-def _factorial(k: int) -> int:
-    result = 1
-    for v in range(2, k + 1):
-        result *= v
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +611,3 @@ def pr_macro_correlation(n: int, i: int, j: int) -> Fraction:
 def pr_joint_second_moment(n: int) -> Fraction:
     """<(A_i B_j)^2> = 3 N^2 - 2 N, independent of the settings."""
     return Fraction(3 * n * n - 2 * n)
-
-
-def pr_box() -> PairBox:
-    """Convenience re-export so closed-form users need one import."""
-    return make_pr_box()

@@ -1,5 +1,6 @@
 """Symmetrized distributions, JPDs and their closed-form cross-checks."""
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -36,7 +37,7 @@ from macrobox import (
     pr_quad_correlator,
     pr_quad_values,
 )
-from macrobox.symmetry import falling_factorial, matching_assignment_count
+from macrobox.symmetry import matching_assignment_count
 from tests.conftest import explicit_from_box, no_signalling_boxes
 
 F = Fraction
@@ -45,7 +46,8 @@ SETTINGS = tuple(product((0, 1), repeat=2))
 
 class TestMatchingCounts:
     @pytest.mark.parametrize("n,a,b", [(2, 1, 1), (3, 2, 1), (3, 2, 2),
-                                       (4, 2, 2), (4, 3, 2), (5, 2, 3)])
+                                       (4, 2, 2), (4, 3, 2), (5, 2, 3),
+                                       (2, 3, 1), (3, 1, 4)])
     def test_counts_match_enumeration(self, n, a, b):
         # Oracle: enumerate every pair of injective maps and bucket by the
         # size of the induced particle-coincidence matching.
@@ -55,27 +57,17 @@ class TestMatchingCounts:
                 size = len(set(sigma_a) & set(sigma_b))
                 observed[size] = observed.get(size, 0) + 1
         for m in range(min(a, b) + 1):
-            matchings = (falling_factorial(a, m) // _fact(m)
-                         * (falling_factorial(b, m) // _fact(m))
-                         * _fact(m))
+            matchings = math.comb(a, m) * math.comb(b, m) * math.factorial(m)
             expected = matchings * matching_assignment_count(n, m, a, b)
             assert observed.get(m, 0) == expected
 
     def test_total_assignments(self):
         for n, a, b in [(4, 2, 2), (5, 3, 2), (6, 4, 4)]:
             total = sum(
-                (falling_factorial(a, m) // _fact(m))
-                * (falling_factorial(b, m) // _fact(m)) * _fact(m)
+                math.comb(a, m) * math.comb(b, m) * math.factorial(m)
                 * matching_assignment_count(n, m, a, b)
                 for m in range(min(a, b) + 1))
-            assert total == falling_factorial(n, a) * falling_factorial(n, b)
-
-
-def _fact(k):
-    out = 1
-    for v in range(2, k + 1):
-        out *= v
-    return out
+            assert total == math.perm(n, a) * math.perm(n, b)
 
 
 class TestEffectivePair:
