@@ -149,6 +149,11 @@ class PairBox:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConstructionError(f"invalid pair-box JSON: {exc}") from exc
+        return PairBox.from_data(data)
+
+    @staticmethod
+    def from_data(data) -> "PairBox":
+        """Build a box from the parsed JSON object of :meth:`from_json`."""
         try:
             s_a, s_b = int(data["s_a"]), int(data["s_b"])
             table = {}

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .ensemble import (
     IndependentPairs,
     check_no_signalling,
     desk_bound,
-    explicit_joint_from_json,
+    explicit_joint_from_data,
     independent_pairs,
 )
 from .errors import DomainError, MacroboxError
@@ -110,18 +111,13 @@ def _load_box_spec(spec: str, parser: argparse.ArgumentParser):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         try:
-            import json as _json
-
-            data = _json.loads(text)
+            data = json.loads(text)
         except ValueError as exc:
             parser.error(f"box file {path} is not valid JSON: {exc}")
-        if isinstance(data, dict) and "entries" in data:
-            try:
-                return None, explicit_joint_from_json(text)
-            except MacroboxError as exc:
-                parser.error(f"box file {path}: {exc}")
         try:
-            return PairBox.from_json(text), None
+            if isinstance(data, dict) and "entries" in data:
+                return None, explicit_joint_from_data(data)
+            return PairBox.from_data(data), None
         except MacroboxError as exc:
             parser.error(f"box file {path}: {exc}")
     parser.error(f"unknown box spec {spec!r}: expected pr | isotropic:E | "
@@ -416,10 +412,6 @@ def run_gisin(config: RunConfig) -> str:
 
 #: Above this n, verify skips the exhaustive checks unless --allow-large.
 VERIFY_EXHAUSTIVE_LIMIT = 6
-#: Above this n, verify skips the joint-second-moment check for explicit
-#: tables (its literal index sums are quartic in n; product models group
-#: the sums by coincidence class and stay cheap at any n).
-VERIFY_JOINT_LIMIT = 12
 
 
 def _verify_checks(config: RunConfig):
@@ -493,17 +485,11 @@ def _verify_checks(config: RunConfig):
             macro_local_second_moment(model, ALICE, i)
         for j in range(model.s_b):
             macro_local_second_moment(model, BOB, j)
-        checked_joint = False
         for i in range(model.s_a):
             for j in range(model.s_b):
                 macro_correlation(model, i, j)
-                if n <= VERIFY_JOINT_LIMIT or isinstance(model, IndependentPairs):
-                    macro_joint_second_moment(model, i, j)
-                    checked_joint = True
-        detail = "microscopic and effective routes agree"
-        if not checked_joint:
-            detail += f" (joint second moment skipped for n > {VERIFY_JOINT_LIMIT})"
-        yield "PASS", "path-agreement", detail
+                macro_joint_second_moment(model, i, j)
+        yield "PASS", "path-agreement", "microscopic and effective routes agree"
     except MacroboxError as exc:
         yield "FAIL", "path-agreement", str(exc)
 

@@ -7,19 +7,22 @@ may encode arbitrary (even signalling) correlations.  Marginal extraction
 verifies no-signalling at call time instead of trusting model invariants,
 so crafted signalling tables are rejected loudly.
 
-Exhaustive operations enumerate up to 4^N outcome tuples; they refuse
-N above the desk bound (default 12, override via MACROBOX_MAX_N or an
-explicit ``allow_large`` flag).
+Exhaustive operations scan the nonzero support (at most 4^N outcome
+tuples) of each setting assignment through the model's ``_support`` kernel;
+they refuse N above the desk bound (default 12, override via MACROBOX_MAX_N
+or an explicit ``allow_large`` flag).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from math import lcm, prod
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .boxes import (
     ALICE,
@@ -53,8 +56,9 @@ def desk_bound() -> int:
 def ensure_desk_scale(n: int, operation: str, allow_large: bool = False) -> None:
     """Refuse exhaustive work beyond the desk bound unless overridden.
 
-    Enumeration cost grows like O(4^N * s^N); the bound keeps runtimes
-    predictable.
+    Enumeration cost grows with the nonzero support (at most 4^N tuples) per
+    setting assignment, times up to s^(2N) assignments; the bound keeps
+    runtimes predictable.
     """
     bound = desk_bound()
     if n > bound and not allow_large:
@@ -101,8 +105,19 @@ class EnsembleModel:
                outcomes: OutcomeAssignment) -> Fraction:
         """Same as joint_probability, without argument validation.
 
-        Internal enumeration loops build their assignments themselves and
-        call this directly; the per-call checks would dominate 4^N scans.
+        Point queries that build their assignments themselves call this
+        directly; exhaustive scans use :meth:`_support` instead.
+        """
+        raise NotImplementedError
+
+    def _support(self, settings: SettingAssignment) -> tuple:
+        """``(D, pairs)``: the nonzero joint outcomes under ``settings``.
+
+        ``pairs`` yields ``(alice + bob outcomes, w)`` with integer ``w > 0``
+        and probability ``w / D``, in the order of
+        ``product(OUTCOMES, repeat=2 * n)``, skipping exactly the tuples whose
+        :meth:`_joint` is 0.  Keeping that order keeps every dict built from
+        the scan in the same insertion order as a full 4^N loop.
         """
         raise NotImplementedError
 
@@ -154,6 +169,46 @@ class IndependentPairs(EnsembleModel):
             p *= cell
         return p
 
+    @cached_property
+    def _scaled_rows(self) -> tuple:
+        """``(L, rows)`` with ``L`` the lcm of the box's denominators.
+
+        ``rows[(i, j)]`` maps each Alice outcome ``x`` with a nonzero cell to
+        ``(bob outcomes, integer weights L * p(x, y | i, j))``, both in
+        OUTCOMES order.
+        """
+        table = self.box.table
+        scale = lcm(*(p.denominator for p in table.values()))
+        rows = {}
+        for i in range(self.s_a):
+            for j in range(self.s_b):
+                by_x = {}
+                for x in OUTCOMES:
+                    cells = [(y, p) for y in OUTCOMES
+                             if (p := table.get((i, j, x, y), ZERO)) != 0]
+                    if cells:
+                        by_x[x] = (tuple(y for y, _ in cells),
+                                   tuple(p.numerator * (scale // p.denominator)
+                                         for _, p in cells))
+                rows[(i, j)] = by_x
+        return scale, rows
+
+    def _support(self, settings: SettingAssignment) -> tuple:
+        scale, rows = self._scaled_rows
+        per_pair = [rows[cell] for cell in zip(settings.alice, settings.bob)]
+        return scale ** self.n, self._support_leaves(per_pair)
+
+    @staticmethod
+    def _support_leaves(per_pair: list) -> Iterable:
+        # Streamed, never listed: a product model's support can hold 4^N
+        # tuples.  Alice outcomes vary slowest, as in the literal loop.
+        for alice in product(*per_pair):
+            picked = [by_x[x] for by_x, x in zip(per_pair, alice)]
+            bobs = product(*(ys for ys, _ in picked))
+            weights = product(*(ws for _, ws in picked))
+            for bob, leaf in zip(bobs, weights):
+                yield alice + bob, prod(leaf)
+
 
 @dataclass(frozen=True)
 class ExplicitJoint(EnsembleModel):
@@ -170,6 +225,8 @@ class ExplicitJoint(EnsembleModel):
     s_a: int
     s_b: int
     table: Mapping
+    _scaled_blocks: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
@@ -178,6 +235,22 @@ class ExplicitJoint(EnsembleModel):
             raise DomainError(
                 f"no table entry for settings {settings.alice};{settings.bob}")
         return block.get((outcomes.alice, outcomes.bob), ZERO)
+
+    def _support(self, settings: SettingAssignment) -> tuple:
+        key = (settings.alice, settings.bob)
+        scaled = self._scaled_blocks.get(key)
+        if scaled is None:
+            block = self.table.get(key)
+            if block is None:
+                raise DomainError(
+                    f"no table entry for settings {settings.alice};{settings.bob}")
+            scale = lcm(*(p.denominator for p in block.values()))
+            # Descending order of the +1/-1 tuples is product(OUTCOMES) order.
+            entries = sorted(((oa + ob, p.numerator * (scale // p.denominator))
+                              for (oa, ob), p in block.items() if p != 0),
+                             reverse=True)
+            scaled = self._scaled_blocks[key] = (scale, tuple(entries))
+        return scaled
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -191,7 +264,11 @@ def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
 
 
 def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
-    """Wrap an explicit joint table, checking normalization per assignment."""
+    """Wrap an explicit joint table, checking it against ``n``, ``s_a``, ``s_b``.
+
+    Every setting key must list ``n`` in-range settings per side, every
+    outcome must be +1 or -1, and each setting assignment must be normalized.
+    """
     if n < 1:
         raise DomainError(f"need at least one pair, got n={n}")
     if s_a < 1 or s_b < 1:
@@ -201,10 +278,20 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
     normalized = {}
     for key, block in table.items():
         sa, sb = tuple(key[0]), tuple(key[1])
-        normalized[(sa, sb)] = {
-            (tuple(ok[0]), tuple(ok[1])): as_rational(p)
-            for ok, p in block.items()
-        }
+        if len(sa) != n or len(sb) != n:
+            raise ConstructionError(
+                f"setting key {sa};{sb} does not list n={n} settings per side")
+        if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
+            raise ConstructionError(
+                f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
+        entries = {}
+        for ok, p in block.items():
+            oa, ob = tuple(ok[0]), tuple(ok[1])
+            if any(v not in OUTCOMES for v in oa + ob):
+                raise ConstructionError(
+                    f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
+            entries[(oa, ob)] = as_rational(p)
+        normalized[(sa, sb)] = entries
     for sa in product(range(s_a), repeat=n):
         for sb in product(range(s_b), repeat=n):
             block = normalized.get((sa, sb))
@@ -231,11 +318,17 @@ def explicit_joint_from_json(text: str) -> ExplicitJoint:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConstructionError(f"invalid joint-table JSON: {exc}") from exc
+    return explicit_joint_from_data(data)
+
+
+def explicit_joint_from_data(data) -> ExplicitJoint:
+    """Build a joint table from the parsed JSON object of
+    :func:`explicit_joint_from_json`."""
     try:
         n = int(data["n"])
         s_a = int(data["s_a"])
         s_b = int(data["s_b"])
-        entries = data["entries"]
+        entries = list(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
     table: dict = {}
@@ -274,9 +367,26 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
     return tuple(slots)
 
 
+def _support_law(model: EnsembleModel, settings: SettingAssignment,
+                 key: Callable[[tuple], object]) -> dict:
+    """Exact law of ``key(alice + bob outcomes)`` under ``settings``.
+
+    Scans the model's nonzero support once, sums the integer weights per key
+    and builds one Fraction per key.  Keys appear in the order of their first
+    support tuple; zero-probability keys are absent.
+    """
+    scale, support = model._support(settings)
+    counts: dict = {}
+    for combined, weight in support:
+        k = key(combined)
+        counts[k] = counts.get(k, 0) + weight
+    return {k: Fraction(count, scale) for k, count in counts.items()}
+
+
 def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
                              fill_a: int, fill_b: int) -> dict:
-    """Marginal via full 4^N outcome enumeration with fixed completion settings."""
+    """Marginal over the nonzero support (at most 4^N tuples) of one
+    setting assignment, with fixed completion settings."""
     settings_a = [fill_a] * model.n
     settings_b = [fill_b] * model.n
     positions = []
@@ -288,15 +398,8 @@ def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
             settings_b[particle] = setting
             positions.append(model.n + particle)
     settings = SettingAssignment(alice=tuple(settings_a), bob=tuple(settings_b))
-    dist: dict = {}
-    for combined in product(OUTCOMES, repeat=2 * model.n):
-        outcomes = OutcomeAssignment(alice=combined[:model.n], bob=combined[model.n:])
-        p = model._joint(settings, outcomes)
-        if p == 0:
-            continue
-        key = tuple(combined[pos] for pos in positions)
-        dist[key] = dist.get(key, ZERO) + p
-    return dist
+    return _support_law(model, settings,
+                        lambda combined: tuple(combined[pos] for pos in positions))
 
 
 def _marginal_product_model(model: IndependentPairs, slots: tuple,
@@ -389,7 +492,8 @@ def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> Vali
 
     For every particle, every pair of its settings, and every setting context
     of the remaining 2N-1 particles, the distribution of all other outcomes
-    must be unchanged.  Cost is O(s^(2N) * 4^N), hence desk-bounded.
+    must be unchanged.  Cost is s^(2N) scans of the nonzero support (at most
+    4^N tuples each), hence desk-bounded.
     """
     ensure_desk_scale(model.n, "check_no_signalling", allow_large)
     n = model.n
@@ -416,16 +520,9 @@ def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> Vali
                             ctx_b[particle] = swapped
                             settings = SettingAssignment(context_a, tuple(ctx_b))
                         skip = particle if side == ALICE else n + particle
-                        dist: dict = {}
-                        for combined in product(OUTCOMES, repeat=2 * n):
-                            outcomes = OutcomeAssignment(
-                                alice=combined[:n], bob=combined[n:])
-                            p = model._joint(settings, outcomes)
-                            if p == 0:
-                                continue
-                            key = combined[:skip] + combined[skip + 1:]
-                            dist[key] = dist.get(key, ZERO) + p
-                        dists.append((swapped, dist))
+                        dists.append((swapped, _support_law(
+                            model, settings,
+                            lambda combined: combined[:skip] + combined[skip + 1:])))
                     base_setting, base = dists[0]
                     for swapped, other in dists[1:]:
                         if other != base:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from typing import Mapping
 
 from .boxes import (
@@ -31,8 +31,8 @@ from .boxes import (
 from .ensemble import (
     EnsembleModel,
     IndependentPairs,
-    OutcomeAssignment,
     SettingAssignment,
+    _support_law,
     ensure_desk_scale,
     marginal_correlator,
 )
@@ -253,24 +253,21 @@ class MacroDistribution:
 
 def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int,
                                   allow_large: bool = False) -> MacroDistribution:
-    """Oracle: enumerate all 4^N outcome tuples under uniform settings.
+    """Oracle: sum the microscopic joint law under uniform settings.
 
-    Deliberately shares no machinery with the effective-distribution or
-    coincidence-expansion routes; desk-bounded because of the 4^N cost.
+    Scans the model's nonzero support (at most 4^N outcome tuples) and
+    deliberately shares no machinery with the effective-distribution or
+    coincidence-expansion routes, so it is the independent oracle for both;
+    desk-bounded because of the 4^N worst case.
     """
     _require_settings(model, i, j)
     ensure_desk_scale(model.n, "macro_distribution_bruteforce", allow_large)
     n = model.n
-    settings = SettingAssignment.uniform(n, i, j)
-    grid = {(x_value, y_value): ZERO
+    law = _support_law(model, SettingAssignment.uniform(n, i, j),
+                       lambda combined: (sum(combined[:n]), sum(combined[n:])))
+    grid = {(x_value, y_value): law.get((x_value, y_value), ZERO)
             for x_value in range(-n, n + 1, 2)
             for y_value in range(-n, n + 1, 2)}
-    for alice in product(OUTCOMES, repeat=n):
-        x_value = sum(alice)
-        for bob in product(OUTCOMES, repeat=n):
-            p = model._joint(settings, OutcomeAssignment(alice, bob))
-            if p != 0:
-                grid[(x_value, sum(bob))] += p
     return MacroDistribution(n=n, alice_setting=i, bob_setting=j, probs=grid)
 
 

@@ -244,6 +244,17 @@ class TestFileBoxes:
             parse_args(["verify", "--box", f"file:{signalling_file}", "--n", "3"])
         assert exc.value.code == 2
 
+    def test_joint_file_outcome_two_rejected(self, capsys, tmp_path):
+        entries = [{"settings_a": [i], "settings_b": [j], "outcomes_a": [x],
+                    "outcomes_b": [1], "p": "1/2"}
+                   for i in (0, 1) for j in (0, 1) for x in (1, 2)]
+        path = tmp_path / "outcome-two.json"
+        path.write_text(json.dumps({"n": 1, "s_a": 2, "s_b": 2, "entries": entries}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["distribution", "--box", f"file:{path}", "--n", "1"])
+        assert exc.value.code == 2
+        assert "outcomes must be +1 or -1" in capsys.readouterr().err
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,16 +1,18 @@
 """N-pair models: joint probabilities, marginals, no-signalling checks."""
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macrobox import (
     ConstructionError,
     DeskBoundError,
     DomainError,
+    IndependentPairs,
     OUTCOMES,
     OutcomeAssignment,
     SettingAssignment,
@@ -20,14 +22,20 @@ from macrobox import (
     explicit_joint,
     explicit_joint_from_json,
     independent_pairs,
+    macro_distribution_bruteforce,
     make_deterministic_box,
     make_isotropic_box,
     make_pr_box,
     marginal,
     marginal_correlator,
 )
-from macrobox.ensemble import ensure_desk_scale
-from tests.conftest import explicit_from_box, signalling_joint_table
+from macrobox.ensemble import _marginal_by_enumeration, ensure_desk_scale
+from tests.conftest import (
+    cross_pair_signalling_table,
+    explicit_from_box,
+    no_signalling_boxes,
+    signalling_joint_table,
+)
 
 F = Fraction
 
@@ -161,6 +169,31 @@ class TestExplicitJoint:
             o = OutcomeAssignment((x,), (y,))
             assert model.joint_probability(s, o) == pr.joint_probability(s, o)
 
+    def test_rejects_outcome_outside_plus_minus_one(self):
+        # Half the mass on outcome 2 used to load and then vanish from every
+        # enumeration, leaving distributions that sum to 1/2.
+        table = {((i,), (j,)): {((1,), (1,)): F(1, 2), ((2,), (1,)): F(1, 2)}
+                 for i in (0, 1) for j in (0, 1)}
+        with pytest.raises(ConstructionError, match="outcomes must be"):
+            explicit_joint(1, 2, 2, table)
+
+    def test_rejects_setting_key_of_wrong_length(self):
+        table = signalling_joint_table()
+        table[((0, 0), (0,))] = {((1, 1), (1,)): F(1)}
+        with pytest.raises(ConstructionError, match="n=1 settings"):
+            explicit_joint(1, 2, 2, table)
+
+    @pytest.mark.parametrize("key", [((2,), (0,)), ((0,), (-1,))])
+    def test_rejects_setting_outside_range(self, key):
+        table = signalling_joint_table()
+        table[key] = {((1,), (1,)): F(1)}
+        with pytest.raises(ConstructionError, match="outside s_a=2, s_b=2"):
+            explicit_joint(1, 2, 2, table)
+
+    def test_json_entries_must_be_a_list(self):
+        with pytest.raises(ConstructionError, match="malformed joint-table JSON"):
+            explicit_joint_from_json('{"n": 1, "s_a": 2, "s_b": 2, "entries": 5}')
+
     def test_json_missing_assignment_rejected(self):
         text = '{"n": 1, "s_a": 2, "s_b": 2, "entries": [' \
                '{"settings_a": [0], "settings_b": [0], ' \
@@ -258,14 +291,112 @@ class TestNoSignallingCheck:
         assert report.ok
 
     def test_cross_pair_steering_flagged(self):
-        from tests.conftest import cross_pair_signalling_table
-
         model = explicit_joint(2, 2, 2, cross_pair_signalling_table())
         report = check_no_signalling(model)
         assert not report.ok
         # swapping Alice particle 0's setting moves another particle's marginal
         assert any(v.where[0] == "A" and v.where[1] == 0
                    for v in report.violations)
+
+
+def literal_law(model, settings_, key):
+    """Reference: the law of key(outcomes) by the 4^N loop over ``_joint``."""
+    n = model.n
+    law = {}
+    for combined in product(OUTCOMES, repeat=2 * n):
+        p = model._joint(settings_, OutcomeAssignment(combined[:n], combined[n:]))
+        if p != 0:
+            law[key(combined)] = law.get(key(combined), F(0)) + p
+    return law
+
+
+def literal_marginal(model, spec, fill_a, fill_b):
+    n = model.n
+    alice, bob = [fill_a] * n, [fill_b] * n
+    positions = []
+    for side, particle, setting in spec:
+        (alice if side == "A" else bob)[particle] = setting
+        positions.append(particle if side == "A" else n + particle)
+    return literal_law(model, SettingAssignment(tuple(alice), tuple(bob)),
+                       lambda c: tuple(c[pos] for pos in positions))
+
+
+def literal_swap_violations(model):
+    """Reference swap scan: [(where, residual)] over the literal loop."""
+    n = model.n
+    found = []
+    for side, s_count in (("A", model.s_a), ("B", model.s_b)):
+        if s_count < 2:
+            continue
+        for particle in range(n):
+            skip = particle if side == "A" else n + particle
+            for context_a in product(range(model.s_a), repeat=n):
+                for context_b in product(range(model.s_b), repeat=n):
+                    context = list(context_a + context_b)
+                    if context[skip] != 0:
+                        continue
+                    laws = []
+                    for swapped in range(s_count):
+                        context[skip] = swapped
+                        laws.append(literal_law(
+                            model, SettingAssignment(tuple(context[:n]), tuple(context[n:])),
+                            lambda c: c[:skip] + c[skip + 1:]))
+                    base = laws[0]
+                    for swapped, other in enumerate(laws[1:], 1):
+                        if other != base:
+                            worst = max(set(base) | set(other),
+                                        key=lambda k: abs(other.get(k, 0) - base.get(k, 0)))
+                            found.append(((side, particle, 0, swapped, context_a, context_b),
+                                          other.get(worst, 0) - base.get(worst, 0)))
+    return found
+
+
+class TestSupportKernel:
+    """The sparse ``_support`` scan against the literal 4^N loop."""
+
+    @staticmethod
+    def assert_matches_literal(model):
+        n = model.n
+        for sa in product(range(model.s_a), repeat=n):
+            for sb in product(range(model.s_b), repeat=n):
+                settings_ = SettingAssignment(sa, sb)
+                scale, support = model._support(settings_)
+                if isinstance(model, IndependentPairs):
+                    assert isinstance(support, Iterator)  # streamed, not listed
+                kernel = [(c, w) for c, w in support]
+                assert all(isinstance(w, int) and w > 0 for _, w in kernel)
+                # Same tuples in the same order: every tuple the kernel skips
+                # has _joint equal to 0.
+                assert [(c, F(w, scale)) for c, w in kernel] == \
+                    list(literal_law(model, settings_, lambda c: c).items())
+        for spec in ([("A", 0, 1)], [("B", n - 1, 1)], [("A", 0, 0), ("B", 0, 1)],
+                     [("A", n - 1, 1), ("B", 0, 0)]):
+            for fill in ((0, 0), (1, 1)):
+                assert _marginal_by_enumeration(model, tuple(spec), *fill) == \
+                    literal_marginal(model, spec, *fill)
+        report = check_no_signalling(model)
+        assert [(v.where, v.residual) for v in report.violations] == \
+            literal_swap_violations(model)
+        for i, j in product(range(model.s_a), range(model.s_b)):
+            dist = macro_distribution_bruteforce(model, i, j)
+            literal = literal_law(model, SettingAssignment.uniform(n, i, j),
+                                  lambda c: (sum(c[:n]), sum(c[n:])))
+            assert {k: p for k, p in dist.probs.items() if p != 0} == literal
+
+    @settings(max_examples=12, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=make_pr_box(), n=3)
+    @example(box=make_deterministic_box(1, -1, -1, 1), n=2)
+    def test_no_signalling_boxes(self, box, n):
+        self.assert_matches_literal(independent_pairs(box, n))
+        self.assert_matches_literal(explicit_from_box(box, n))
+
+    @pytest.mark.parametrize("table, n", [(signalling_joint_table(), 1),
+                                          (cross_pair_signalling_table(), 2)])
+    def test_signalling_tables(self, table, n):
+        model = explicit_joint(n, 2, 2, table)
+        assert not check_no_signalling(model).ok
+        self.assert_matches_literal(model)
 
 
 class TestDeskBound:
