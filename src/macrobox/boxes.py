@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import ConstructionError, DomainError
@@ -103,12 +104,16 @@ class PairBox:
     """Probability table of one bipartite box.
 
     ``table`` maps (alice_setting, bob_setting, alice_outcome, bob_outcome)
-    to an exact probability.  Instances are immutable; missing cells are 0.
+    to an exact probability.  Instances are immutable: the box keeps a
+    read-only view of a private copy of ``table``.  Missing cells are 0.
     """
 
     s_a: int
     s_b: int
     table: Mapping
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def prob(self, i: int, j: int, x: int, y: int) -> Fraction:
         self._check_settings(i, j)
@@ -153,14 +158,29 @@ class PairBox:
 
     @staticmethod
     def from_data(data) -> "PairBox":
-        """Build a box from the parsed JSON object of :meth:`from_json`."""
+        """Build a box from the parsed JSON object of :meth:`from_json`.
+
+        Each row is ``[i, j, x, y, p]`` with in-range settings, +1/-1
+        outcomes and a cell not listed before.
+        """
         try:
             s_a, s_b = int(data["s_a"]), int(data["s_b"])
-            table = {}
-            for i, j, x, y, p in data["table"]:
-                table[(int(i), int(j), int(x), int(y))] = as_rational(p)
+            rows = [((int(i), int(j), int(x), int(y)), as_rational(p))
+                    for i, j, x, y, p in data["table"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed pair-box JSON: {exc}") from exc
+        table = {}
+        for (i, j, x, y), p in rows:
+            if not (0 <= i < s_a and 0 <= j < s_b):
+                raise ConstructionError(
+                    f"pair-box row {[i, j, x, y]} has a setting outside "
+                    f"s_a={s_a}, s_b={s_b}")
+            if x not in OUTCOMES or y not in OUTCOMES:
+                raise ConstructionError(
+                    f"pair-box row {[i, j, x, y]} has an outcome other than +1 or -1")
+            if (i, j, x, y) in table:
+                raise ConstructionError(f"pair-box row {[i, j, x, y]} is listed twice")
+            table[(i, j, x, y)] = p
         return PairBox(s_a=s_a, s_b=s_b, table=table)
 
 

@@ -35,6 +35,8 @@ from .boxes import (
     validate_pairbox,
 )
 from .ensemble import (
+    DESK_BOUND_DEFAULT,
+    DESK_BOUND_ENV_VAR,
     EnsembleModel,
     ExplicitJoint,
     IndependentPairs,
@@ -138,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format (default text)")
     common.add_argument("--out", default=None, help="write the report to this path")
     common.add_argument("--allow-large", action="store_true",
-                        help=f"override the desk bound (default {desk_bound()}) "
-                             f"for exhaustive enumerations")
+                        help=f"override the desk bound (default {DESK_BOUND_DEFAULT}, "
+                             f"or {DESK_BOUND_ENV_VAR}) for exhaustive enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("box", parents=[common],
@@ -184,6 +186,10 @@ def parse_args(argv) -> RunConfig:
     """Parse and validate; exits with code 2 on any usage error."""
     parser = build_parser()
     namespace = parser.parse_args(argv)
+    try:
+        desk_bound()
+    except DomainError as exc:
+        parser.error(str(exc))
     if namespace.n < 1:
         parser.error(f"--n must be at least 1, got {namespace.n}")
     box, joint = _load_box_spec(namespace.box, parser)

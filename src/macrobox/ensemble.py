@@ -4,8 +4,10 @@ A model answers exact joint probabilities for arbitrary per-particle setting
 assignments.  Two kinds are supported: independent identical pairs built
 from one :class:`~macrobox.boxes.PairBox`, and explicit joint tables which
 may encode arbitrary (even signalling) correlations.  Marginal extraction
-verifies no-signalling at call time instead of trusting model invariants,
-so crafted signalling tables are rejected loudly.
+verifies no-signalling when a marginal is first computed instead of
+trusting model invariants, so crafted signalling tables are rejected
+loudly.  Models are immutable, so each keeps one private memo of the laws
+derived from it (see :meth:`EnsembleModel._memoized`).
 
 Exhaustive operations scan the nonzero support (at most 4^N outcome
 tuples) of each setting assignment through the model's ``_support`` kernel;
@@ -19,9 +21,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import lcm, prod
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .boxes import (
@@ -48,9 +50,12 @@ def desk_bound() -> int:
     if raw is None:
         return DESK_BOUND_DEFAULT
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{DESK_BOUND_ENV_VAR} must be an integer, got {raw!r}") from exc
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise DomainError(f"{DESK_BOUND_ENV_VAR} must be a positive integer, got {raw!r}")
+    return bound
 
 
 def ensure_desk_scale(n: int, operation: str, allow_large: bool = False) -> None:
@@ -90,11 +95,29 @@ class OutcomeAssignment:
 
 
 class EnsembleModel:
-    """Base interface: N pairs with s_a/s_b settings per side."""
+    """Base interface: N pairs with s_a/s_b settings per side.
+
+    Each concrete model carries one private ``_memo`` dict that lives as
+    long as the model.  :meth:`_memoized` is its only reader and writer.
+    """
 
     n: int
     s_a: int
     s_b: int
+    _memo: dict
+
+    def _memoized(self, key: tuple, compute: Callable[[], object]):
+        """The value stored under ``key``, computed and stored on first use.
+
+        Keys start with the name of the kernel that owns them.  A
+        ``compute`` that raises stores nothing, so a failing check runs
+        again on every call.  Callers validate their arguments before the
+        lookup and copy any mutable value they hand out.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def joint_probability(self, settings: SettingAssignment,
                           outcomes: OutcomeAssignment) -> Fraction:
@@ -148,6 +171,8 @@ class IndependentPairs(EnsembleModel):
 
     box: PairBox
     n: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def s_a(self) -> int:
@@ -169,7 +194,6 @@ class IndependentPairs(EnsembleModel):
             p *= cell
         return p
 
-    @cached_property
     def _scaled_rows(self) -> tuple:
         """``(L, rows)`` with ``L`` the lcm of the box's denominators.
 
@@ -194,7 +218,7 @@ class IndependentPairs(EnsembleModel):
         return scale, rows
 
     def _support(self, settings: SettingAssignment) -> tuple:
-        scale, rows = self._scaled_rows
+        scale, rows = self._memoized(("support-rows",), self._scaled_rows)
         per_pair = [rows[cell] for cell in zip(settings.alice, settings.bob)]
         return scale ** self.n, self._support_leaves(per_pair)
 
@@ -214,8 +238,9 @@ class IndependentPairs(EnsembleModel):
 class ExplicitJoint(EnsembleModel):
     """Arbitrary joint table, keyed by (alice settings, bob settings).
 
-    Each setting assignment maps to a dict over (alice outcomes, bob
-    outcomes); omitted outcome entries are zero.  Normalization and
+    Each setting assignment maps to a mapping over (alice outcomes, bob
+    outcomes); omitted outcome entries are zero.  :func:`explicit_joint`
+    stores the table and its blocks as read-only views.  Normalization and
     nonnegativity are enforced at construction, but no-signalling is not:
     signalling tables are constructible on purpose and flagged later by
     :func:`check_no_signalling` or by marginal completion checks.
@@ -225,8 +250,8 @@ class ExplicitJoint(EnsembleModel):
     s_a: int
     s_b: int
     table: Mapping
-    _scaled_blocks: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
@@ -238,19 +263,18 @@ class ExplicitJoint(EnsembleModel):
 
     def _support(self, settings: SettingAssignment) -> tuple:
         key = (settings.alice, settings.bob)
-        scaled = self._scaled_blocks.get(key)
-        if scaled is None:
-            block = self.table.get(key)
-            if block is None:
-                raise DomainError(
-                    f"no table entry for settings {settings.alice};{settings.bob}")
-            scale = lcm(*(p.denominator for p in block.values()))
-            # Descending order of the +1/-1 tuples is product(OUTCOMES) order.
-            entries = sorted(((oa + ob, p.numerator * (scale // p.denominator))
-                              for (oa, ob), p in block.items() if p != 0),
-                             reverse=True)
-            scaled = self._scaled_blocks[key] = (scale, tuple(entries))
-        return scaled
+        return self._memoized(("support", key), lambda: self._scaled_block(key))
+
+    def _scaled_block(self, key: tuple) -> tuple:
+        block = self.table.get(key)
+        if block is None:
+            raise DomainError(f"no table entry for settings {key[0]};{key[1]}")
+        scale = lcm(*(p.denominator for p in block.values()))
+        # Descending order of the +1/-1 tuples is product(OUTCOMES) order.
+        entries = sorted(((oa + ob, p.numerator * (scale // p.denominator))
+                          for (oa, ob), p in block.items() if p != 0),
+                         reverse=True)
+        return scale, tuple(entries)
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -268,6 +292,8 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
 
     Every setting key must list ``n`` in-range settings per side, every
     outcome must be +1 or -1, and each setting assignment must be normalized.
+    The model holds read-only views of private copies of ``table`` and its
+    blocks, so its memoised laws cannot go stale.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n={n}")
@@ -291,7 +317,7 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
                 raise ConstructionError(
                     f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
             entries[(oa, ob)] = as_rational(p)
-        normalized[(sa, sb)] = entries
+        normalized[(sa, sb)] = MappingProxyType(entries)
     for sa in product(range(s_a), repeat=n):
         for sb in product(range(s_b), repeat=n):
             block = normalized.get((sa, sb))
@@ -309,7 +335,7 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
             if total != 1:
                 raise ConstructionError(
                     f"outcomes for setting assignment {sa};{sb} sum to {total}, not 1")
-    return ExplicitJoint(n=n, s_a=s_a, s_b=s_b, table=normalized)
+    return ExplicitJoint(n=n, s_a=s_a, s_b=s_b, table=MappingProxyType(normalized))
 
 
 def explicit_joint_from_json(text: str) -> ExplicitJoint:
@@ -454,8 +480,21 @@ def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted.
+
+    The model memoises the result for its lifetime, keyed by the normalised
+    slots and ``verify``.  The spec is validated on every call; the
+    completion check runs with the first computation, and only a result
+    that passed it is stored, so a signalling model raises on every call.
+    Each call returns a fresh dict.
     """
     slots = _normalize_spec(model, spec)
+    law = model._memoized(("marginal", slots, verify),
+                          lambda: _checked_marginal(model, slots, verify))
+    return dict(law)
+
+
+def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> dict:
+    """The uncached body of :func:`marginal` on validated slots."""
     if isinstance(model, IndependentPairs):
         compute = lambda fa, fb: _marginal_product_model(model, slots, fa, fb)
     else:

@@ -245,15 +245,31 @@ def _canonical_within_blocks(settings: tuple, outcomes: tuple) -> tuple:
 
 def _symmetrized_entries(model: EnsembleModel,
                          a_settings: tuple, b_settings: tuple) -> dict:
-    """Complete symmetrized slot distribution, fast path for product models."""
+    """Complete symmetrized slot distribution, fast path for product models.
+
+    The model memoises the result for its lifetime, keyed by
+    ``(a_settings, b_settings)``.  The slot-count guard runs on every call,
+    a failed computation stores nothing, and each call returns a fresh dict.
+    """
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
     if n < a_count or n < b_count:
         raise DomainError(
             f"need at least {max(a_count, b_count)} pairs for {a_count}+{b_count} "
             f"slots, got n={n}")
-    if not isinstance(model, IndependentPairs):
-        return _symmetrized_generic_entries(model, a_settings, b_settings)
+    if isinstance(model, IndependentPairs):
+        compute = lambda: _symmetrized_product_entries(model, a_settings, b_settings)
+    else:
+        compute = lambda: _symmetrized_generic_entries(model, a_settings, b_settings)
+    return dict(model._memoized(("symmetrized", a_settings, b_settings), compute))
+
+
+def _symmetrized_product_entries(model: IndependentPairs,
+                                 a_settings: tuple, b_settings: tuple) -> dict:
+    """All symmetrized-distribution entries of a product model, one DP per
+    orbit of same-setting slot permutations."""
+    n = model.n
+    a_count, b_count = len(a_settings), len(b_settings)
     cache: dict = {}
     entries = {}
     for a_out in product(OUTCOMES, repeat=a_count):

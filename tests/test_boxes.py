@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from macrobox import (
+    ConstructionError,
     DomainError,
     OUTCOMES,
     PairBox,
@@ -15,6 +16,8 @@ from macrobox import (
     chsh_value,
     make_deterministic_box,
     make_isotropic_box,
+    independent_pairs,
+    macro_distribution_bruteforce,
     make_pr_box,
     pair_correlation,
     rational_to_str,
@@ -189,3 +192,52 @@ class TestSerialization:
     @given(box=no_signalling_boxes())
     def test_round_trip_random(self, box):
         assert PairBox.from_json(box.to_json()).table == box.table
+
+
+def pr_rows():
+    return [[i, j, x, y, str(p)] for i, j, x, y, p in make_pr_box().cells()]
+
+
+class TestFromDataRows:
+    @pytest.mark.parametrize("row", [[2, 0, 1, 1, "1/2"], [0, -1, 1, 1, "1/2"],
+                                     [0, 0, 2, 1, "1/3"], [0, 0, 1, 0, "1/3"]])
+    def test_rejects_out_of_range_rows(self, row):
+        with pytest.raises(ConstructionError):
+            PairBox.from_data({"s_a": 2, "s_b": 2, "table": pr_rows() + [row]})
+
+    def test_rejects_duplicate_row(self):
+        rows = pr_rows()
+        with pytest.raises(ConstructionError, match="listed twice"):
+            PairBox.from_data({"s_a": 2, "s_b": 2, "table": rows + [rows[0]]})
+
+    def test_accepts_complete_table(self):
+        box = PairBox.from_data({"s_a": 2, "s_b": 2, "table": pr_rows()})
+        assert box == make_pr_box()
+
+
+class TestFrozenTable:
+    def test_item_assignment_raises(self):
+        box = make_pr_box()
+        with pytest.raises(TypeError):
+            box.table[(0, 0, 1, 1)] = F(1)
+        with pytest.raises(TypeError):
+            del box.table[(0, 0, 1, 1)]
+
+    def test_mutation_after_model_build_cannot_be_written(self):
+        box = make_isotropic_box(F(1, 2))
+        model = independent_pairs(box, 1)
+        before = macro_distribution_bruteforce(model, 0, 0).probs
+        with pytest.raises(TypeError):
+            box.table[(0, 0, 1, 1)] = F(1)
+        assert macro_distribution_bruteforce(model, 0, 0).probs == before
+
+    def test_source_dict_is_copied(self):
+        table = dict(make_pr_box().table)
+        box = PairBox(s_a=2, s_b=2, table=table)
+        table[(0, 0, 1, 1)] = F(1)
+        assert box.prob(0, 0, 1, 1) == F(1, 2)
+
+    def test_equality_is_by_value(self):
+        assert make_pr_box() == make_pr_box()
+        assert make_pr_box().table == make_pr_box().table
+        assert make_pr_box() != make_isotropic_box(F(1, 2))

@@ -175,6 +175,17 @@ class TestExecution:
         assert code == 0
 
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_desk_bound_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MACROBOX_MAX_N", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", "pr"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "MACROBOX_MAX_N must be a positive integer" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["jpd", "--box", "pr", "--n", "3", "--kind", "averages"],
@@ -254,6 +265,19 @@ class TestFileBoxes:
             parse_args(["distribution", "--box", f"file:{path}", "--n", "1"])
         assert exc.value.code == 2
         assert "outcomes must be +1 or -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [[2, 0, 1, 1, "1/2"], [0, 0, 2, 1, "1/3"],
+                                     [0, 0, 1, 1, "1/2"]])
+    def test_pair_box_file_bad_row(self, capsys, tmp_path, row):
+        data = json.loads(make_pr_box().to_json())
+        data["table"].append(row)
+        path = tmp_path / "bad-row.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pair-box row" in err and "Traceback" not in err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -399,6 +399,111 @@ class TestSupportKernel:
         self.assert_matches_literal(model)
 
 
+def marginal_specs(n):
+    """Single-slot, same-pair, cross-pair and three-slot specs for n pairs."""
+    specs = [[("A", 0, 1)], [("B", n - 1, 0)], [("A", 0, 0), ("B", 0, 1)],
+             [("A", n - 1, 1), ("B", 0, 0)]]
+    if n >= 2:
+        specs.append([("A", 0, 1), ("A", 1, 0), ("B", 1, 1)])
+    return specs
+
+
+class TestMemo:
+    """The per-model memo behind ``marginal`` and ``_support``."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=make_pr_box(), n=3)
+    def test_warm_marginals_match_fresh_model(self, box, n):
+        for build in (independent_pairs, explicit_from_box):
+            warm = build(box, n)
+            for spec in marginal_specs(n):
+                for verify in (True, False):
+                    marginal(warm, spec, verify=verify)
+            for spec in marginal_specs(n):
+                for verify in (True, False):
+                    assert marginal(warm, spec, verify=verify) == \
+                        marginal(build(box, n), spec, verify=verify)
+
+    def test_repeat_call_reads_the_memo(self, monkeypatch):
+        from macrobox import ensemble
+
+        calls = []
+        original = ensemble._checked_marginal
+        monkeypatch.setattr(ensemble, "_checked_marginal",
+                            lambda *a: calls.append(a) or original(*a))
+        model = explicit_from_box(make_isotropic_box(F(1, 3)), 2)
+        first = marginal(model, [("A", 0, 1), ("B", 1, 0)])
+        # Another spelling of the same slots is the same normalised key.
+        again = marginal(model, (("A", 0, 1), ("B", 1, 0)))
+        assert again == first and len(calls) == 1
+        marginal(model, [("A", 0, 1), ("B", 1, 0)], verify=False)
+        assert len(calls) == 2
+
+    def test_mutating_a_result_does_not_leak(self):
+        for model in (independent_pairs(make_pr_box(), 2),
+                      explicit_from_box(make_pr_box(), 2)):
+            spec = [("A", 0, 0), ("B", 0, 0)]
+            first = marginal(model, spec)
+            expected = dict(first)
+            first[(1, 1)] = F(7)
+            first.clear()
+            assert marginal(model, spec) == expected
+
+    def test_validation_runs_before_lookup(self):
+        model = independent_pairs(make_pr_box(), 2)
+        marginal(model, [("A", 0, 0)])
+        for bad in ([("A", 2, 0)], [("A", 0, 2)], [("A", 0, 0), ("A", 0, 1)]):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    marginal(model, bad)
+
+    @pytest.mark.parametrize("table, n, spec", [
+        (signalling_joint_table(), 1, [("A", 0, 0)]),
+        (cross_pair_signalling_table(), 2, [("B", 1, 0)]),
+    ])
+    def test_signalling_raises_on_every_call(self, table, n, spec):
+        model = explicit_joint(n, 2, 2, table)
+        for _ in range(3):
+            with pytest.raises(SignallingError):
+                marginal(model, spec)
+        assert not any(key[0] == "marginal" and key[2] for key in model._memo)
+        # Without the completion check the first completion's law is returned.
+        assert marginal(model, spec, verify=False) == \
+            _marginal_by_enumeration(model, tuple(spec), 0, 0)
+
+    def test_memo_is_not_part_of_identity(self):
+        warm = independent_pairs(make_pr_box(), 2)
+        marginal(warm, [("A", 0, 0)])
+        fresh = independent_pairs(make_pr_box(), 2)
+        assert warm == fresh and repr(warm) == repr(fresh)
+        assert "_memo" not in repr(explicit_from_box(make_pr_box(), 1))
+
+    def test_support_blocks_share_the_memo(self):
+        model = explicit_from_box(make_pr_box(), 1)
+        settings_ = SettingAssignment((0,), (1,))
+        assert model._support(settings_) is model._support(settings_)
+        assert set(model._memo) == {("support", ((0,), (1,)))}
+
+
+class TestFrozenTables:
+    def test_explicit_table_and_blocks_are_read_only(self):
+        model = explicit_from_box(make_pr_box(), 1)
+        key = ((0,), (0,))
+        with pytest.raises(TypeError):
+            model.table[key] = {}
+        with pytest.raises(TypeError):
+            model.table[key][((1,), (1,))] = F(1)
+
+    def test_source_table_is_copied(self):
+        table = signalling_joint_table()
+        model = explicit_joint(1, 2, 2, table)
+        table[((0,), (0,))][((1,), (1,))] = F(1)
+        table[((0,), (0,))].clear()
+        assert model.table[((0,), (0,))] == {((1,), (1,)): F(1, 2),
+                                             ((-1,), (-1,)): F(1, 2)}
+
+
 class TestDeskBound:
     def test_default_bound(self):
         assert desk_bound() == 12

@@ -37,8 +37,14 @@ from macrobox import (
     pr_quad_correlator,
     pr_quad_values,
 )
+from macrobox import explicit_joint, symmetry
 from macrobox.symmetry import matching_assignment_count
-from tests.conftest import explicit_from_box, no_signalling_boxes
+from tests.conftest import (
+    cross_pair_signalling_table,
+    explicit_from_box,
+    no_signalling_boxes,
+    signalling_joint_table,
+)
 
 F = Fraction
 SETTINGS = tuple(product((0, 1), repeat=2))
@@ -471,3 +477,67 @@ class TestEffectiveChsh:
                 assert value == 2
             else:
                 assert value < 2
+
+
+def symmetric_laws(model):
+    """Every symmetrised law of the memo tests that ``model.n`` allows."""
+    laws = {"pair": effective_pair(model)}
+    if model.n >= 2:
+        laws["quad"] = effective_quad(model)
+        laws["averages"] = jpd_averages(model)
+    return laws
+
+
+class TestSymmetrizedMemo:
+    """The per-model memo behind ``_symmetrized_entries``."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    def test_warm_model_matches_fresh_model(self, box, n):
+        for build in (independent_pairs, explicit_from_box):
+            warm = build(box, n)
+            symmetric_laws(warm)
+            assert symmetric_laws(warm) == symmetric_laws(build(box, n))
+
+    @pytest.mark.parametrize("build", [independent_pairs, explicit_from_box])
+    def test_second_quad_does_no_new_work(self, monkeypatch, build):
+        calls = []
+
+        def counted(name):
+            original = getattr(symmetry, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("marginal", "_symmetrized_product_entry"):
+            monkeypatch.setattr(symmetry, name, counted(name))
+        model = build(make_isotropic_box(F(1, 3)), 3)
+        first = effective_quad(model)
+        assert calls
+        calls.clear()
+        assert effective_quad(model) == first
+        assert calls == []
+
+    def test_mutating_returned_entries_does_not_leak(self):
+        model = independent_pairs(make_pr_box(), 2)
+        jpd = jpd_averages(model)
+        expected = dict(jpd.entries)
+        jpd.entries.clear()
+        assert jpd_averages(model).entries == expected
+
+    def test_slot_guard_runs_before_lookup(self):
+        model = independent_pairs(make_pr_box(), 3)
+        effective_quad(model)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                jpd_fluctuations(model)
+
+    @pytest.mark.parametrize("table, n", [(signalling_joint_table(), 1),
+                                          (cross_pair_signalling_table(), 2)])
+    def test_signalling_raises_on_every_call(self, table, n):
+        model = explicit_joint(n, 2, 2, table)
+        for _ in range(3):
+            with pytest.raises(SignallingError):
+                effective_pair(model)
