@@ -4,9 +4,10 @@ Everything downstream of a pair box is computed in exact rational
 arithmetic: build a box (:func:`make_pr_box`, :func:`make_isotropic_box`,
 :func:`make_deterministic_box`), lift it to an N-pair model
 (:func:`independent_pairs` or :func:`explicit_joint`), then ask for
-effective distributions, symmetric JPDs, macroscopic moments, the
-brute-force oracle, or the conditional-variance / correlation-matrix
-quantities.  The ``macrobox`` CLI exposes the same operations.
+effective distributions, symmetric JPDs, macroscopic moments, the exact
+distribution of the collective sums (with its brute-force oracle), or
+the conditional-variance / correlation-matrix quantities.  The
+``macrobox`` CLI exposes the same operations.
 """
 
 from .boxes import (
@@ -61,6 +62,7 @@ from .macro import (
     jacobi_eigenvalues,
     macro_average,
     macro_correlation,
+    macro_distribution,
     macro_distribution_bruteforce,
     macro_joint_second_moment,
     macro_local_second_moment,

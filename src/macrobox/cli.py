@@ -49,6 +49,7 @@ from .errors import DomainError, MacroboxError
 from .macro import (
     gisin_matrix,
     macro_correlation,
+    macro_distribution,
     macro_distribution_bruteforce,
     macro_joint_second_moment,
     macro_local_second_moment,
@@ -166,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="if given, print only <(A_i B_j)^k>")
 
     distribution = sub.add_parser("distribution", parents=[common],
-                                  help="brute-force distribution of (A_i, B_j)")
+                                  help="exact distribution of (A_i, B_j): N-fold "
+                                       "convolution for pair boxes, support "
+                                       "enumeration for joint tables")
     distribution.add_argument("--i", type=int, default=0)
     distribution.add_argument("--j", type=int, default=0)
 
@@ -376,7 +379,7 @@ def run_moments(config: RunConfig) -> str:
 def run_distribution(config: RunConfig) -> str:
     model = _build_model(config)
     i, j = config.params["i"], config.params["j"]
-    dist = macro_distribution_bruteforce(model, i, j, allow_large=config.allow_large)
+    dist = macro_distribution(model, i, j, allow_large=config.allow_large)
     if config.fmt == "csv":
         return dist.to_csv()
     if config.fmt == "json":
@@ -510,6 +513,10 @@ def _verify_checks(config: RunConfig):
                         model, i, j, allow_large=config.allow_large)
                     if dist.total() != 1:
                         agreed, detail = False, f"distribution at ({i},{j}) not normalized"
+                    primary = macro_distribution(model, i, j, allow_large=config.allow_large)
+                    if primary.probs != dist.probs:
+                        agreed, detail = False, (f"distribution at ({i},{j}): primary "
+                                                 f"route differs from enumeration")
                     for order in (1, 2):
                         expansion = macro_moment_general(model, i, j, order)
                         oracle = dist.joint_moment(order)

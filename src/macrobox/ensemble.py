@@ -320,21 +320,21 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
         normalized[(sa, sb)] = MappingProxyType(entries)
     for sa in product(range(s_a), repeat=n):
         for sb in product(range(s_b), repeat=n):
-            block = normalized.get((sa, sb))
-            total = ZERO
-            if block:
-                for (oa, ob), p in block.items():
-                    if len(oa) != n or len(ob) != n:
-                        raise ConstructionError(
-                            f"outcome tuple length mismatch at settings {sa};{sb}")
-                    if p < 0:
-                        raise ConstructionError(
-                            f"negative probability {p} at settings {sa};{sb}, "
-                            f"outcomes {oa};{ob}")
-                    total += p
-            if total != 1:
+            block = normalized.get((sa, sb), {})
+            for (oa, ob), p in block.items():
+                if len(oa) != n or len(ob) != n:
+                    raise ConstructionError(
+                        f"outcome tuple length mismatch at settings {sa};{sb}")
+                if p < 0:
+                    raise ConstructionError(
+                        f"negative probability {p} at settings {sa};{sb}, "
+                        f"outcomes {oa};{ob}")
+            scale = lcm(*(p.denominator for p in block.values()))
+            total = sum(p.numerator * (scale // p.denominator) for p in block.values())
+            if total != scale:
                 raise ConstructionError(
-                    f"outcomes for setting assignment {sa};{sb} sum to {total}, not 1")
+                    f"outcomes for setting assignment {sa};{sb} sum to "
+                    f"{Fraction(total, scale)}, not 1")
     return ExplicitJoint(n=n, s_a=s_a, s_b=s_b, table=MappingProxyType(normalized))
 
 
@@ -358,17 +358,25 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
     table: dict = {}
+    parsed: dict = {}  # "p/q" text -> Fraction; tables repeat few distinct values
     for entry in entries:
         try:
-            sa = tuple(int(v) for v in entry["settings_a"])
-            sb = tuple(int(v) for v in entry["settings_b"])
-            oa = tuple(int(v) for v in entry["outcomes_a"])
-            ob = tuple(int(v) for v in entry["outcomes_b"])
-            p = as_rational(entry["p"])
+            sa = tuple(map(int, entry["settings_a"]))
+            sb = tuple(map(int, entry["settings_b"]))
+            oa = tuple(map(int, entry["outcomes_a"]))
+            ob = tuple(map(int, entry["outcomes_b"]))
+            raw = entry["p"]
+            if isinstance(raw, str):
+                p = parsed.get(raw)
+                if p is None:
+                    p = parsed[raw] = as_rational(raw)
+            else:
+                p = as_rational(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed joint-table entry {entry!r}") from exc
         block = table.setdefault((sa, sb), {})
-        block[(oa, ob)] = block.get((oa, ob), ZERO) + p
+        key = (oa, ob)
+        block[key] = block[key] + p if key in block else p
     return explicit_joint(n, s_a, s_b, table)
 
 
@@ -393,26 +401,53 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
     return tuple(slots)
 
 
-def _support_law(model: EnsembleModel, settings: SettingAssignment,
-                 key: Callable[[tuple], object]) -> dict:
-    """Exact law of ``key(alice + bob outcomes)`` under ``settings``.
+def _support_counts(model: EnsembleModel, settings: SettingAssignment,
+                    key: Callable[[tuple], object]) -> tuple:
+    """``(D, counts)``: the exact law of ``key(alice + bob outcomes)`` under
+    ``settings`` as integer counts over the common denominator ``D``.
 
-    Scans the model's nonzero support once, sums the integer weights per key
-    and builds one Fraction per key.  Keys appear in the order of their first
-    support tuple; zero-probability keys are absent.
+    Scans the model's nonzero support once and sums the integer weights per
+    key.  Keys appear in the order of their first support tuple, and every
+    count is positive.
     """
     scale, support = model._support(settings)
     counts: dict = {}
     for combined, weight in support:
         k = key(combined)
         counts[k] = counts.get(k, 0) + weight
+    return scale, counts
+
+
+def _as_law(scale: int, counts: dict) -> dict:
+    """The Fraction law of ``counts`` over ``scale``, one Fraction per key."""
     return {k: Fraction(count, scale) for k, count in counts.items()}
 
 
-def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
-                             fill_a: int, fill_b: int) -> dict:
-    """Marginal over the nonzero support (at most 4^N tuples) of one
-    setting assignment, with fixed completion settings."""
+def _same_law(scale: int, counts: dict, other_scale: int, other_counts: dict) -> bool:
+    """Whether two count laws are the same probability law.
+
+    Equal denominators compare the counts directly; otherwise the key sets
+    must match and every count must agree after cross-multiplication.
+    """
+    if scale == other_scale:
+        return counts == other_counts
+    return (counts.keys() == other_counts.keys()
+            and all(count * other_scale == other_counts[k] * scale
+                    for k, count in counts.items()))
+
+
+def _support_law(model: EnsembleModel, settings: SettingAssignment,
+                 key: Callable[[tuple], object]) -> dict:
+    """Exact law of ``key(alice + bob outcomes)`` under ``settings``: the
+    counts of :func:`_support_counts` as Fractions; zero-probability keys are
+    absent."""
+    return _as_law(*_support_counts(model, settings, key))
+
+
+def _marginal_counts(model: EnsembleModel, slots: tuple,
+                     fill_a: int, fill_b: int) -> tuple:
+    """``(D, counts)`` of the marginal over the nonzero support (at most 4^N
+    tuples) of one setting assignment, with fixed completion settings."""
     settings_a = [fill_a] * model.n
     settings_b = [fill_b] * model.n
     positions = []
@@ -424,8 +459,14 @@ def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
             settings_b[particle] = setting
             positions.append(model.n + particle)
     settings = SettingAssignment(alice=tuple(settings_a), bob=tuple(settings_b))
-    return _support_law(model, settings,
-                        lambda combined: tuple(combined[pos] for pos in positions))
+    return _support_counts(model, settings,
+                           lambda combined: tuple(combined[pos] for pos in positions))
+
+
+def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
+                             fill_a: int, fill_b: int) -> dict:
+    """The law of :func:`_marginal_counts` as Fractions."""
+    return _as_law(*_marginal_counts(model, slots, fill_a, fill_b))
 
 
 def _marginal_product_model(model: IndependentPairs, slots: tuple,
@@ -473,10 +514,15 @@ def _marginal_product_model(model: IndependentPairs, slots: tuple,
 def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
     """Exact marginal over the listed (side, particle, setting) slots.
 
-    Unlisted particles are given an arbitrary completion setting and summed
-    out.  With ``verify`` (the default) the computation runs under two
-    distinct completions and must agree exactly; a mismatch means the model
-    signals and raises :class:`SignallingError` carrying both values.
+    Unlisted particles are given a completion setting and summed out: every
+    unlisted Alice particle gets setting 0 and every unlisted Bob particle
+    setting 0.  With ``verify`` (the default) the marginal is computed again
+    under the (1, 1) completion (a side with a single setting keeps 0) and
+    the two must agree exactly; a mismatch means the model signals and
+    raises :class:`SignallingError` carrying both values.  Only these two
+    completions are compared, so a leak that shows only under a mixed
+    completion, such as Alice's unlisted particles at 0 and Bob's at 1,
+    passes unnoticed; :func:`check_no_signalling` is the exhaustive check.
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted.
@@ -494,23 +540,39 @@ def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
 
 
 def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> dict:
-    """The uncached body of :func:`marginal` on validated slots."""
+    """The uncached body of :func:`marginal` on validated slots.
+
+    Computes the law under the (0, 0) completion and, with ``verify``, under
+    the (1, 1) completion (0 on a side with one setting), and nothing else.
+    Product models compare the two Fraction laws; other models compare the
+    integer count laws of :func:`_marginal_counts` and build the returned
+    Fractions once.
+    """
+    alt_a = 1 if verify and model.s_a > 1 else 0
+    alt_b = 1 if verify and model.s_b > 1 else 0
+    check = (alt_a, alt_b) != (0, 0)
     if isinstance(model, IndependentPairs):
-        compute = lambda fa, fb: _marginal_product_model(model, slots, fa, fb)
-    else:
-        compute = lambda fa, fb: _marginal_by_enumeration(model, slots, fa, fb)
-    first = compute(0, 0)
-    if verify:
-        alt_a = 1 if model.s_a > 1 else 0
-        alt_b = 1 if model.s_b > 1 else 0
-        if (alt_a, alt_b) != (0, 0):
-            second = compute(alt_a, alt_b)
+        first = _marginal_product_model(model, slots, 0, 0)
+        if check:
+            second = _marginal_product_model(model, slots, alt_a, alt_b)
             if second != first:
-                raise SignallingError(
-                    f"marginal over {slots} depends on the completion settings "
-                    f"(fill ({0},{0}) vs ({alt_a},{alt_b})): the model signals",
-                    first=first, second=second)
-    return first
+                raise _completion_mismatch(slots, alt_a, alt_b, first, second)
+        return first
+    scale, counts = _marginal_counts(model, slots, 0, 0)
+    if check:
+        alt_scale, alt_counts = _marginal_counts(model, slots, alt_a, alt_b)
+        if not _same_law(scale, counts, alt_scale, alt_counts):
+            raise _completion_mismatch(slots, alt_a, alt_b, _as_law(scale, counts),
+                                       _as_law(alt_scale, alt_counts))
+    return _as_law(scale, counts)
+
+
+def _completion_mismatch(slots: tuple, alt_a: int, alt_b: int,
+                         first: dict, second: dict) -> SignallingError:
+    return SignallingError(
+        f"marginal over {slots} depends on the completion settings "
+        f"(fill ({0},{0}) vs ({alt_a},{alt_b})): the model signals",
+        first=first, second=second)
 
 
 def marginal_correlator(model: EnsembleModel, spec: Sequence,
@@ -532,7 +594,9 @@ def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> Vali
     For every particle, every pair of its settings, and every setting context
     of the remaining 2N-1 particles, the distribution of all other outcomes
     must be unchanged.  Cost is s^(2N) scans of the nonzero support (at most
-    4^N tuples each), hence desk-bounded.
+    4^N tuples each), hence desk-bounded.  The laws are compared as integer
+    counts (:func:`_same_law`); Fractions are built only for a mismatch, to
+    report its worst residual.
     """
     ensure_desk_scale(model.n, "check_no_signalling", allow_large)
     n = model.n
@@ -559,12 +623,14 @@ def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> Vali
                             ctx_b[particle] = swapped
                             settings = SettingAssignment(context_a, tuple(ctx_b))
                         skip = particle if side == ALICE else n + particle
-                        dists.append((swapped, _support_law(
+                        dists.append((swapped, _support_counts(
                             model, settings,
                             lambda combined: combined[:skip] + combined[skip + 1:])))
-                    base_setting, base = dists[0]
-                    for swapped, other in dists[1:]:
-                        if other != base:
+                    base_setting, (base_scale, base_counts) = dists[0]
+                    for swapped, (scale, counts) in dists[1:]:
+                        if not _same_law(base_scale, base_counts, scale, counts):
+                            base = _as_law(base_scale, base_counts)
+                            other = _as_law(scale, counts)
                             keys = set(base) | set(other)
                             worst = max(
                                 keys,

@@ -4,10 +4,11 @@ A macroscopic measurement sums one property over all N particles in a
 region, so the observable outcomes are N, N-2, ..., -N per side.  This
 module computes correlations, second moments and general k-th moments of
 the collective products, each by at least two independent routes that must
-agree exactly, plus a brute-force enumeration oracle, the conditional
-variance of the summed incompatible Bob observables under a value
-assignment, and the 4x4 correlation matrix whose negative eigenvalues
-constitute the macroscopic-limit paradox.
+agree exactly; the exact distribution of the collective sums (an integer
+convolution for independent pairs, checked against a brute-force
+enumeration oracle); the conditional variance of the summed incompatible
+Bob observables under a value assignment; and the 4x4 correlation matrix
+whose negative eigenvalues constitute the macroscopic-limit paradox.
 """
 
 from __future__ import annotations
@@ -251,14 +252,53 @@ class MacroDistribution:
         })
 
 
+def macro_distribution(model: EnsembleModel, i: int, j: int,
+                       allow_large: bool = False) -> MacroDistribution:
+    """Exact law of (A_i, B_j): the primary route.
+
+    For independent pairs, (A_i, B_j) is a sum of N iid copies of the
+    box's (x, y) law at (i, j).  The four cells are scaled to integers by
+    their lcm L and that 4-point step is convolved N times over the running
+    sums, O(N^3) integer work, with one Fraction(count, L^N) per grid
+    point.  This reads only the box, never the model's support kernel or
+    memo, so :func:`macro_distribution_bruteforce` stays an independent
+    check.  Other models go to the brute force.  Desk-bounded like the
+    brute force, so both routes accept the same N.
+    """
+    if not isinstance(model, IndependentPairs):
+        return macro_distribution_bruteforce(model, i, j, allow_large)
+    _require_settings(model, i, j)
+    ensure_desk_scale(model.n, "macro_distribution", allow_large)
+    n = model.n
+    cells = [(x, y, model.box.prob(i, j, x, y)) for x in OUTCOMES for y in OUTCOMES]
+    scale = math.lcm(*(p.denominator for _, _, p in cells))
+    step = [(x, y, p.numerator * (scale // p.denominator)) for x, y, p in cells if p]
+    counts = {(0, 0): 1}
+    for _ in range(n):
+        advanced: dict = {}
+        for (x_sum, y_sum), count in counts.items():
+            for x, y, weight in step:
+                key = (x_sum + x, y_sum + y)
+                advanced[key] = advanced.get(key, 0) + count * weight
+        counts = advanced
+    denominator = scale ** n
+    grid = {(x_value, y_value): Fraction(counts.get((x_value, y_value), 0), denominator)
+            for x_value in range(-n, n + 1, 2)
+            for y_value in range(-n, n + 1, 2)}
+    return MacroDistribution(n=n, alice_setting=i, bob_setting=j, probs=grid)
+
+
 def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int,
                                   allow_large: bool = False) -> MacroDistribution:
     """Oracle: sum the microscopic joint law under uniform settings.
 
     Scans the model's nonzero support (at most 4^N outcome tuples) and
-    deliberately shares no machinery with the effective-distribution or
-    coincidence-expansion routes, so it is the independent oracle for both;
-    desk-bounded because of the 4^N worst case.
+    deliberately shares no machinery with the convolution of
+    :func:`macro_distribution` or with the effective-distribution and
+    coincidence-expansion routes, so it is the independent check for all of
+    them; desk-bounded because of the 4^N worst case.  Its callers are
+    ``verify``'s oracle-agreement row, :func:`macro_distribution` for
+    models that are not independent pairs, and the tests.
     """
     _require_settings(model, i, j)
     ensure_desk_scale(model.n, "macro_distribution_bruteforce", allow_large)

@@ -86,6 +86,47 @@ def cross_pair_signalling_table():
     return table
 
 
+def mixed_completion_signalling_table():
+    """Two-pair table whose leak shows only under a mixed completion.
+
+    All outcomes are independent fair coins except Bob particle 0's, which
+    is pinned to +1 whenever Alice particle 0's setting differs from Bob
+    particle 1's.  The marginal of Bob particle 0 alone is uniform under
+    the (0, 0) and (1, 1) completions and pinned under (0, 1).  Blocks have
+    denominators 8 (pinned) and 16, so their count laws differ in scale.
+    """
+    table = {}
+    for sa in product(range(2), repeat=2):
+        for sb in product(range(2), repeat=2):
+            pinned = sa[0] != sb[1]
+            block = {}
+            for oa in product(OUTCOMES, repeat=2):
+                for ob in product(OUTCOMES, repeat=2):
+                    if not pinned:
+                        block[(oa, ob)] = Fraction(1, 16)
+                    elif ob[0] == 1:
+                        block[(oa, ob)] = Fraction(1, 8)
+            table[(sa, sb)] = block
+    return table
+
+
+def mixed_denominator_box():
+    """No-signalling box whose setting pairs have different denominators.
+
+    Correlated at (0, 0), anticorrelated at (1, 1) (denominator 2), uniform
+    at (0, 1) and (1, 0) (denominator 4); every marginal is uniform.  As an
+    explicit table its blocks scale by different lcms.
+    """
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    table = {}
+    for x, y in product(OUTCOMES, repeat=2):
+        table[(0, 0, x, y)] = half if x == y else ZERO
+        table[(1, 1, x, y)] = half if x != y else ZERO
+        table[(0, 1, x, y)] = quarter
+        table[(1, 0, x, y)] = quarter
+    return PairBox(s_a=2, s_b=2, table=table)
+
+
 def all_deterministic_boxes():
     return [make_deterministic_box(x0, x1, y0, y1)
             for x0, x1, y0, y1 in product(OUTCOMES, repeat=4)]

@@ -2,12 +2,13 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from macrobox import SymmetricJPD, make_pr_box
+from macrobox import MacroDistribution, SymmetricJPD, make_pr_box
 from macrobox.cli import main, parse_args
-from tests.conftest import signalling_joint_table
+from tests.conftest import explicit_from_box, mixed_denominator_box, signalling_joint_table
 
 F = Fraction
 
@@ -18,19 +19,22 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def signalling_file(tmp_path):
+def write_joint_file(path, table, n):
     entries = []
-    for (sa, sb), block in signalling_joint_table().items():
+    for (sa, sb), block in table.items():
         for (oa, ob), p in block.items():
             entries.append({
                 "settings_a": list(sa), "settings_b": list(sb),
                 "outcomes_a": list(oa), "outcomes_b": list(ob),
                 "p": f"{p.numerator}/{p.denominator}",
             })
-    path = tmp_path / "signalling.json"
-    path.write_text(json.dumps({"n": 1, "s_a": 2, "s_b": 2, "entries": entries}))
+    path.write_text(json.dumps({"n": n, "s_a": 2, "s_b": 2, "entries": entries}))
     return str(path)
+
+
+@pytest.fixture
+def signalling_file(tmp_path):
+    return write_joint_file(tmp_path / "signalling.json", signalling_joint_table(), 1)
 
 
 class TestParsing:
@@ -240,6 +244,47 @@ class TestVerify:
         names = {check["name"] for check in payload["checks"]}
         assert "no-signalling" in names
         assert "oracle-agreement" in names
+
+
+class TestDistributionRoutes:
+    """The convolution (pair boxes) and the enumeration (joint tables) print
+    the same bytes for the same physics."""
+
+    @pytest.mark.parametrize("spec", ["pr", "det:+,-,-,+", "isotropic:1/3", "file"])
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_pair_box_matches_joint_file(self, capsys, tmp_path, spec, n):
+        if spec == "file":
+            (tmp_path / "box.json").write_text(mixed_denominator_box().to_json())
+            spec = f"file:{tmp_path / 'box.json'}"
+        config = parse_args(["box", "--box", spec])
+        joint = write_joint_file(tmp_path / "joint.json",
+                                 explicit_from_box(config.box, n).table, n)
+        for fmt in ("text", "json", "csv"):
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                tail = ["--n", str(n), "--i", str(i), "--j", str(j), "--format", fmt]
+                code, from_box, _ = run_cli(capsys, ["distribution", "--box", spec] + tail)
+                assert code == 0
+                code, from_table, _ = run_cli(
+                    capsys, ["distribution", "--box", f"file:{joint}"] + tail)
+                assert code == 0
+                assert from_box == from_table
+
+    def test_verify_fails_when_routes_disagree(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "2"])
+        assert code == 0
+        assert ("PASS oracle-agreement: moment expansion matches brute-force "
+                "enumeration (k=1,2)") in out
+
+        def shifted(model, i, j, allow_large=False):
+            probs = {key: F(0) for key in product((-2, 0, 2), repeat=2)}
+            probs[(2, 2)] = F(1)
+            return MacroDistribution(n=2, alice_setting=i, bob_setting=j, probs=probs)
+
+        monkeypatch.setattr("macrobox.cli.macro_distribution", shifted)
+        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "2"])
+        assert code == 1
+        assert ("FAIL oracle-agreement: distribution at (1,1): primary route "
+                "differs from enumeration") in out
 
 
 class TestFileBoxes:

@@ -1,5 +1,6 @@
 """N-pair models: joint probabilities, marginals, no-signalling checks."""
 
+import json
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,8 @@ from macrobox.ensemble import _marginal_by_enumeration, ensure_desk_scale
 from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
+    mixed_completion_signalling_table,
+    mixed_denominator_box,
     no_signalling_boxes,
     signalling_joint_table,
 )
@@ -190,6 +193,27 @@ class TestExplicitJoint:
         with pytest.raises(ConstructionError, match="outside s_a=2, s_b=2"):
             explicit_joint(1, 2, 2, table)
 
+    def test_json_repeated_entries_are_summed(self):
+        entries = [{"settings_a": [i], "settings_b": [j], "outcomes_a": [x],
+                    "outcomes_b": [x], "p": p}
+                   for i in (0, 1) for j in (0, 1) for x in (1, -1)
+                   for p in ("1/4", "1/8", "1/8")]
+        model = explicit_joint_from_json(json.dumps(
+            {"n": 1, "s_a": 2, "s_b": 2, "entries": entries}))
+        assert model.table[((1,), (0,))] == {((1,), (1,)): F(1, 2),
+                                             ((-1,), (-1,)): F(1, 2)}
+
+    @pytest.mark.parametrize("bad", [True, 1.0, [1, 2], None])
+    def test_json_non_rational_p_rejected_after_parsed_values(self, bad):
+        # The integer 1 and the text "1" are parsed before the bad value,
+        # which compares equal to 1 in the first two cases.
+        entries = [{"settings_a": [0], "settings_b": [0], "outcomes_a": [x],
+                    "outcomes_b": [x], "p": p}
+                   for x, p in ((1, 1), (-1, "1"), (1, bad))]
+        with pytest.raises(ConstructionError, match="malformed joint-table entry"):
+            explicit_joint_from_json(json.dumps(
+                {"n": 1, "s_a": 1, "s_b": 1, "entries": entries}))
+
     def test_json_entries_must_be_a_list(self):
         with pytest.raises(ConstructionError, match="malformed joint-table JSON"):
             explicit_joint_from_json('{"n": 1, "s_a": 2, "s_b": 2, "entries": 5}')
@@ -297,6 +321,67 @@ class TestNoSignallingCheck:
         # swapping Alice particle 0's setting moves another particle's marginal
         assert any(v.where[0] == "A" and v.where[1] == 0
                    for v in report.violations)
+
+
+class TestIntegerComparison:
+    """The swap scan and the completion check compare integer count laws."""
+
+    def test_mixed_denominators_agree(self):
+        box = mixed_denominator_box()
+        model = explicit_from_box(box, 2)
+        scales = {model._support(SettingAssignment(sa, sb))[0]
+                  for sa in product(range(2), repeat=2)
+                  for sb in product(range(2), repeat=2)}
+        assert scales == {4, 8, 16}  # the cross-multiplied branch runs
+        assert check_no_signalling(model).ok
+        product_model = independent_pairs(box, 2)
+        for spec in ([("A", 0, 0)], [("B", 1, 1)], [("A", 0, 1), ("B", 1, 0)]):
+            assert marginal(model, spec) == marginal(product_model, spec)
+
+    # The reports of the Fraction comparison this scan replaced.
+    SIGNALLING_REPORTS = {
+        1: [(("B", 0, 0, 1, (context_a,), (0,)), F(1, 2)) for context_a in (0, 1)],
+        2: [(("A", 0, 0, 1, (0, a1), (b0, b1)), F(-1, 8))
+            for a1 in (0, 1) for b0 in (0, 1) for b1 in (0, 1)],
+    }
+
+    @pytest.mark.parametrize("table, n", [(signalling_joint_table(), 1),
+                                          (cross_pair_signalling_table(), 2)])
+    def test_signalling_reports_unchanged(self, table, n):
+        report = check_no_signalling(explicit_joint(n, 2, 2, table))
+        assert [(v.where, v.residual) for v in report.violations] == \
+            self.SIGNALLING_REPORTS[n]
+        for v in report.violations:
+            side, particle, before, after = v.where[:4]
+            assert v.kind == "no-signalling"
+            assert v.detail == (f"marginal of the other particles changes when "
+                                f"({side},{particle}) swaps setting {before} -> {after}")
+
+
+class TestCompletionCheck:
+    """``marginal(verify=True)`` compares the (0, 0) and (1, 1) completions only."""
+
+    def test_mixed_completion_leak_passes_marginal(self):
+        model = explicit_joint(2, 2, 2, mixed_completion_signalling_table())
+        uniform = {(1,): F(1, 2), (-1,): F(1, 2)}
+        assert marginal(model, [("B", 0, 0)], verify=True) == uniform
+        slots = (("B", 0, 0),)
+        assert _marginal_by_enumeration(model, slots, 0, 0) == uniform
+        assert _marginal_by_enumeration(model, slots, 1, 1) == uniform
+        assert _marginal_by_enumeration(model, slots, 0, 1) == {(1,): F(1)}
+
+    def test_mixed_completion_leak_flagged_by_swap_scan(self):
+        report = check_no_signalling(
+            explicit_joint(2, 2, 2, mixed_completion_signalling_table()))
+        assert not report.ok
+        assert any(v.where[:2] == ("A", 0) for v in report.violations)
+        assert any(v.where[:2] == ("B", 1) for v in report.violations)
+
+    def test_listed_partner_exposes_the_leak(self):
+        model = explicit_joint(2, 2, 2, mixed_completion_signalling_table())
+        with pytest.raises(SignallingError) as exc:
+            marginal(model, [("A", 0, 0), ("B", 0, 0)])
+        assert exc.value.first != exc.value.second
 
 
 def literal_law(model, settings_, key):

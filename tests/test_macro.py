@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from macrobox import (
     DeskBoundError,
     DomainError,
+    IndependentPairs,
     UnsupportedExtensionError,
     gisin_matrix,
     independent_pairs,
     jacobi_eigenvalues,
     macro_average,
     macro_correlation,
+    macro_distribution,
     macro_distribution_bruteforce,
     macro_joint_second_moment,
     macro_local_second_moment,
@@ -28,7 +30,12 @@ from macrobox import (
     odd_multiplicity_counts,
     rohrlich_conditional_variance,
 )
-from tests.conftest import explicit_from_box, no_signalling_boxes
+from tests.conftest import (
+    all_deterministic_boxes,
+    explicit_from_box,
+    mixed_denominator_box,
+    no_signalling_boxes,
+)
 
 F = Fraction
 SETTINGS = tuple(product((0, 1), repeat=2))
@@ -151,6 +158,68 @@ class TestBruteForceDistribution:
         assert lines[0] == "X,Y,p"
         assert lines[1] == "-1,-1,1/2"
         assert len(lines) == 5
+
+
+class TestConvolutionDistribution:
+    """``macro_distribution`` (convolution) against the brute-force oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(model, allow_large=False):
+        for i, j in SETTINGS:
+            primary = macro_distribution(model, i, j, allow_large=allow_large)
+            oracle = macro_distribution_bruteforce(model, i, j, allow_large=allow_large)
+            assert primary == oracle
+            assert list(primary.probs) == list(oracle.probs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=6))
+    def test_no_signalling_boxes(self, box, n):
+        self.assert_matches_oracle(independent_pairs(box, n))
+
+    @pytest.mark.parametrize("box", [make_pr_box(), mixed_denominator_box()]
+                             + all_deterministic_boxes())
+    def test_boxes_with_zero_cells(self, box):
+        for n in (1, 2, 5):
+            self.assert_matches_oracle(independent_pairs(box, n))
+
+    def test_allow_large(self, monkeypatch):
+        monkeypatch.setenv("MACROBOX_MAX_N", "2")
+        model = independent_pairs(make_isotropic_box(F(1, 3)), 3)
+        with pytest.raises(DeskBoundError):
+            macro_distribution(model, 0, 0)
+        self.assert_matches_oracle(model, allow_large=True)
+
+    def test_shares_no_kernel_or_memo(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the convolution read the model's kernel or memo")
+
+        model = independent_pairs(make_isotropic_box(F(1, 2)), 3)
+        oracle = macro_distribution_bruteforce(model, 1, 0)
+        monkeypatch.setattr(IndependentPairs, "_support", forbidden)
+        monkeypatch.setattr(IndependentPairs, "_memoized", forbidden)
+        assert macro_distribution(model, 1, 0) == oracle
+        assert macro_distribution(independent_pairs(make_pr_box(), 40), 1, 1,
+                                  allow_large=True).total() == 1
+
+    def test_binomial_closed_form(self):
+        # At (0, 0) the PR box gives A = B, a sum of n fair +-1 steps.
+        n = 30
+        dist = macro_distribution(independent_pairs(make_pr_box(), n), 0, 0,
+                                  allow_large=True)
+        for k in range(n + 1):
+            value = n - 2 * k
+            assert dist.prob(value, value) == F(math.comb(n, k), 2 ** n)
+        assert dist.total() == 1
+
+    def test_other_models_use_the_oracle(self):
+        model = explicit_from_box(make_isotropic_box(F(1, 2)), 2)
+        for i, j in SETTINGS:
+            assert macro_distribution(model, i, j) == \
+                macro_distribution_bruteforce(model, i, j)
+
+    def test_rejects_bad_settings(self):
+        with pytest.raises(DomainError):
+            macro_distribution(independent_pairs(make_pr_box(), 2), 2, 0)
 
 
 class TestOddMultiplicityCounts:
