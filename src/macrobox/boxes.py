@@ -104,8 +104,10 @@ class PairBox:
     """Probability table of one bipartite box.
 
     ``table`` maps (alice_setting, bob_setting, alice_outcome, bob_outcome)
-    to an exact probability.  Instances are immutable: the box keeps a
-    read-only view of a private copy of ``table``.  Missing cells are 0.
+    to an exact probability.  Each side needs at least one setting
+    (:class:`ConstructionError` otherwise).  Instances are immutable: the
+    box keeps a read-only view of a private copy of ``table``.  Missing
+    cells are 0.
     """
 
     s_a: int
@@ -113,6 +115,10 @@ class PairBox:
     table: Mapping
 
     def __post_init__(self) -> None:
+        if self.s_a < 1 or self.s_b < 1:
+            raise ConstructionError(
+                f"a pair box needs at least one setting per side, got "
+                f"s_a={self.s_a}, s_b={self.s_b}")
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def prob(self, i: int, j: int, x: int, y: int) -> Fraction:

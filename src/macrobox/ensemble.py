@@ -2,17 +2,21 @@
 
 A model answers exact joint probabilities for arbitrary per-particle setting
 assignments.  Two kinds are supported: independent identical pairs built
-from one :class:`~macrobox.boxes.PairBox`, and explicit joint tables which
-may encode arbitrary (even signalling) correlations.  Marginal extraction
-verifies no-signalling when a marginal is first computed instead of
-trusting model invariants, so crafted signalling tables are rejected
-loudly.  Models are immutable, so each keeps one private memo of the laws
-derived from it (see :meth:`EnsembleModel._memoized`).
+from one :class:`~macrobox.boxes.PairBox`, which must be a valid
+no-signalling box, and explicit joint tables which may encode arbitrary
+(even signalling) correlations.  Marginal extraction compares two
+completions when a marginal is first computed, so crafted signalling
+tables are rejected loudly.  Models are immutable, so each keeps one
+private memo of the laws derived from it (see
+:meth:`EnsembleModel._memoized`).
 
-Exhaustive operations scan the nonzero support (at most 4^N outcome
-tuples) of each setting assignment through the model's ``_support`` kernel;
-they refuse N above the desk bound (default 12, override via MACROBOX_MAX_N
-or an explicit ``allow_large`` flag).
+Laws are integer counts over a common denominator until they are handed
+out.  A product model's marginals are products of its box's integer rows;
+an explicit table's marginals, and the exhaustive operations, scan the
+nonzero support (at most 4^N outcome tuples) of each setting assignment
+through the model's ``_support`` kernel.  Exhaustive operations refuse N
+above the desk bound (default 12, override via MACROBOX_MAX_N or an
+explicit ``allow_large`` flag).
 """
 
 from __future__ import annotations
@@ -167,12 +171,26 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class IndependentPairs(EnsembleModel):
-    """N independent copies of one pair box; probabilities factorize per pair."""
+    """N independent copies of one pair box; probabilities factorize per pair.
+
+    Construction rejects ``n < 1`` (:class:`DomainError`) and a box that
+    fails :func:`~macrobox.boxes.validate_pairbox`
+    (:class:`ConstructionError`), so every instance is a product of
+    normalised, nonnegative, no-signalling boxes and hence no-signalling
+    itself.
+    """
 
     box: PairBox
     n: int
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError(f"need at least one pair, got n={self.n}")
+        report = validate_pairbox(self.box)
+        if not report.ok:
+            raise ConstructionError(f"pair box is invalid: {report}")
 
     @property
     def s_a(self) -> int:
@@ -278,12 +296,7 @@ class ExplicitJoint(EnsembleModel):
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
-    """Model of ``n`` independent copies of ``box``."""
-    if n < 1:
-        raise DomainError(f"need at least one pair, got n={n}")
-    report = validate_pairbox(box)
-    if not report.ok:
-        raise ConstructionError(f"pair box is invalid: {report}")
+    """Model of ``n`` independent copies of ``box``, checked on construction."""
     return IndependentPairs(box=box, n=n)
 
 
@@ -463,52 +476,42 @@ def _marginal_counts(model: EnsembleModel, slots: tuple,
                            lambda combined: tuple(combined[pos] for pos in positions))
 
 
-def _marginal_by_enumeration(model: EnsembleModel, slots: tuple,
-                             fill_a: int, fill_b: int) -> dict:
-    """The law of :func:`_marginal_counts` as Fractions."""
-    return _as_law(*_marginal_counts(model, slots, fill_a, fill_b))
-
-
-def _marginal_product_model(model: IndependentPairs, slots: tuple,
-                            fill_a: int, fill_b: int) -> dict:
-    """Marginal of a product model: one box factor per involved pair.
+def _product_marginal_counts(model: IndependentPairs, slots: tuple,
+                             fill_a: int, fill_b: int) -> tuple:
+    """``(D, counts)`` of a product model's marginal: one integer box factor
+    per involved pair, over the memoised rows of :meth:`IndependentPairs._scaled_rows`.
 
     A particle whose partner slot is not listed is summed out through the
     completion setting ``fill_a``/``fill_b`` on the opposite side, which is
-    exactly where a signalling box would leak.
+    exactly where a signalling box would leak.  ``D`` is the box scale to
+    the power of the number of involved pairs; keys follow
+    ``product(OUTCOMES, repeat=len(slots))`` and every count is positive.
     """
+    scale, rows = model._memoized(("support-rows",), model._scaled_rows)
     per_pair: dict = {}
-    for side, particle, setting in slots:
-        per_pair.setdefault(particle, {})[side] = setting
-    factors = []  # (pair slots in spec order, factor table)
-    for particle, sides in per_pair.items():
-        if ALICE in sides and BOB in sides:
-            i, j = sides[ALICE], sides[BOB]
-            table = {(x, y): model.box.prob(i, j, x, y)
-                     for x in OUTCOMES for y in OUTCOMES}
-            local = [(ALICE, particle), (BOB, particle)]
-        elif ALICE in sides:
-            i = sides[ALICE]
-            table = {(x,): model.box.marginal_a(i, x, j=fill_b) for x in OUTCOMES}
-            local = [(ALICE, particle)]
-        else:
-            j = sides[BOB]
-            table = {(y,): model.box.marginal_b(j, y, i=fill_a) for y in OUTCOMES}
-            local = [(BOB, particle)]
-        factors.append((local, table))
-    # Assemble the product distribution over the requested slot order.
-    slot_order = [(side, particle) for side, particle, _ in slots]
-    dist: dict = {}
-    for assignment in product(OUTCOMES, repeat=len(slot_order)):
-        value = dict(zip(slot_order, assignment))
-        p = ONE
-        for local, table in factors:
-            p *= table[tuple(value[s] for s in local)]
-            if p == 0:
+    for position, (side, particle, setting) in enumerate(slots):
+        per_pair.setdefault(particle, {})[side] = (position, setting)
+    factors = []  # (positions of the pair's listed slots, counts over their outcomes)
+    for sides in per_pair.values():
+        pos_a, i = sides.get(ALICE, (None, fill_a))
+        pos_b, j = sides.get(BOB, (None, fill_b))
+        listed = (pos_a is not None, pos_b is not None)
+        table: dict = {}
+        for x, (ys, ws) in rows[(i, j)].items():
+            for y, w in zip(ys, ws):
+                key = tuple(o for o, keep in zip((x, y), listed) if keep)
+                table[key] = table.get(key, 0) + w
+        factors.append((tuple(pos for pos in (pos_a, pos_b) if pos is not None), table))
+    counts = {}
+    for assignment in product(OUTCOMES, repeat=len(slots)):
+        weight = 1
+        for positions, table in factors:
+            weight *= table.get(tuple(assignment[pos] for pos in positions), 0)
+            if not weight:
                 break
-        if p != 0:
-            dist[assignment] = p
-    return dist
+        if weight:
+            counts[assignment] = weight
+    return scale ** len(factors), counts
 
 
 def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
@@ -527,44 +530,48 @@ def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted.
 
-    The model memoises the result for its lifetime, keyed by the normalised
-    slots and ``verify``.  The spec is validated on every call; the
-    completion check runs with the first computation, and only a result
-    that passed it is stored, so a signalling model raises on every call.
-    Each call returns a fresh dict.
+    The model memoises the integer count law of :func:`_checked_marginal`
+    and, beside it, this Fraction law, both keyed by the normalised slots
+    and ``verify``.  The spec is validated on every call; the completion
+    check runs with the first computation, and only a law that passed it is
+    stored, so a signalling model raises on every call.  Each call returns a
+    fresh dict.
     """
     slots = _normalize_spec(model, spec)
     law = model._memoized(("marginal", slots, verify),
-                          lambda: _checked_marginal(model, slots, verify))
+                          lambda: _as_law(*_marginal_count_law(model, slots, verify)))
     return dict(law)
 
 
-def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> dict:
-    """The uncached body of :func:`marginal` on validated slots.
+def _marginal_count_law(model: EnsembleModel, slots: tuple, verify: bool) -> tuple:
+    """The memoised ``(D, counts)`` of :func:`_checked_marginal`; not copied,
+    so callers must not mutate it."""
+    return model._memoized(("marginal-counts", slots, verify),
+                           lambda: _checked_marginal(model, slots, verify))
+
+
+def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> tuple:
+    """The uncached body of :func:`marginal` on validated slots: the marginal
+    as an integer count law ``(D, counts)``.
 
     Computes the law under the (0, 0) completion and, with ``verify``, under
-    the (1, 1) completion (0 on a side with one setting), and nothing else.
-    Product models compare the two Fraction laws; other models compare the
-    integer count laws of :func:`_marginal_counts` and build the returned
-    Fractions once.
+    the (1, 1) completion (0 on a side with one setting), and nothing else,
+    and compares the two with :func:`_same_law`.  Product models multiply
+    their box's integer rows (:func:`_product_marginal_counts`); other
+    models scan the support (:func:`_marginal_counts`).  Fractions are built
+    only for a mismatch, to carry both laws on the error.
     """
+    counts_of = (_product_marginal_counts if isinstance(model, IndependentPairs)
+                 else _marginal_counts)
     alt_a = 1 if verify and model.s_a > 1 else 0
     alt_b = 1 if verify and model.s_b > 1 else 0
-    check = (alt_a, alt_b) != (0, 0)
-    if isinstance(model, IndependentPairs):
-        first = _marginal_product_model(model, slots, 0, 0)
-        if check:
-            second = _marginal_product_model(model, slots, alt_a, alt_b)
-            if second != first:
-                raise _completion_mismatch(slots, alt_a, alt_b, first, second)
-        return first
-    scale, counts = _marginal_counts(model, slots, 0, 0)
-    if check:
-        alt_scale, alt_counts = _marginal_counts(model, slots, alt_a, alt_b)
+    scale, counts = counts_of(model, slots, 0, 0)
+    if (alt_a, alt_b) != (0, 0):
+        alt_scale, alt_counts = counts_of(model, slots, alt_a, alt_b)
         if not _same_law(scale, counts, alt_scale, alt_counts):
             raise _completion_mismatch(slots, alt_a, alt_b, _as_law(scale, counts),
                                        _as_law(alt_scale, alt_counts))
-    return _as_law(scale, counts)
+    return scale, counts
 
 
 def _completion_mismatch(slots: tuple, alt_a: int, alt_b: int,
@@ -577,28 +584,44 @@ def _completion_mismatch(slots: tuple, alt_a: int, alt_b: int,
 
 def marginal_correlator(model: EnsembleModel, spec: Sequence,
                         verify: bool = True) -> Fraction:
-    """Expectation of the product of the listed slots' outcomes."""
-    dist = marginal(model, spec, verify=verify)
-    total = ZERO
-    for outcomes, p in dist.items():
-        sign = 1
-        for o in outcomes:
-            sign *= o
-        total += sign * p
-    return total
+    """Expectation of the product of the listed slots' outcomes.
+
+    Validated and checked as :func:`marginal`, and read from the same
+    memoised count law: one Fraction, the signed count sum over ``D``.
+    """
+    slots = _normalize_spec(model, spec)
+    scale, counts = _marginal_count_law(model, slots, verify)
+    return Fraction(sum(prod(outcomes) * count for outcomes, count in counts.items()),
+                    scale)
 
 
 def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> ValidationReport:
-    """Exhaustively compare marginals over all single-particle setting swaps.
+    """No-signalling violations over all single-particle setting swaps.
 
     For every particle, every pair of its settings, and every setting context
     of the remaining 2N-1 particles, the distribution of all other outcomes
-    must be unchanged.  Cost is s^(2N) scans of the nonzero support (at most
-    4^N tuples each), hence desk-bounded.  The laws are compared as integer
-    counts (:func:`_same_law`); Fractions are built only for a mismatch, to
-    report its worst residual.
+    must be unchanged.  Desk-bounded for every model.  A product model
+    answers from its box: a product of no-signalling boxes is no-signalling,
+    so the report holds the no-signalling rows of
+    :func:`~macrobox.boxes.validate_pairbox` on ``model.box`` (none, since
+    construction validated the box).  Any other model gets the exhaustive
+    :func:`_swap_scan`.
     """
     ensure_desk_scale(model.n, "check_no_signalling", allow_large)
+    if isinstance(model, IndependentPairs):
+        return ValidationReport(violations=tuple(
+            v for v in validate_pairbox(model.box).violations if v.kind == "no-signalling"))
+    return _swap_scan(model)
+
+
+def _swap_scan(model: EnsembleModel) -> ValidationReport:
+    """The exhaustive swap check behind :func:`check_no_signalling`.
+
+    Cost is s^(2N) scans of the nonzero support (at most 4^N tuples each);
+    callers apply the desk bound.  The laws are compared as integer counts
+    (:func:`_same_law`); Fractions are built only for a mismatch, to report
+    its worst residual.
+    """
     n = model.n
     violations = []
     sides = [(ALICE, model.s_a), (BOB, model.s_b)]

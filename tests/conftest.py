@@ -1,9 +1,15 @@
-"""Shared fixtures and strategies: crafted models and random no-signalling boxes."""
+"""Shared fixtures and strategies: crafted models and random no-signalling boxes.
 
+``HYPOTHESIS_PROFILE=ci`` loads a derandomised profile, so a failure on CI
+reproduces exactly with the same command and prints its reproduction blob.
+"""
+
+import os
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from macrobox import (
@@ -18,6 +24,9 @@ from macrobox import (
 )
 
 ZERO = Fraction(0)
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def explicit_from_box(box, n):
@@ -130,6 +139,34 @@ def mixed_denominator_box():
 def all_deterministic_boxes():
     return [make_deterministic_box(x0, x1, y0, y1)
             for x0, x1, y0, y1 in product(OUTCOMES, repeat=4)]
+
+
+def pr_relabelings():
+    """The 8 PR boxes: x*y = (-1)^(i*j + a*i + b*j + c), each such cell 1/2."""
+    boxes = []
+    for a, b, c in product((0, 1), repeat=3):
+        table = {(i, j, x, y): Fraction(1, 2) if x * y == (-1) ** (i * j + a * i + b * j + c)
+                 else ZERO
+                 for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)}
+        boxes.append(PairBox(s_a=2, s_b=2, table=table))
+    return boxes
+
+
+def no_signalling_vertices():
+    """The 24 vertices of the two-setting no-signalling polytope."""
+    return all_deterministic_boxes() + pr_relabelings()
+
+
+def signalling_pair_box(steered="A"):
+    """Normalised, nonnegative box in which the other side's setting pins the
+    ``steered`` side's outcome (+1 at setting 0, -1 at setting 1); the
+    other outcome is a fair coin."""
+    def pinned(i, j, x, y):
+        return x == (1, -1)[j] if steered == "A" else y == (1, -1)[i]
+
+    table = {(i, j, x, y): Fraction(1, 2) if pinned(i, j, x, y) else ZERO
+             for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)}
+    return PairBox(s_a=2, s_b=2, table=table)
 
 
 @st.composite

@@ -164,6 +164,11 @@ class TestValidation:
     def test_random_mixtures_validate(self, box):
         assert validate_pairbox(box).ok
 
+    @pytest.mark.parametrize("s_a, s_b", [(0, 0), (-1, 2), (2, 0)])
+    def test_rejects_a_side_without_settings(self, s_a, s_b):
+        with pytest.raises(ConstructionError, match="at least one setting"):
+            PairBox(s_a=s_a, s_b=s_b, table={})
+
     def test_chsh_needs_two_settings(self):
         pr = make_pr_box()
         stripped = PairBox(s_a=1, s_b=2, table={

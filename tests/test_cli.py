@@ -286,6 +286,21 @@ class TestDistributionRoutes:
         assert ("FAIL oracle-agreement: distribution at (1,1): primary route "
                 "differs from enumeration") in out
 
+    def test_joint_table_oracle_row_enumerates_once(self, capsys, monkeypatch, tmp_path):
+        # For a joint table macro_distribution is the enumeration itself, so
+        # the oracle row does not compare the two.
+        joint = write_joint_file(tmp_path / "joint.json",
+                                 explicit_from_box(make_pr_box(), 2).table, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("macro_distribution called for a joint table")
+
+        monkeypatch.setattr("macrobox.cli.macro_distribution", forbidden)
+        code, out, _ = run_cli(capsys, ["verify", "--box", f"file:{joint}", "--n", "2"])
+        assert code == 0
+        assert ("PASS oracle-agreement: moment expansion matches brute-force "
+                "enumeration (k=1,2)") in out
+
 
 class TestFileBoxes:
     def test_pair_box_file(self, capsys, tmp_path):
@@ -323,6 +338,18 @@ class TestFileBoxes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "pair-box row" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("s_a, s_b", [(0, 0), (-1, 0), (2, 0)])
+    @pytest.mark.parametrize("argv", [["box"], ["verify", "--n", "2"]])
+    def test_pair_box_file_without_settings(self, capsys, tmp_path, s_a, s_b, argv):
+        path = tmp_path / "no-settings.json"
+        path.write_text(json.dumps({"s_a": s_a, "s_b": s_b, "table": []}))
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--box", f"file:{path}"] + argv[1:])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at least one setting per side" in err and "Traceback" not in err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

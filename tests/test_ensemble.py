@@ -4,6 +4,7 @@ import json
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,18 +30,32 @@ from macrobox import (
     make_pr_box,
     marginal,
     marginal_correlator,
+    validate_pairbox,
 )
-from macrobox.ensemble import _marginal_by_enumeration, ensure_desk_scale
+from macrobox.ensemble import (
+    _as_law,
+    _marginal_counts,
+    _product_marginal_counts,
+    _swap_scan,
+    ensure_desk_scale,
+)
 from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
     mixed_completion_signalling_table,
     mixed_denominator_box,
     no_signalling_boxes,
+    no_signalling_vertices,
     signalling_joint_table,
+    signalling_pair_box,
 )
 
 F = Fraction
+
+
+def _marginal_by_enumeration(model, slots, fill_a, fill_b):
+    """Marginal law over the support scan under a fixed completion."""
+    return _as_law(*_marginal_counts(model, slots, fill_a, fill_b))
 
 
 class TestIndependentPairs:
@@ -608,3 +623,126 @@ class TestDeskBound:
     def test_refuses_above_bound(self):
         with pytest.raises(DeskBoundError):
             ensure_desk_scale(desk_bound() + 1, "test-op")
+
+
+def product_table(box, n):
+    """``n`` copies of ``box`` as an explicit joint table, cell by cell and
+    without validating the box, so signalling boxes can be wrapped too."""
+    table = {}
+    for sa in product(range(box.s_a), repeat=n):
+        for sb in product(range(box.s_b), repeat=n):
+            block = {}
+            for oa in product(OUTCOMES, repeat=n):
+                for ob in product(OUTCOMES, repeat=n):
+                    p = prod((box.prob(*cell) for cell in zip(sa, sb, oa, ob)), start=F(1))
+                    if p:
+                        block[(oa, ob)] = p
+            table[(sa, sb)] = block
+    return explicit_joint(n, box.s_a, box.s_b, table)
+
+
+def signed_sum(law):
+    return sum((prod(outcomes) * p for outcomes, p in law.items()), F(0))
+
+
+class TestProductMarginalCounts:
+    """The product-model integer kernel behind ``marginal`` and
+    ``marginal_correlator``."""
+
+    COMPLETIONS = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+    @settings(max_examples=12, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=make_pr_box(), n=3)
+    @example(box=mixed_denominator_box(), n=2)
+    def test_matches_support_scan_under_every_completion(self, box, n):
+        model = independent_pairs(box, n)
+        for spec in marginal_specs(n) + [[("B", 0, 1), ("A", 0, 0)]]:
+            slots = tuple(spec)
+            for fill in self.COMPLETIONS:
+                scale, counts = _product_marginal_counts(model, slots, *fill)
+                assert all(isinstance(c, int) and c > 0 for c in counts.values())
+                assert _as_law(scale, counts) == _marginal_by_enumeration(model, slots, *fill)
+
+    @settings(max_examples=10, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=make_pr_box(), n=2)
+    def test_correlator_is_the_signed_marginal_sum(self, box, n):
+        for build in (independent_pairs, explicit_from_box):
+            # Separate models, so neither reads the other's memo.
+            by_correlator, by_marginal = build(box, n), build(box, n)
+            for spec in marginal_specs(n):
+                for verify in (True, False):
+                    value = marginal_correlator(by_correlator, spec, verify=verify)
+                    assert isinstance(value, F)
+                    assert value == signed_sum(marginal(by_marginal, spec, verify=verify))
+
+    def test_correlator_and_marginal_share_one_computation(self, monkeypatch):
+        from macrobox import ensemble
+
+        calls = []
+        original = ensemble._checked_marginal
+        monkeypatch.setattr(ensemble, "_checked_marginal",
+                            lambda *a: calls.append(a) or original(*a))
+        for model in (independent_pairs(make_isotropic_box(F(1, 3)), 2),
+                      explicit_from_box(make_isotropic_box(F(1, 3)), 2)):
+            calls.clear()
+            spec = [("A", 0, 1), ("B", 1, 0)]
+            value = marginal_correlator(model, spec)
+            law = marginal(model, spec)
+            assert marginal_correlator(model, spec) == value == signed_sum(law)
+            assert len(calls) == 1
+
+    def test_correlator_raises_on_every_call_for_signalling_tables(self):
+        model = explicit_joint(1, 2, 2, signalling_joint_table())
+        for _ in range(3):
+            with pytest.raises(SignallingError):
+                marginal_correlator(model, [("A", 0, 0)])
+        assert marginal_correlator(model, [("A", 0, 0)], verify=False) == 0
+
+
+class TestProductNoSignalling:
+    """``check_no_signalling`` answers a product model from its box rows."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=mixed_denominator_box(), n=2)
+    def test_box_report_matches_swap_scan(self, box, n):
+        model = independent_pairs(box, n)
+        report = check_no_signalling(model)
+        assert report == _swap_scan(model) == _swap_scan(explicit_from_box(box, n))
+        assert report.ok
+
+    @pytest.mark.parametrize("box", no_signalling_vertices())
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_vertices(self, box, n):
+        model = independent_pairs(box, n)
+        assert check_no_signalling(model) == _swap_scan(model)
+        assert check_no_signalling(model).ok
+
+    @pytest.mark.parametrize("steered", ("A", "B"))
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_signalling_box_is_refused_and_scanned(self, steered, n):
+        box = signalling_pair_box(steered)
+        with pytest.raises(ConstructionError):
+            IndependentPairs(box=box, n=n)
+        with pytest.raises(ConstructionError):
+            independent_pairs(box, n)
+        # The swap scan of the same product, as a joint table, flags a swap
+        # on exactly the side whose setting the box report says leaks.
+        rows = validate_pairbox(box).violations
+        assert rows and all(v.kind == "no-signalling" for v in rows)
+        leaking = {"B" if v.where[0] == "A" else "A" for v in rows}
+        scan = _swap_scan(product_table(box, n))
+        assert {v.where[0] for v in scan.violations} == leaking
+
+    def test_construction_checks_n(self):
+        with pytest.raises(DomainError):
+            IndependentPairs(box=make_pr_box(), n=0)
+
+    def test_desk_bound_still_applies(self, monkeypatch):
+        monkeypatch.setenv("MACROBOX_MAX_N", "2")
+        with pytest.raises(DeskBoundError):
+            check_no_signalling(independent_pairs(make_pr_box(), 3))
+        assert check_no_signalling(independent_pairs(make_pr_box(), 3),
+                                   allow_large=True).ok
