@@ -423,170 +423,165 @@ def run_gisin(config: RunConfig) -> str:
 VERIFY_EXHAUSTIVE_LIMIT = 6
 
 
+class _Skip(Exception):
+    """A verify row's precondition does not hold; the message is the SKIP detail."""
+
+
+def _require_construction(model: EnsembleModel, copies: int = 1) -> None:
+    """SKIP unless n >= copies * max(s_a, s_b): a symmetric JPD with
+    ``copies`` slots per setting needs that many distinct pairs."""
+    need = copies * max(model.s_a, model.s_b)
+    if model.n < need:
+        raise _Skip(f"construction needs n >= {need}")
+
+
+def _require_exhaustive(model: EnsembleModel, config: RunConfig, what: str) -> None:
+    """SKIP a 4^n enumeration above VERIFY_EXHAUSTIVE_LIMIT; --allow-large
+    raises the limit to the desk bound."""
+    n = model.n
+    if not (n <= VERIFY_EXHAUSTIVE_LIMIT or (config.allow_large and n <= desk_bound())):
+        raise _Skip(f"{what} skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
+                    f"(pass --allow-large to force)")
+
+
+def _validity_failure(verdict, prefix: str = "") -> str | None:
+    return None if verdict.valid and verdict.total == 1 else f"{prefix}{verdict}"
+
+
+def _verify_normalization(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: the model's table.  Check: each setting block sums to 1; a
+    pair box passed :func:`validate_pairbox` when its model was built."""
+    if isinstance(model, IndependentPairs):
+        return None, "box table normalized for every setting pair"
+    normalized = all(sum(block.values(), ZERO) == 1 for block in model.table.values())
+    return (None if normalized else "a setting assignment does not sum to 1",
+            "joint table normalized for every assignment")
+
+
+def _verify_no_signalling(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: :func:`check_no_signalling` (the box's rows for a product
+    model, the exhaustive swap scan for a joint table).  Check: its report
+    holds no violation.  Exhaustive-gated."""
+    _require_exhaustive(model, config, "exhaustive swap check")
+    report = check_no_signalling(model, allow_large=config.allow_large)
+    return (None if report.ok else str(report.violations[0]),
+            "all single-particle setting swaps agree")
+
+
+def _verify_marginal_identities(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: :func:`effective_pair`.  Check: the one-slot-per-side
+    marginals of :func:`jpd_averages`.  Needs the averages construction."""
+    _require_construction(model)
+    jpd = jpd_averages(model)
+    pair = effective_pair(model)
+    failure = None
+    for i, j in product(range(model.s_a), range(model.s_b)):
+        for (x, y), p in jpd_marginal(jpd, [(ALICE, i, 0), (BOB, j, 0)]).items():
+            if p != pair.prob(i, j, x, y):
+                failure = f"mismatch at {(i, j, x, y, p, pair.prob(i, j, x, y))}"
+    return failure, "averages-JPD marginals equal the effective pair distribution"
+
+
+def _verify_path_agreement(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: the microscopic sums of the second-moment and correlation
+    routines.  Check: their effective-distribution forms, which each
+    routine compares itself, raising on a disagreement."""
+    for i in range(model.s_a):
+        macro_local_second_moment(model, ALICE, i)
+    for j in range(model.s_b):
+        macro_local_second_moment(model, BOB, j)
+    for i, j in product(range(model.s_a), range(model.s_b)):
+        macro_correlation(model, i, j)
+        macro_joint_second_moment(model, i, j)
+    return None, "microscopic and effective routes agree"
+
+
+def _verify_oracle(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: :func:`macro_moment_general` at k = 1, 2 and, for a product
+    model, :func:`macro_distribution`.  Check: the enumeration of
+    :func:`macro_distribution_bruteforce`, which for any other model is
+    ``macro_distribution`` itself.  Exhaustive-gated."""
+    _require_exhaustive(model, config, "4^n enumeration")
+    failure = None
+    for i, j in product(range(model.s_a), range(model.s_b)):
+        dist = macro_distribution_bruteforce(model, i, j, allow_large=config.allow_large)
+        if dist.total() != 1:
+            failure = f"distribution at ({i},{j}) not normalized"
+        if isinstance(model, IndependentPairs):
+            primary = macro_distribution(model, i, j, allow_large=config.allow_large)
+            if primary.probs != dist.probs:
+                failure = (f"distribution at ({i},{j}): primary "
+                           f"route differs from enumeration")
+        for order in (1, 2):
+            expansion = macro_moment_general(model, i, j, order)
+            oracle = dist.joint_moment(order)
+            if expansion != oracle:
+                failure = (f"<(A{i} B{j})^{order}> expansion {expansion} "
+                           f"!= enumeration {oracle}")
+    return failure, "moment expansion matches brute-force enumeration (k=1,2)"
+
+
+def _verify_averages_validity(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: :func:`jpd_averages`, or below its construction the PR box's
+    :func:`pr_averages_jpd_closed_form`.  Check: :func:`jpd_validity`,
+    every entry nonnegative and the sum 1."""
+    try:
+        _require_construction(model)
+    except _Skip:
+        if not (isinstance(model, IndependentPairs)
+                and model.box.table == make_pr_box().table):
+            raise
+        verdict = jpd_validity(pr_averages_jpd_closed_form(model.n))
+        return (_validity_failure(verdict, f"closed form at n={model.n}: "),
+                "closed form nonnegative")
+    return _validity_failure(jpd_validity(jpd_averages(model))), "all entries nonnegative, sum 1"
+
+
+def _verify_fluctuations(model: EnsembleModel, config: RunConfig) -> tuple:
+    """Primary: :func:`jpd_fluctuations`.  Checks: :func:`jpd_validity`, then
+    its two-slots-per-side marginals against :func:`effective_quad`.  Needs
+    the two-copies construction."""
+    _require_construction(model, copies=2)
+    passed = "valid and reproduces the two-pair effective distribution"
+    jpd = jpd_fluctuations(model)
+    failure = _validity_failure(jpd_validity(jpd))
+    if failure is not None:
+        return failure, passed
+    quad = effective_quad(model)
+    for i, j in product(range(model.s_a), range(model.s_b)):
+        dist = jpd_marginal(jpd, [(ALICE, i, 0), (ALICE, i, 1), (BOB, j, 0), (BOB, j, 1)])
+        for (x, xp, y, yp), p in dist.items():
+            if p != quad.prob(i, j, x, xp, y, yp):
+                failure = f"marginal mismatch at {(i, j, x, xp, y, yp)}"
+    return failure, passed
+
+
+#: verify's rows in output order.  Each check returns (failure detail or
+#: None, PASS detail), raises _Skip, or raises MacroboxError (a FAIL).  The
+#: checks read library routes as this module's globals at call time.
+_VERIFY_ROWS = (
+    ("normalization", _verify_normalization),
+    ("no-signalling", _verify_no_signalling),
+    ("marginal-identities", _verify_marginal_identities),
+    ("path-agreement", _verify_path_agreement),
+    ("oracle-agreement", _verify_oracle),
+    ("averages-jpd-validity", _verify_averages_validity),
+    ("fluctuations-jpd", _verify_fluctuations),
+)
+
+
 def _verify_checks(config: RunConfig):
     """Yield (status, name, detail) rows; status is PASS, FAIL or SKIP."""
     model = _build_model(config)
-    n = model.n
-    exhaustive_ok = (n <= VERIFY_EXHAUSTIVE_LIMIT
-                     or (config.allow_large and n <= desk_bound()))
-
-    # normalization
-    try:
-        if isinstance(model, IndependentPairs):
-            report = validate_pairbox(model.box)
-            bad = [v for v in report.violations if v.kind == "normalization"]
-            if bad:
-                yield "FAIL", "normalization", "; ".join(str(v) for v in bad)
-            else:
-                yield "PASS", "normalization", "box table normalized for every setting pair"
+    for name, check in _VERIFY_ROWS:
+        try:
+            failure, passed = check(model, config)
+        except _Skip as skip:
+            yield "SKIP", name, str(skip)
+        except MacroboxError as exc:
+            yield "FAIL", name, str(exc)
         else:
-            totals_ok = True
-            for block in model.table.values():
-                if sum(block.values(), ZERO) != 1:
-                    totals_ok = False
-            if totals_ok:
-                yield "PASS", "normalization", "joint table normalized for every assignment"
-            else:
-                yield "FAIL", "normalization", "a setting assignment does not sum to 1"
-    except MacroboxError as exc:
-        yield "FAIL", "normalization", str(exc)
-
-    # single-particle setting-swap check (from the box rows for a product model)
-    try:
-        if exhaustive_ok:
-            report = check_no_signalling(model, allow_large=config.allow_large)
-            if report.ok:
-                yield "PASS", "no-signalling", "all single-particle setting swaps agree"
-            else:
-                yield "FAIL", "no-signalling", str(report.violations[0])
-        else:
-            yield "SKIP", "no-signalling", (
-                f"exhaustive swap check skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
-                f"(pass --allow-large to force)")
-    except MacroboxError as exc:
-        yield "FAIL", "no-signalling", str(exc)
-
-    # marginal identities of the averages JPD
-    try:
-        if n >= max(model.s_a, model.s_b):
-            jpd = jpd_averages(model)
-            pair = effective_pair(model)
-            mismatch = None
-            for i in range(model.s_a):
-                for j in range(model.s_b):
-                    dist = jpd_marginal(jpd, [(ALICE, i, 0), (BOB, j, 0)])
-                    for (x, y), p in dist.items():
-                        if p != pair.prob(i, j, x, y):
-                            mismatch = (i, j, x, y, p, pair.prob(i, j, x, y))
-            if mismatch is None:
-                yield "PASS", "marginal-identities", \
-                    "averages-JPD marginals equal the effective pair distribution"
-            else:
-                yield "FAIL", "marginal-identities", f"mismatch at {mismatch}"
-        else:
-            yield "SKIP", "marginal-identities", f"construction needs n >= {max(model.s_a, model.s_b)}"
-    except MacroboxError as exc:
-        yield "FAIL", "marginal-identities", str(exc)
-
-    # dual-route agreement for moments
-    try:
-        for i in range(model.s_a):
-            macro_local_second_moment(model, ALICE, i)
-        for j in range(model.s_b):
-            macro_local_second_moment(model, BOB, j)
-        for i in range(model.s_a):
-            for j in range(model.s_b):
-                macro_correlation(model, i, j)
-                macro_joint_second_moment(model, i, j)
-        yield "PASS", "path-agreement", "microscopic and effective routes agree"
-    except MacroboxError as exc:
-        yield "FAIL", "path-agreement", str(exc)
-
-    # brute-force oracle
-    try:
-        if exhaustive_ok:
-            agreed = True
-            detail = ""
-            for i in range(model.s_a):
-                for j in range(model.s_b):
-                    dist = macro_distribution_bruteforce(
-                        model, i, j, allow_large=config.allow_large)
-                    if dist.total() != 1:
-                        agreed, detail = False, f"distribution at ({i},{j}) not normalized"
-                    # For any other model macro_distribution is this enumeration.
-                    if isinstance(model, IndependentPairs):
-                        primary = macro_distribution(
-                            model, i, j, allow_large=config.allow_large)
-                        if primary.probs != dist.probs:
-                            agreed, detail = False, (f"distribution at ({i},{j}): primary "
-                                                     f"route differs from enumeration")
-                    for order in (1, 2):
-                        expansion = macro_moment_general(model, i, j, order)
-                        oracle = dist.joint_moment(order)
-                        if expansion != oracle:
-                            agreed = False
-                            detail = (f"<(A{i} B{j})^{order}> expansion {expansion} "
-                                      f"!= enumeration {oracle}")
-            if agreed:
-                yield "PASS", "oracle-agreement", \
-                    "moment expansion matches brute-force enumeration (k=1,2)"
-            else:
-                yield "FAIL", "oracle-agreement", detail
-        else:
-            yield "SKIP", "oracle-agreement", (
-                f"4^n enumeration skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
-                f"(pass --allow-large to force)")
-    except MacroboxError as exc:
-        yield "FAIL", "oracle-agreement", str(exc)
-
-    # JPD validity (averages; closed form at n=1 for the maximally nonlocal box)
-    try:
-        if n >= max(model.s_a, model.s_b):
-            verdict = jpd_validity(jpd_averages(model))
-            if verdict.valid and verdict.total == 1:
-                yield "PASS", "averages-jpd-validity", "all entries nonnegative, sum 1"
-            else:
-                yield "FAIL", "averages-jpd-validity", str(verdict)
-        elif (isinstance(model, IndependentPairs)
-              and model.box.table == make_pr_box().table):
-            verdict = jpd_validity(pr_averages_jpd_closed_form(n))
-            if verdict.valid and verdict.total == 1:
-                yield "PASS", "averages-jpd-validity", "closed form nonnegative"
-            else:
-                yield "FAIL", "averages-jpd-validity", f"closed form at n={n}: {verdict}"
-        else:
-            yield "SKIP", "averages-jpd-validity", \
-                f"construction needs n >= {max(model.s_a, model.s_b)}"
-    except MacroboxError as exc:
-        yield "FAIL", "averages-jpd-validity", str(exc)
-
-    # fluctuations JPD: validity plus its marginal identities
-    try:
-        if n >= 2 * max(model.s_a, model.s_b):
-            jpd = jpd_fluctuations(model)
-            verdict = jpd_validity(jpd)
-            if not (verdict.valid and verdict.total == 1):
-                yield "FAIL", "fluctuations-jpd", str(verdict)
-            else:
-                quad = effective_quad(model)
-                mismatch = None
-                for i in range(model.s_a):
-                    for j in range(model.s_b):
-                        dist = jpd_marginal(
-                            jpd, [(ALICE, i, 0), (ALICE, i, 1), (BOB, j, 0), (BOB, j, 1)])
-                        for (x, xp, y, yp), p in dist.items():
-                            if p != quad.prob(i, j, x, xp, y, yp):
-                                mismatch = (i, j, x, xp, y, yp)
-                if mismatch is None:
-                    yield "PASS", "fluctuations-jpd", \
-                        "valid and reproduces the two-pair effective distribution"
-                else:
-                    yield "FAIL", "fluctuations-jpd", f"marginal mismatch at {mismatch}"
-        else:
-            yield "SKIP", "fluctuations-jpd", \
-                f"construction needs n >= {2 * max(model.s_a, model.s_b)}"
-    except MacroboxError as exc:
-        yield "FAIL", "fluctuations-jpd", str(exc)
+            yield ("PASS", name, passed) if failure is None else ("FAIL", name, failure)
 
 
 def run_verify(config: RunConfig) -> tuple:

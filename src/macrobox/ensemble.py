@@ -4,10 +4,10 @@ A model answers exact joint probabilities for arbitrary per-particle setting
 assignments.  Two kinds are supported: independent identical pairs built
 from one :class:`~macrobox.boxes.PairBox`, which must be a valid
 no-signalling box, and explicit joint tables which may encode arbitrary
-(even signalling) correlations.  Marginal extraction compares two
-completions when a marginal is first computed, so crafted signalling
-tables are rejected loudly.  Models are immutable, so each keeps one
-private memo of the laws derived from it (see
+(even signalling) correlations.  An explicit table's marginal extraction
+compares two completions when a marginal is first computed, so crafted
+signalling tables are rejected loudly.  Models are immutable, so each
+keeps one private memo of the laws derived from it (see
 :meth:`EnsembleModel._memoized`).
 
 Laws are integer counts over a common denominator until they are handed
@@ -519,13 +519,16 @@ def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
 
     Unlisted particles are given a completion setting and summed out: every
     unlisted Alice particle gets setting 0 and every unlisted Bob particle
-    setting 0.  With ``verify`` (the default) the marginal is computed again
-    under the (1, 1) completion (a side with a single setting keeps 0) and
-    the two must agree exactly; a mismatch means the model signals and
-    raises :class:`SignallingError` carrying both values.  Only these two
-    completions are compared, so a leak that shows only under a mixed
-    completion, such as Alice's unlisted particles at 0 and Bob's at 1,
-    passes unnoticed; :func:`check_no_signalling` is the exhaustive check.
+    setting 0.  With ``verify`` (the default) a joint table's marginal is
+    computed again under the (1, 1) completion (a side with a single
+    setting keeps 0) and the two must agree exactly; a mismatch means the
+    model signals and raises :class:`SignallingError` carrying both values.
+    Only these two completions are compared, so a leak that shows only
+    under a mixed completion, such as Alice's unlisted particles at 0 and
+    Bob's at 1, passes unnoticed; :func:`check_no_signalling` is the
+    exhaustive check.  A product model's box passed
+    :func:`~macrobox.boxes.validate_pairbox` at construction and is
+    read-only, so its completions always agree and only (0, 0) is computed.
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted.
@@ -554,20 +557,22 @@ def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> tuple
     """The uncached body of :func:`marginal` on validated slots: the marginal
     as an integer count law ``(D, counts)``.
 
-    Computes the law under the (0, 0) completion and, with ``verify``, under
-    the (1, 1) completion (0 on a side with one setting), and nothing else,
-    and compares the two with :func:`_same_law`.  Product models multiply
-    their box's integer rows (:func:`_product_marginal_counts`); other
-    models scan the support (:func:`_marginal_counts`).  Fractions are built
-    only for a mismatch, to carry both laws on the error.
+    A product model multiplies its box's integer rows under the (0, 0)
+    completion (:func:`_product_marginal_counts`); its box is validated and
+    read-only, so the (1, 1) completion could not differ and is not
+    computed.  Any other model scans the support (:func:`_marginal_counts`)
+    under the (0, 0) completion and, with ``verify``, under the (1, 1)
+    completion (0 on a side with one setting), and compares the two with
+    :func:`_same_law`.  Fractions are built only for a mismatch, to carry
+    both laws on the error.
     """
-    counts_of = (_product_marginal_counts if isinstance(model, IndependentPairs)
-                 else _marginal_counts)
+    if isinstance(model, IndependentPairs):
+        return _product_marginal_counts(model, slots, 0, 0)
     alt_a = 1 if verify and model.s_a > 1 else 0
     alt_b = 1 if verify and model.s_b > 1 else 0
-    scale, counts = counts_of(model, slots, 0, 0)
+    scale, counts = _marginal_counts(model, slots, 0, 0)
     if (alt_a, alt_b) != (0, 0):
-        alt_scale, alt_counts = counts_of(model, slots, alt_a, alt_b)
+        alt_scale, alt_counts = _marginal_counts(model, slots, alt_a, alt_b)
         if not _same_law(scale, counts, alt_scale, alt_counts):
             raise _completion_mismatch(slots, alt_a, alt_b, _as_law(scale, counts),
                                        _as_law(alt_scale, alt_counts))

@@ -44,7 +44,7 @@ from .boxes import (
     rational_to_str,
     validate_pairbox,
 )
-from .ensemble import EnsembleModel, IndependentPairs, marginal, marginal_correlator
+from .ensemble import EnsembleModel, IndependentPairs, marginal
 from .errors import ConstructionError, DomainError, SignallingError
 
 
@@ -306,7 +306,9 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     Averages <prod of alice_count outcomes at alice_setting times prod of
     bob_count outcomes at bob_setting> over all ordered tuples of pairwise
     distinct particles on each side.  Zero slot counts are allowed; the
-    empty product is 1.
+    empty product is 1.  A product model sums over matchings in closed
+    form; any other model takes the signed sum of the memoised
+    :func:`_symmetrized_entries`, which the effective pair and quad share.
     """
     n = model.n
     if not (0 <= alice_count <= n):
@@ -333,15 +335,10 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
                     * mean_b ** (bob_count - matched))
             total += ways * term
         return total / (math.perm(n, alice_count) * math.perm(n, bob_count))
-    total = ZERO
-    count = 0
-    for a_particles in permutations(range(n), alice_count):
-        for b_particles in permutations(range(n), bob_count):
-            spec = ([(ALICE, k, alice_setting) for k in a_particles]
-                    + [(BOB, l, bob_setting) for l in b_particles])
-            total += marginal_correlator(model, spec)
-            count += 1
-    return total / count
+    entries = _symmetrized_entries(model, (alice_setting,) * alice_count,
+                                   (bob_setting,) * bob_count)
+    return sum((math.prod(a_out) * math.prod(b_out) * p
+                for (a_out, b_out), p in entries.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from macrobox import MacroDistribution, SymmetricJPD, make_pr_box
 from macrobox.cli import main, parse_args
+from macrobox.errors import DomainError
 from tests.conftest import explicit_from_box, mixed_denominator_box, signalling_joint_table
 
 F = Fraction
@@ -244,6 +245,111 @@ class TestVerify:
         names = {check["name"] for check in payload["checks"]}
         assert "no-signalling" in names
         assert "oracle-agreement" in names
+
+
+VERIFY_ROWS = ["normalization", "no-signalling", "marginal-identities", "path-agreement",
+               "oracle-agreement", "averages-jpd-validity", "fluctuations-jpd"]
+
+NEGATIVE_PR_ENTRIES = "; ".join(
+    f"negative entry ({event}) = -1/16"
+    for event in ("+,+;-,+", "+,+;-,-", "+,-;+,-", "+,-;-,-",
+                  "-,+;+,+", "-,+;-,+", "-,-;+,+", "-,-;+,-"))
+
+
+class TestVerifyOutput:
+    """Exact `verify` reports: every row's text, its order and the exit code."""
+
+    def test_pr_single_pair_text(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--box", "pr", "--n", "1"])
+        assert (code, err) == (1, "")
+        assert out == (
+            "PASS normalization: box table normalized for every setting pair\n"
+            "PASS no-signalling: all single-particle setting swaps agree\n"
+            "SKIP marginal-identities: construction needs n >= 2\n"
+            "PASS path-agreement: microscopic and effective routes agree\n"
+            "PASS oracle-agreement: moment expansion matches brute-force enumeration (k=1,2)\n"
+            f"FAIL averages-jpd-validity: closed form at n=1: {NEGATIVE_PR_ENTRIES}\n"
+            "SKIP fluctuations-jpd: construction needs n >= 4\n"
+            "result: FAIL (7 checks, 1 failed, 2 skipped)\n")
+
+    def test_pr_above_exhaustive_limit_text(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--box", "pr", "--n", "7"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS normalization: box table normalized for every setting pair\n"
+            "SKIP no-signalling: exhaustive swap check skipped for n=7 > 6 "
+            "(pass --allow-large to force)\n"
+            "PASS marginal-identities: averages-JPD marginals equal the effective pair "
+            "distribution\n"
+            "PASS path-agreement: microscopic and effective routes agree\n"
+            "SKIP oracle-agreement: 4^n enumeration skipped for n=7 > 6 "
+            "(pass --allow-large to force)\n"
+            "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
+            "PASS fluctuations-jpd: valid and reproduces the two-pair effective "
+            "distribution\n"
+            "result: PASS (7 checks, 0 failed, 2 skipped)\n")
+
+    def test_isotropic_two_pairs_json(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "2",
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        details = [
+            ("PASS", "box table normalized for every setting pair"),
+            ("PASS", "all single-particle setting swaps agree"),
+            ("PASS", "averages-JPD marginals equal the effective pair distribution"),
+            ("PASS", "microscopic and effective routes agree"),
+            ("PASS", "moment expansion matches brute-force enumeration (k=1,2)"),
+            ("PASS", "all entries nonnegative, sum 1"),
+            ("SKIP", "construction needs n >= 4"),
+        ]
+        expected = {
+            "n": 2,
+            "box": "isotropic:1/3",
+            "checks": [{"name": name, "status": status, "detail": detail}
+                       for name, (status, detail) in zip(VERIFY_ROWS, details)],
+            "ok": True,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_signalling_file_text(self, capsys, signalling_file):
+        code, out, err = run_cli(capsys, ["verify", "--box", f"file:{signalling_file}"])
+        assert (code, err) == (1, "")
+        leaks = "; ".join(
+            f"no-signalling at ('A', {i}, {x}, 0, 1): p(x={symbol}|i={i}) is 1/2 via j=0 "
+            f"but {via_one} via j=1 (residual {residual})"
+            for i in (0, 1)
+            for x, symbol, via_one, residual in ((1, "+", 1, "1/2"), (-1, "-", 0, "-1/2")))
+        assert out == (
+            "PASS normalization: joint table normalized for every assignment\n"
+            "FAIL no-signalling: no-signalling at ('B', 0, 0, 1, (0,), (0,)): marginal of "
+            "the other particles changes when (B,0) swaps setting 0 -> 1 (residual 1/2)\n"
+            "SKIP marginal-identities: construction needs n >= 2\n"
+            "FAIL path-agreement: effective pair distribution is not a valid "
+            f"no-signalling box: {leaks}\n"
+            "PASS oracle-agreement: moment expansion matches brute-force enumeration (k=1,2)\n"
+            "SKIP averages-jpd-validity: construction needs n >= 2\n"
+            "SKIP fluctuations-jpd: construction needs n >= 4\n"
+            "result: FAIL (7 checks, 2 failed, 3 skipped)\n")
+
+    @pytest.mark.parametrize("route, row, n", [
+        ("check_no_signalling", "no-signalling", 2),
+        ("effective_pair", "marginal-identities", 2),
+        ("macro_correlation", "path-agreement", 2),
+        ("macro_distribution_bruteforce", "oracle-agreement", 2),
+        ("jpd_validity", "averages-jpd-validity", 2),
+        ("effective_quad", "fluctuations-jpd", 4),
+    ])
+    def test_route_error_stays_in_its_row(self, capsys, monkeypatch, route, row, n):
+        def boom(*args, **kwargs):
+            raise DomainError("boom")
+
+        monkeypatch.setattr(f"macrobox.cli.{route}", boom)
+        code, out, err = run_cli(capsys, ["verify", "--box", "pr", "--n", str(n)])
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0].split(" ")[1] for line in lines[:-1]] == VERIFY_ROWS
+        assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL {row}: boom"]
+        assert lines[-1].startswith("result: FAIL (7 checks, 1 failed, ")
 
 
 class TestDistributionRoutes:

@@ -693,6 +693,24 @@ class TestProductMarginalCounts:
             assert marginal_correlator(model, spec) == value == signed_sum(law)
             assert len(calls) == 1
 
+    def test_product_marginal_computes_one_completion(self, monkeypatch):
+        # A product model's box is validated and read-only, so its (1, 1)
+        # completion cannot differ; a joint table still computes both.
+        from macrobox import ensemble
+
+        for kernel, build, fills in (
+                ("_product_marginal_counts", independent_pairs, [(0, 0)]),
+                ("_marginal_counts", explicit_from_box, [(0, 0), (1, 1)])):
+            calls = []
+            original = getattr(ensemble, kernel)
+            monkeypatch.setattr(ensemble, kernel,
+                                lambda m, s, a, b, original=original:
+                                calls.append((a, b)) or original(m, s, a, b))
+            model = build(make_pr_box(), 2)
+            law = marginal(model, [("A", 0, 1), ("B", 1, 0)])
+            assert law == {outcomes: F(1, 4) for outcomes in product(OUTCOMES, repeat=2)}
+            assert calls == fills
+
     def test_correlator_raises_on_every_call_for_signalling_tables(self):
         model = explicit_joint(1, 2, 2, signalling_joint_table())
         for _ in range(3):
