@@ -17,7 +17,6 @@ from .boxes import (
     OUTCOMES,
     PLUS,
     PairBox,
-    Rational,
     ValidationReport,
     Violation,
     as_rational,
@@ -89,8 +88,6 @@ from .symmetry import (
     pr_averages_jpd_closed_form,
     pr_averages_jpd_values,
     pr_effective_pair_probability,
-    pr_joint_second_moment,
-    pr_macro_correlation,
     pr_quad_class,
     pr_quad_correlator,
     pr_quad_values,

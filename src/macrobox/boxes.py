@@ -18,12 +18,10 @@ from typing import Iterator, Mapping, Union
 
 from .errors import ConstructionError, DomainError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 ALICE = "A"
 BOB = "B"
-SIDES = (ALICE, BOB)
 
 PLUS = 1
 MINUS = -1

@@ -22,7 +22,6 @@ from .boxes import (
     BOB,
     OUTCOMES,
     PairBox,
-    ZERO,
     as_rational,
     canonical_json,
     chsh_value,
@@ -449,13 +448,12 @@ def _validity_failure(verdict, prefix: str = "") -> str | None:
 
 
 def _verify_normalization(model: EnsembleModel, config: RunConfig) -> tuple:
-    """Primary: the model's table.  Check: each setting block sums to 1; a
-    pair box passed :func:`validate_pairbox` when its model was built."""
+    """Primary: the model's table.  Check: construction, which rejects a
+    pair box that fails :func:`validate_pairbox` and a joint table with a
+    setting block that does not sum to 1, so a built model always passes."""
     if isinstance(model, IndependentPairs):
         return None, "box table normalized for every setting pair"
-    normalized = all(sum(block.values(), ZERO) == 1 for block in model.table.values())
-    return (None if normalized else "a setting assignment does not sum to 1",
-            "joint table normalized for every assignment")
+    return None, "joint table normalized for every assignment"
 
 
 def _verify_no_signalling(model: EnsembleModel, config: RunConfig) -> tuple:

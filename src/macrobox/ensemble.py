@@ -257,9 +257,12 @@ class ExplicitJoint(EnsembleModel):
     """Arbitrary joint table, keyed by (alice settings, bob settings).
 
     Each setting assignment maps to a mapping over (alice outcomes, bob
-    outcomes); omitted outcome entries are zero.  :func:`explicit_joint`
-    stores the table and its blocks as read-only views.  Normalization and
-    nonnegativity are enforced at construction, but no-signalling is not:
+    outcomes); omitted outcome entries are zero.  Construction checks the
+    table against ``n``, ``s_a`` and ``s_b``: every setting key must list
+    ``n`` in-range settings per side, every outcome must be +1 or -1, and
+    each setting assignment must be nonnegative and normalized.  The model
+    holds read-only views of private copies of ``table`` and its blocks,
+    so its memoised laws cannot go stale.  No-signalling is not enforced:
     signalling tables are constructible on purpose and flagged later by
     :func:`check_no_signalling` or by marginal completion checks.
     """
@@ -270,6 +273,50 @@ class ExplicitJoint(EnsembleModel):
     table: Mapping
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+
+    def __post_init__(self) -> None:
+        n, s_a, s_b = self.n, self.s_a, self.s_b
+        if n < 1:
+            raise DomainError(f"need at least one pair, got n={n}")
+        if s_a < 1 or s_b < 1:
+            raise DomainError("each side needs at least one setting")
+        if not self.table:
+            raise ConstructionError("empty joint table")
+        normalized = {}
+        for key, block in self.table.items():
+            sa, sb = tuple(key[0]), tuple(key[1])
+            if len(sa) != n or len(sb) != n:
+                raise ConstructionError(
+                    f"setting key {sa};{sb} does not list n={n} settings per side")
+            if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
+                raise ConstructionError(
+                    f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
+            entries = {}
+            for ok, p in block.items():
+                oa, ob = tuple(ok[0]), tuple(ok[1])
+                if any(v not in OUTCOMES for v in oa + ob):
+                    raise ConstructionError(
+                        f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
+                entries[(oa, ob)] = as_rational(p)
+            normalized[(sa, sb)] = MappingProxyType(entries)
+        for sa in product(range(s_a), repeat=n):
+            for sb in product(range(s_b), repeat=n):
+                block = normalized.get((sa, sb), {})
+                for (oa, ob), p in block.items():
+                    if len(oa) != n or len(ob) != n:
+                        raise ConstructionError(
+                            f"outcome tuple length mismatch at settings {sa};{sb}")
+                    if p < 0:
+                        raise ConstructionError(
+                            f"negative probability {p} at settings {sa};{sb}, "
+                            f"outcomes {oa};{ob}")
+                scale = lcm(*(p.denominator for p in block.values()))
+                total = sum(p.numerator * (scale // p.denominator) for p in block.values())
+                if total != scale:
+                    raise ConstructionError(
+                        f"outcomes for setting assignment {sa};{sb} sum to "
+                        f"{Fraction(total, scale)}, not 1")
+        object.__setattr__(self, "table", MappingProxyType(normalized))
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
@@ -301,54 +348,9 @@ def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
 
 
 def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
-    """Wrap an explicit joint table, checking it against ``n``, ``s_a``, ``s_b``.
-
-    Every setting key must list ``n`` in-range settings per side, every
-    outcome must be +1 or -1, and each setting assignment must be normalized.
-    The model holds read-only views of private copies of ``table`` and its
-    blocks, so its memoised laws cannot go stale.
-    """
-    if n < 1:
-        raise DomainError(f"need at least one pair, got n={n}")
-    if s_a < 1 or s_b < 1:
-        raise DomainError("each side needs at least one setting")
-    if not table:
-        raise ConstructionError("empty joint table")
-    normalized = {}
-    for key, block in table.items():
-        sa, sb = tuple(key[0]), tuple(key[1])
-        if len(sa) != n or len(sb) != n:
-            raise ConstructionError(
-                f"setting key {sa};{sb} does not list n={n} settings per side")
-        if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
-            raise ConstructionError(
-                f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
-        entries = {}
-        for ok, p in block.items():
-            oa, ob = tuple(ok[0]), tuple(ok[1])
-            if any(v not in OUTCOMES for v in oa + ob):
-                raise ConstructionError(
-                    f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
-            entries[(oa, ob)] = as_rational(p)
-        normalized[(sa, sb)] = MappingProxyType(entries)
-    for sa in product(range(s_a), repeat=n):
-        for sb in product(range(s_b), repeat=n):
-            block = normalized.get((sa, sb), {})
-            for (oa, ob), p in block.items():
-                if len(oa) != n or len(ob) != n:
-                    raise ConstructionError(
-                        f"outcome tuple length mismatch at settings {sa};{sb}")
-                if p < 0:
-                    raise ConstructionError(
-                        f"negative probability {p} at settings {sa};{sb}, "
-                        f"outcomes {oa};{ob}")
-            scale = lcm(*(p.denominator for p in block.values()))
-            total = sum(p.numerator * (scale // p.denominator) for p in block.values())
-            if total != scale:
-                raise ConstructionError(
-                    f"outcomes for setting assignment {sa};{sb} sum to "
-                    f"{Fraction(total, scale)}, not 1")
-    return ExplicitJoint(n=n, s_a=s_a, s_b=s_b, table=MappingProxyType(normalized))
+    """Wrap an explicit joint table, checked on construction
+    (see :class:`ExplicitJoint`)."""
+    return ExplicitJoint(n=n, s_a=s_a, s_b=s_b, table=table)
 
 
 def explicit_joint_from_json(text: str) -> ExplicitJoint:

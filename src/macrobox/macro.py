@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Mapping
 
 from .boxes import (
@@ -38,7 +38,14 @@ from .ensemble import (
     marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
-from .symmetry import effective_correlator, effective_pair, effective_quad, jpd_fluctuations, jpd_marginal
+from .symmetry import (
+    effective_correlator,
+    effective_pair,
+    effective_quad,
+    jpd_fluctuations,
+    jpd_marginal,
+    matching_assignment_count,
+)
 
 
 def odd_multiplicity_counts(length: int, symbols: int) -> list:
@@ -72,29 +79,61 @@ def _require_settings(model: EnsembleModel, i: int, j: int) -> None:
         raise DomainError(f"bob setting {j} out of range (s_b={model.s_b})")
 
 
-# Each microscopic index sum is a list of (weight, slot spec) terms.  For a
-# product model every term depends only on the coincidence pattern of its
-# particle indices, so the sum runs over one representative spec per
-# pattern weighted by the pattern's count; any other model gets the literal
-# loop, one term of weight 1 per index tuple.  A pattern whose count is 0
-# (too few pairs for that many distinct particles) is skipped, so no
-# out-of-range particle is ever asked for.
-def _weighted_correlator_sum(model: EnsembleModel, terms) -> Fraction:
+def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
+                        bob_settings: tuple) -> Fraction:
+    """Sum of :func:`marginal_correlator` over ordered tuples of distinct
+    Alice particles carrying ``alice_settings`` and distinct Bob particles
+    carrying ``bob_settings``.
+
+    A joint table gets the literal loop, one term per index tuple.  For a
+    product model a term depends only on which Bob slot shares its pair
+    with which Alice slot, so the sum visits each partial matching of Bob
+    slots onto Alice slots once: Alice slot u sits on particle u, a matched
+    Bob slot on its partner's particle, and the unmatched Bob slots on
+    fresh particles a, a+1, ....  Each term is weighted by
+    :func:`matching_assignment_count`; a term of weight 0 (too few pairs
+    for that many distinct particles) is never evaluated, so no
+    out-of-range particle is asked for.
+    """
+    n = model.n
+    a, b = len(alice_settings), len(bob_settings)
+    if not isinstance(model, IndependentPairs):
+        total = ZERO
+        for alice in permutations(range(n), a):
+            alice_spec = [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
+            for bob in permutations(range(n), b):
+                total += marginal_correlator(
+                    model, alice_spec + [(BOB, l, s) for l, s in zip(bob, bob_settings)])
+        return total
+    alice_spec = [(ALICE, u, s) for u, s in enumerate(alice_settings)]
     total = ZERO
-    for weight, spec in terms:
+    for partners in product(range(a + 1), repeat=b):  # a marks an unmatched slot
+        matched = [u for u in partners if u < a]
+        if len(set(matched)) < len(matched):
+            continue
+        weight = matching_assignment_count(n, len(matched), a, b)
         if weight:
-            total += weight * marginal_correlator(model, spec)
+            fresh = iter(range(a, a + b))
+            bob_spec = [(BOB, u if u < a else next(fresh), s)
+                        for u, s in zip(partners, bob_settings)]
+            total += weight * marginal_correlator(model, alice_spec + bob_spec)
     return total
+
+
+def _one_side(model: EnsembleModel, side: str, settings: tuple) -> tuple:
+    """(alice settings, bob settings) with ``settings`` on ``side`` only."""
+    if side == ALICE:
+        _require_settings(model, settings[0], 0)
+        return settings, ()
+    if side == BOB:
+        _require_settings(model, 0, settings[0])
+        return (), settings
+    raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
 
 
 def macro_average(model: EnsembleModel, side: str, setting: int) -> Fraction:
     """<A_i> (or <B_j>): sum of the single-particle means."""
-    if side == ALICE:
-        _require_settings(model, setting, 0)
-    else:
-        _require_settings(model, 0, setting)
-    return sum((marginal_correlator(model, [(side, k, setting)])
-                for k in range(model.n)), ZERO)
+    return _distinct_tuple_sum(model, *_one_side(model, side, (setting,)))
 
 
 def macro_correlation(model: EnsembleModel, i: int, j: int) -> Fraction:
@@ -102,13 +141,7 @@ def macro_correlation(model: EnsembleModel, i: int, j: int) -> Fraction:
     effective-pair correlation; the two routes must agree exactly."""
     _require_settings(model, i, j)
     n = model.n
-    if isinstance(model, IndependentPairs):
-        terms = [(n, [(ALICE, 0, i), (BOB, 0, j)]),
-                 (n * (n - 1), [(ALICE, 0, i), (BOB, 1, j)])]
-    else:
-        terms = ((1, [(ALICE, k, i), (BOB, l, j)])
-                 for k in range(n) for l in range(n))
-    micro = _weighted_correlator_sum(model, terms)
+    micro = _distinct_tuple_sum(model, (i,), (j,))
     via_effective = n * n * pair_correlation(effective_pair(model), i, j)
     if micro != via_effective:
         raise PathDisagreementError(
@@ -120,19 +153,9 @@ def macro_local_second_moment(model: EnsembleModel, side: str, setting: int) -> 
     """<A_i^2> (or <B_j^2>) = N + sum over distinct particle pairs of the
     same-side two-particle correlators; cross-checked against
     N (1 + (N-1) <a a'>_eff) whenever N >= 2."""
-    if side not in (ALICE, BOB):
-        raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
-    if side == ALICE:
-        _require_settings(model, setting, 0)
-    else:
-        _require_settings(model, 0, setting)
+    slots = _one_side(model, side, (setting, setting))
     n = model.n
-    if isinstance(model, IndependentPairs):
-        terms = [(n * (n - 1), [(side, 0, setting), (side, 1, setting)])]
-    else:
-        terms = ((1, [(side, k, setting), (side, l, setting)])
-                 for k, l in permutations(range(n), 2))
-    micro = n + _weighted_correlator_sum(model, terms)
+    micro = n + _distinct_tuple_sum(model, *slots)
     if n >= 2:
         if side == ALICE:
             same = effective_correlator(model, setting, 0, 2, 0)
@@ -153,25 +176,10 @@ def macro_joint_second_moment(model: EnsembleModel, i: int, j: int) -> Fraction:
     form N^2 (N-1) (1/(N-1) + <a a'> + <b b'> + (N-1) <a a' b b'>) for N >= 2."""
     _require_settings(model, i, j)
     n = model.n
-    if isinstance(model, IndependentPairs):
-        # Coincidence classes of ordered distinct pairs (k,l) x (m,o): the two
-        # pairs can share both particles (in either order), exactly one, or none.
-        pairs2 = n * (n - 1)
-        triples = pairs2 * (n - 2)
-        terms = [(n * pairs2, [(ALICE, 0, i), (ALICE, 1, i)]),
-                 (n * pairs2, [(BOB, 0, j), (BOB, 1, j)])]
-        terms += [(count, [(ALICE, 0, i), (ALICE, 1, i), (BOB, m, j), (BOB, o, j)])
-                  for count, m, o in ((pairs2, 0, 1), (pairs2, 1, 0),
-                                      (triples, 0, 2), (triples, 1, 2),
-                                      (triples, 2, 0), (triples, 2, 1),
-                                      (triples * (n - 3), 2, 3))]
-    else:
-        pairs = list(permutations(range(n), 2))
-        terms = [(n, [(ALICE, k, i), (ALICE, l, i)]) for k, l in pairs]
-        terms += [(n, [(BOB, k, j), (BOB, l, j)]) for k, l in pairs]
-        terms += [(1, [(ALICE, k, i), (ALICE, l, i), (BOB, m, j), (BOB, o, j)])
-                  for k, l in pairs for m, o in pairs]
-    micro = n * n + _weighted_correlator_sum(model, terms)
+    micro = (n * n
+             + n * _distinct_tuple_sum(model, (i, i), ())
+             + n * _distinct_tuple_sum(model, (), (j, j))
+             + _distinct_tuple_sum(model, (i, i), (j, j)))
     if n >= 2:
         quad = effective_quad(model)
         via_effective = n * n * (n - 1) * (

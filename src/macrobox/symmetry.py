@@ -12,11 +12,13 @@ For product models every such average collapses to a sum over partial
 matchings between Alice slots and Bob slots: an injective assignment of
 slots to particles is determined, up to counting, by which Alice slot lands
 on the same pair as which Bob slot.  The number of assignments realizing a
-matching of size m is (N)_m (N-m)_(a-m) (N-a)_(b-m) with a and b the slot
-counts per side and (N)_k = math.perm(N, k), which a small subset DP sums
-exactly.  Every other model goes through the explicit enumeration of
-ordered index tuples through model marginals; tests run it on product
-models wrapped as explicit tables as the oracle for the DP.
+matching of size m is (N)_(a+b-m), with a and b the slot counts per side
+and (N)_k = math.perm(N, k): a + b - m distinct particles in order.  A
+small subset DP sums the matchings exactly, and the microscopic moment
+sums of :mod:`macrobox.macro` weight their matchings by the same count.
+Every other model goes through the explicit enumeration of ordered index
+tuples through model marginals; tests run it on product models wrapped as
+explicit tables as the oracle for the DP.
 
 Closed-form evaluators for the maximally nonlocal 2x2 box are implemented
 alongside the enumerators and cross-checked against them.
@@ -24,6 +26,7 @@ alongside the enumerators and cross-checked against them.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +40,7 @@ from .boxes import (
     OUTCOMES,
     ZERO,
     PairBox,
+    as_rational,
     canonical_json,
     outcome_from_symbol,
     outcome_sort_key,
@@ -53,14 +57,12 @@ def matching_assignment_count(n: int, matched: int, a_slots: int, b_slots: int) 
 
     Counts pairs of injective maps (Alice slots -> particles, Bob slots ->
     particles) whose set of cross-side particle coincidences is one fixed
-    matching of size ``matched``; 0 when either side has more slots than
-    there are particles.
+    matching of size ``matched``.  The Alice slots take (N)_a particles,
+    the matched Bob slots follow their partners, and the unmatched Bob
+    slots take (N-a)_(b-m) of the rest, so the count is (N)_(a+b-m); it is
+    0 when that exceeds the N particles.
     """
-    if a_slots > n or b_slots > n:
-        return 0
-    return (math.perm(n, matched)
-            * math.perm(n - matched, a_slots - matched)
-            * math.perm(n - a_slots, b_slots - matched))
+    return math.perm(n, a_slots + b_slots - matched)
 
 
 def format_event(a_outcomes: Sequence[int], b_outcomes: Sequence[int]) -> str:
@@ -402,12 +404,8 @@ class SymmetricJPD:
 
     @staticmethod
     def from_json(text: str) -> "SymmetricJPD":
-        import json as _json
-
-        from .boxes import as_rational
-
         try:
-            data = _json.loads(text)
+            data = json.loads(text)
         except ValueError as exc:
             raise ConstructionError(f"invalid jpd JSON: {exc}") from exc
         try:
@@ -614,13 +612,3 @@ def pr_quad_correlator(n: int) -> Fraction:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     return Fraction(2, n * (n - 1))
-
-
-def pr_macro_correlation(n: int, i: int, j: int) -> Fraction:
-    """<A_i B_j> = N (-1)^(i j)."""
-    return Fraction(n * (-1) ** (i * j))
-
-
-def pr_joint_second_moment(n: int) -> Fraction:
-    """<(A_i B_j)^2> = 3 N^2 - 2 N, independent of the settings."""
-    return Fraction(3 * n * n - 2 * n)

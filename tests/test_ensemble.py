@@ -5,6 +5,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from macrobox import (
     ConstructionError,
     DeskBoundError,
     DomainError,
+    ExplicitJoint,
     IndependentPairs,
     OUTCOMES,
     OutcomeAssignment,
@@ -594,6 +596,17 @@ class TestFrozenTables:
             model.table[key] = {}
         with pytest.raises(TypeError):
             model.table[key][((1,), (1,))] = F(1)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ConstructionError, match="sum to 1/2, not 1"):
+            ExplicitJoint(n=1, s_a=1, s_b=1,
+                          table={((0,), (0,)): {((1,), (1,)): F(1, 2)}})
+
+    def test_direct_construction_holds_read_only_views(self):
+        model = ExplicitJoint(n=1, s_a=2, s_b=2, table=signalling_joint_table())
+        assert isinstance(model.table, MappingProxyType)
+        assert all(isinstance(block, MappingProxyType) for block in model.table.values())
+        assert model == explicit_joint(1, 2, 2, signalling_joint_table())
 
     def test_source_table_is_copied(self):
         table = signalling_joint_table()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrobox import (
+    ALICE,
     DeskBoundError,
     DomainError,
     IndependentPairs,
@@ -30,6 +31,8 @@ from macrobox import (
     odd_multiplicity_counts,
     rohrlich_conditional_variance,
 )
+from macrobox import macro
+from macrobox.macro import _distinct_tuple_sum
 from tests.conftest import (
     all_deterministic_boxes,
     explicit_from_box,
@@ -117,6 +120,51 @@ class TestSecondMoments:
                     == macro_local_second_moment(slow, "B", j))
             assert (macro_joint_second_moment(fast, i, j)
                     == macro_joint_second_moment(slow, i, j))
+
+
+def _slot_shapes(i, j):
+    """(alice settings, bob settings) per slot: the four moment routes'
+    shapes at (i, j), plus mixed-setting and three-slot shapes."""
+    return [((i,), ()), ((), (j,)), ((i,), (j,)), ((i, i), ()), ((), (j, j)),
+            ((i, i), (j, j)), ((0, 1), (1, 0)), ((0, 1, 0), (1,))]
+
+
+class TestDistinctTupleSum:
+    @staticmethod
+    def _assert_branches_agree(box):
+        # The product branch's weighted matchings against the literal loop
+        # over distinct index tuples, which a wrapped table always takes.
+        for n in range(1, 5):
+            matchings = independent_pairs(box, n)
+            literal = explicit_from_box(box, n)
+            for i, j in SETTINGS:
+                for alice, bob in _slot_shapes(i, j):
+                    assert (_distinct_tuple_sum(matchings, alice, bob)
+                            == _distinct_tuple_sum(literal, alice, bob)), (n, alice, bob)
+
+    def test_pr_box(self):
+        self._assert_branches_agree(make_pr_box())
+
+    @given(box=no_signalling_boxes())
+    @settings(max_examples=3, deadline=None)
+    def test_no_signalling_boxes(self, box):
+        self._assert_branches_agree(box)
+
+    def test_product_average_queries_one_marginal(self, monkeypatch):
+        specs = []
+        real = macro.marginal_correlator
+
+        def counting(model, spec, *args, **kwargs):
+            specs.append(list(spec))
+            return real(model, spec, *args, **kwargs)
+
+        monkeypatch.setattr("macrobox.macro.marginal_correlator", counting)
+        assert macro_average(independent_pairs(make_pr_box(), 9), ALICE, 0) == 0
+        assert specs == [[(ALICE, 0, 0)]]
+
+    def test_average_rejects_unknown_side(self):
+        with pytest.raises(DomainError, match="side must be"):
+            macro_average(independent_pairs(make_pr_box(), 2), "C", 0)
 
 
 class TestBruteForceDistribution:
