@@ -47,6 +47,14 @@ def as_rational(value: RationalLike) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+def json_int(value) -> int:
+    """``value`` if it is an integer but not a bool; :class:`TypeError`
+    otherwise, where ``int()`` would truncate a float or coerce a string."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"not an integer: {value!r}")
+
+
 def rational_to_str(value: Fraction) -> str:
     """Serialize a rational as the canonical "p/q" string (q > 0 always)."""
     return f"{value.numerator}/{value.denominator}"
@@ -164,12 +172,12 @@ class PairBox:
     def from_data(data) -> "PairBox":
         """Build a box from the parsed JSON object of :meth:`from_json`.
 
-        Each row is ``[i, j, x, y, p]`` with in-range settings, +1/-1
-        outcomes and a cell not listed before.
+        Each row is ``[i, j, x, y, p]`` with integer in-range settings,
+        integer +1/-1 outcomes and a cell not listed before.
         """
         try:
-            s_a, s_b = int(data["s_a"]), int(data["s_b"])
-            rows = [((int(i), int(j), int(x), int(y)), as_rational(p))
+            s_a, s_b = json_int(data["s_a"]), json_int(data["s_b"])
+            rows = [((json_int(i), json_int(j), json_int(x), json_int(y)), as_rational(p))
                     for i, j, x, y, p in data["table"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed pair-box JSON: {exc}") from exc

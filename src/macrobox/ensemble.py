@@ -8,7 +8,7 @@ no-signalling box, and explicit joint tables which may encode arbitrary
 compares two completions when a marginal is first computed, so crafted
 signalling tables are rejected loudly.  Models are immutable, so each
 keeps one private memo of the laws derived from it (see
-:meth:`EnsembleModel._memoized`).
+:meth:`EnsembleModel._memoized`); marginals are stored as count laws.
 
 Laws are integer counts over a common denominator until they are handed
 out.  A product model's marginals are products of its box's integer rows;
@@ -40,6 +40,7 @@ from .boxes import (
     ValidationReport,
     Violation,
     as_rational,
+    json_int,
     validate_pairbox,
 )
 from .errors import ConstructionError, DeskBoundError, DomainError, SignallingError
@@ -366,9 +367,9 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     """Build a joint table from the parsed JSON object of
     :func:`explicit_joint_from_json`."""
     try:
-        n = int(data["n"])
-        s_a = int(data["s_a"])
-        s_b = int(data["s_b"])
+        n = json_int(data["n"])
+        s_a = json_int(data["s_a"])
+        s_b = json_int(data["s_b"])
         entries = list(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
@@ -376,10 +377,10 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     parsed: dict = {}  # "p/q" text -> Fraction; tables repeat few distinct values
     for entry in entries:
         try:
-            sa = tuple(map(int, entry["settings_a"]))
-            sb = tuple(map(int, entry["settings_b"]))
-            oa = tuple(map(int, entry["outcomes_a"]))
-            ob = tuple(map(int, entry["outcomes_b"]))
+            sa = tuple(map(json_int, entry["settings_a"]))
+            sb = tuple(map(json_int, entry["settings_b"]))
+            oa = tuple(map(json_int, entry["outcomes_a"]))
+            ob = tuple(map(json_int, entry["outcomes_b"]))
             raw = entry["p"]
             if isinstance(raw, str):
                 p = parsed.get(raw)
@@ -451,14 +452,6 @@ def _same_law(scale: int, counts: dict, other_scale: int, other_counts: dict) ->
                     for k, count in counts.items()))
 
 
-def _support_law(model: EnsembleModel, settings: SettingAssignment,
-                 key: Callable[[tuple], object]) -> dict:
-    """Exact law of ``key(alice + bob outcomes)`` under ``settings``: the
-    counts of :func:`_support_counts` as Fractions; zero-probability keys are
-    absent."""
-    return _as_law(*_support_counts(model, settings, key))
-
-
 def _marginal_counts(model: EnsembleModel, slots: tuple,
                      fill_a: int, fill_b: int) -> tuple:
     """``(D, counts)`` of the marginal over the nonzero support (at most 4^N
@@ -516,46 +509,42 @@ def _product_marginal_counts(model: IndependentPairs, slots: tuple,
     return scale ** len(factors), counts
 
 
-def marginal(model: EnsembleModel, spec: Sequence, verify: bool = True) -> dict:
+def marginal(model: EnsembleModel, spec: Sequence) -> dict:
     """Exact marginal over the listed (side, particle, setting) slots.
 
     Unlisted particles are given a completion setting and summed out: every
     unlisted Alice particle gets setting 0 and every unlisted Bob particle
-    setting 0.  With ``verify`` (the default) a joint table's marginal is
-    computed again under the (1, 1) completion (a side with a single
-    setting keeps 0) and the two must agree exactly; a mismatch means the
-    model signals and raises :class:`SignallingError` carrying both values.
-    Only these two completions are compared, so a leak that shows only
-    under a mixed completion, such as Alice's unlisted particles at 0 and
-    Bob's at 1, passes unnoticed; :func:`check_no_signalling` is the
-    exhaustive check.  A product model's box passed
-    :func:`~macrobox.boxes.validate_pairbox` at construction and is
-    read-only, so its completions always agree and only (0, 0) is computed.
+    setting 0.  A joint table's marginal is computed again under the (1, 1)
+    completion (a side with a single setting keeps 0) and the two must
+    agree exactly; a mismatch means the model signals and raises
+    :class:`SignallingError` carrying both values.  Only these two
+    completions are compared, so a leak that shows only under a mixed
+    completion, such as Alice's unlisted particles at 0 and Bob's at 1,
+    passes unnoticed; :func:`check_no_signalling` is the exhaustive check.
+    A product model's box passed :func:`~macrobox.boxes.validate_pairbox`
+    at construction and is read-only, so its completions always agree and
+    only (0, 0) is computed.
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted.
 
-    The model memoises the integer count law of :func:`_checked_marginal`
-    and, beside it, this Fraction law, both keyed by the normalised slots
-    and ``verify``.  The spec is validated on every call; the completion
-    check runs with the first computation, and only a law that passed it is
-    stored, so a signalling model raises on every call.  Each call returns a
-    fresh dict.
+    The model memoises the integer count law of :func:`_checked_marginal`,
+    keyed by the normalised slots; each call builds a fresh Fraction dict
+    from it.  The spec is validated on every call; the completion check
+    runs with the first computation, and only a law that passed it is
+    stored, so a signalling model raises on every call.
     """
-    slots = _normalize_spec(model, spec)
-    law = model._memoized(("marginal", slots, verify),
-                          lambda: _as_law(*_marginal_count_law(model, slots, verify)))
-    return dict(law)
+    return _as_law(*_marginal_count_law(model, _normalize_spec(model, spec)))
 
 
-def _marginal_count_law(model: EnsembleModel, slots: tuple, verify: bool) -> tuple:
+def _marginal_count_law(model: EnsembleModel, slots: tuple) -> tuple:
     """The memoised ``(D, counts)`` of :func:`_checked_marginal`; not copied,
     so callers must not mutate it."""
-    return model._memoized(("marginal-counts", slots, verify),
-                           lambda: _checked_marginal(model, slots, verify))
+    return model._memoized(("marginal-counts", slots),
+                           lambda: _checked_marginal(model, slots))
 
 
-def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> tuple:
+def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
     """The uncached body of :func:`marginal` on validated slots: the marginal
     as an integer count law ``(D, counts)``.
 
@@ -563,41 +552,34 @@ def _checked_marginal(model: EnsembleModel, slots: tuple, verify: bool) -> tuple
     completion (:func:`_product_marginal_counts`); its box is validated and
     read-only, so the (1, 1) completion could not differ and is not
     computed.  Any other model scans the support (:func:`_marginal_counts`)
-    under the (0, 0) completion and, with ``verify``, under the (1, 1)
-    completion (0 on a side with one setting), and compares the two with
-    :func:`_same_law`.  Fractions are built only for a mismatch, to carry
-    both laws on the error.
+    under the (0, 0) completion and under the (1, 1) completion (0 on a
+    side with one setting), and compares the two with :func:`_same_law`.
+    Fractions are built only for a mismatch, to carry both laws on the
+    error.
     """
     if isinstance(model, IndependentPairs):
         return _product_marginal_counts(model, slots, 0, 0)
-    alt_a = 1 if verify and model.s_a > 1 else 0
-    alt_b = 1 if verify and model.s_b > 1 else 0
+    alt_a = 1 if model.s_a > 1 else 0
+    alt_b = 1 if model.s_b > 1 else 0
     scale, counts = _marginal_counts(model, slots, 0, 0)
     if (alt_a, alt_b) != (0, 0):
         alt_scale, alt_counts = _marginal_counts(model, slots, alt_a, alt_b)
         if not _same_law(scale, counts, alt_scale, alt_counts):
-            raise _completion_mismatch(slots, alt_a, alt_b, _as_law(scale, counts),
-                                       _as_law(alt_scale, alt_counts))
+            raise SignallingError(
+                f"marginal over {slots} depends on the completion settings "
+                f"(fill (0,0) vs ({alt_a},{alt_b})): the model signals",
+                first=_as_law(scale, counts), second=_as_law(alt_scale, alt_counts))
     return scale, counts
 
 
-def _completion_mismatch(slots: tuple, alt_a: int, alt_b: int,
-                         first: dict, second: dict) -> SignallingError:
-    return SignallingError(
-        f"marginal over {slots} depends on the completion settings "
-        f"(fill ({0},{0}) vs ({alt_a},{alt_b})): the model signals",
-        first=first, second=second)
-
-
-def marginal_correlator(model: EnsembleModel, spec: Sequence,
-                        verify: bool = True) -> Fraction:
+def marginal_correlator(model: EnsembleModel, spec: Sequence) -> Fraction:
     """Expectation of the product of the listed slots' outcomes.
 
     Validated and checked as :func:`marginal`, and read from the same
     memoised count law: one Fraction, the signed count sum over ``D``.
     """
     slots = _normalize_spec(model, spec)
-    scale, counts = _marginal_count_law(model, slots, verify)
+    scale, counts = _marginal_count_law(model, slots)
     return Fraction(sum(prod(outcomes) * count for outcomes, count in counts.items()),
                     scale)
 
@@ -624,6 +606,8 @@ def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> Vali
 def _swap_scan(model: EnsembleModel) -> ValidationReport:
     """The exhaustive swap check behind :func:`check_no_signalling`.
 
+    Loops over one combined 2N-slot setting context (Alice's settings, then
+    Bob's) with the swapped slot pinned at 0 and swapped to each setting.
     Cost is s^(2N) scans of the nonzero support (at most 4^N tuples each);
     callers apply the desk bound.  The laws are compared as integer counts
     (:func:`_same_law`); Fractions are built only for a mismatch, to report
@@ -631,47 +615,36 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
     """
     n = model.n
     violations = []
-    sides = [(ALICE, model.s_a), (BOB, model.s_b)]
-    for side, s_count in sides:
+    for side, s_count, offset in ((ALICE, model.s_a, 0), (BOB, model.s_b, n)):
         if s_count < 2:
             continue
         for particle in range(n):
-            for context_a in product(range(model.s_a), repeat=n):
-                for context_b in product(range(model.s_b), repeat=n):
-                    if side == ALICE and context_a[particle] != 0:
-                        continue  # pin the swapped slot; loop below swaps it
-                    if side == BOB and context_b[particle] != 0:
-                        continue
-                    dists = []
-                    for swapped in range(s_count):
-                        if side == ALICE:
-                            ctx_a = list(context_a)
-                            ctx_a[particle] = swapped
-                            settings = SettingAssignment(tuple(ctx_a), context_b)
-                        else:
-                            ctx_b = list(context_b)
-                            ctx_b[particle] = swapped
-                            settings = SettingAssignment(context_a, tuple(ctx_b))
-                        skip = particle if side == ALICE else n + particle
-                        dists.append((swapped, _support_counts(
-                            model, settings,
-                            lambda combined: combined[:skip] + combined[skip + 1:])))
-                    base_setting, (base_scale, base_counts) = dists[0]
-                    for swapped, (scale, counts) in dists[1:]:
-                        if not _same_law(base_scale, base_counts, scale, counts):
-                            base = _as_law(base_scale, base_counts)
-                            other = _as_law(scale, counts)
-                            keys = set(base) | set(other)
-                            worst = max(
-                                keys,
-                                key=lambda k: abs(other.get(k, ZERO) - base.get(k, ZERO)))
-                            residual = other.get(worst, ZERO) - base.get(worst, ZERO)
-                            violations.append(Violation(
-                                kind="no-signalling",
-                                where=(side, particle, base_setting, swapped,
-                                       context_a, context_b),
-                                residual=residual,
-                                detail=(f"marginal of the other particles changes when "
-                                        f"({side},{particle}) swaps setting "
-                                        f"{base_setting} -> {swapped}")))
+            skip = offset + particle
+            for context in product(*([range(model.s_a)] * n + [range(model.s_b)] * n)):
+                if context[skip] != 0:
+                    continue  # pin the swapped slot; loop below swaps it
+                dists = []
+                for swapped in range(s_count):
+                    settings = context[:skip] + (swapped,) + context[skip + 1:]
+                    dists.append((swapped, _support_counts(
+                        model, SettingAssignment(settings[:n], settings[n:]),
+                        lambda combined: combined[:skip] + combined[skip + 1:])))
+                base_setting, (base_scale, base_counts) = dists[0]
+                for swapped, (scale, counts) in dists[1:]:
+                    if not _same_law(base_scale, base_counts, scale, counts):
+                        base = _as_law(base_scale, base_counts)
+                        other = _as_law(scale, counts)
+                        keys = set(base) | set(other)
+                        worst = max(
+                            keys,
+                            key=lambda k: abs(other.get(k, ZERO) - base.get(k, ZERO)))
+                        residual = other.get(worst, ZERO) - base.get(worst, ZERO)
+                        violations.append(Violation(
+                            kind="no-signalling",
+                            where=(side, particle, base_setting, swapped,
+                                   context[:n], context[n:]),
+                            residual=residual,
+                            detail=(f"marginal of the other particles changes when "
+                                    f"({side},{particle}) swaps setting "
+                                    f"{base_setting} -> {swapped}")))
     return ValidationReport(violations=tuple(violations))

@@ -33,7 +33,8 @@ from .ensemble import (
     EnsembleModel,
     IndependentPairs,
     SettingAssignment,
-    _support_law,
+    _as_law,
+    _support_counts,
     ensure_desk_scale,
     marginal_correlator,
 )
@@ -311,8 +312,8 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int,
     _require_settings(model, i, j)
     ensure_desk_scale(model.n, "macro_distribution_bruteforce", allow_large)
     n = model.n
-    law = _support_law(model, SettingAssignment.uniform(n, i, j),
-                       lambda combined: (sum(combined[:n]), sum(combined[n:])))
+    law = _as_law(*_support_counts(model, SettingAssignment.uniform(n, i, j),
+                                   lambda combined: (sum(combined[:n]), sum(combined[n:]))))
     grid = {(x_value, y_value): law.get((x_value, y_value), ZERO)
             for x_value in range(-n, n + 1, 2)
             for y_value in range(-n, n + 1, 2)}
@@ -390,12 +391,15 @@ def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> F
     return n * mean_square + n * (n - 1) * mean * mean
 
 
-def jacobi_eigenvalues(matrix, off_tolerance: float = 1e-12,
-                       max_sweeps: int = 64) -> list:
+JACOBI_OFF_TOLERANCE = 1e-12
+JACOBI_MAX_SWEEPS = 64
+
+
+def jacobi_eigenvalues(matrix) -> list:
     """Eigenvalues of a small symmetric float matrix by cyclic Jacobi sweeps.
 
     Rotations repeat until the off-diagonal Frobenius norm drops below
-    ``off_tolerance``.  Returns the eigenvalues sorted ascending.
+    ``JACOBI_OFF_TOLERANCE``.  Returns the eigenvalues sorted ascending.
     """
     size = len(matrix)
     work = [[float(v) for v in row] for row in matrix]
@@ -403,10 +407,10 @@ def jacobi_eigenvalues(matrix, off_tolerance: float = 1e-12,
         for q in range(size):
             if work[p][q] != work[q][p]:
                 raise DomainError("matrix must be exactly symmetric")
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off_square = sum(work[p][q] ** 2
                          for p in range(size) for q in range(size) if p != q)
-        if math.sqrt(off_square) < off_tolerance:
+        if math.sqrt(off_square) < JACOBI_OFF_TOLERANCE:
             break
         for p in range(size - 1):
             for q in range(p + 1, size):

@@ -42,6 +42,7 @@ from .boxes import (
     PairBox,
     as_rational,
     canonical_json,
+    json_int,
     outcome_from_symbol,
     outcome_sort_key,
     outcome_symbol,
@@ -404,19 +405,30 @@ class SymmetricJPD:
 
     @staticmethod
     def from_json(text: str) -> "SymmetricJPD":
+        """Load a JPD from its :meth:`to_json` form: integer schema fields,
+        ``copies >= 1``, and each event listed once with one outcome per slot."""
         try:
             data = json.loads(text)
         except ValueError as exc:
             raise ConstructionError(f"invalid jpd JSON: {exc}") from exc
         try:
-            schema_a = tuple((int(g["setting"]), int(g["copies"]))
+            schema_a = tuple((json_int(g["setting"]), json_int(g["copies"]))
                              for g in data["schema"]["alice"])
-            schema_b = tuple((int(g["setting"]), int(g["copies"]))
+            schema_b = tuple((json_int(g["setting"]), json_int(g["copies"]))
                              for g in data["schema"]["bob"])
+            if any(copies < 1 for _, copies in schema_a + schema_b):
+                raise ValueError("every schema group needs copies >= 1")
+            widths = (sum(c for _, c in schema_a), sum(c for _, c in schema_b))
             entries = {}
             for entry in data["entries"]:
-                a_out, b_out = parse_event(entry["outcomes"])
-                entries[(a_out, b_out)] = as_rational(entry["p"])
+                event = parse_event(entry["outcomes"])
+                if tuple(map(len, event)) != widths:
+                    raise ValueError(
+                        f"event {entry['outcomes']!r} does not list {widths[0]} "
+                        f"Alice and {widths[1]} Bob outcomes")
+                if event in entries:
+                    raise ValueError(f"event {entry['outcomes']!r} is listed twice")
+                entries[event] = as_rational(entry["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed jpd JSON: {exc}") from exc
         return _finish_jpd(schema_a, schema_b, entries)

@@ -457,6 +457,50 @@ class TestFileBoxes:
         assert out == ""
         assert "at least one setting per side" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("s_a", "2"), ("s_b", 2.0), ("i", True), ("j", 0.0), ("x", 1.9), ("y", "-1"),
+    ])
+    def test_pair_box_file_non_integer_rejected(self, capsys, tmp_path, field, value):
+        # int() would truncate or coerce each value to the one it replaces.
+        data = json.loads(make_pr_box().to_json())
+        if field in ("s_a", "s_b"):
+            data[field] = value
+        else:
+            row = next(r for r in data["table"] if r[:4] == [1, 0, 1, -1])
+            row["ijxy".index(field)] = value
+        path = tmp_path / "non-integer.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "malformed pair-box JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.5), ("s_a", "2"), ("settings_a", [True]), ("settings_b", [1.7]),
+        ("outcomes_a", ["1"]), ("outcomes_b", [-1.2]),
+    ])
+    def test_joint_file_non_integer_rejected(self, capsys, tmp_path, field, value):
+        # int() would truncate or coerce each value to the one it replaces.
+        path = tmp_path / "non-integer.json"
+        write_joint_file(path, explicit_from_box(make_pr_box(), 1).table, 1)
+        data = json.loads(path.read_text())
+        if field in ("n", "s_a"):
+            data[field] = value
+        else:
+            entry = next(e for e in data["entries"]
+                         if (e["settings_a"], e["settings_b"], e["outcomes_a"],
+                             e["outcomes_b"]) == ([1], [1], [1], [-1]))
+            entry[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "malformed joint-table" in err and "Traceback" not in err
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -376,12 +376,12 @@ class TestIntegerComparison:
 
 
 class TestCompletionCheck:
-    """``marginal(verify=True)`` compares the (0, 0) and (1, 1) completions only."""
+    """``marginal`` compares the (0, 0) and (1, 1) completions only."""
 
     def test_mixed_completion_leak_passes_marginal(self):
         model = explicit_joint(2, 2, 2, mixed_completion_signalling_table())
         uniform = {(1,): F(1, 2), (-1,): F(1, 2)}
-        assert marginal(model, [("B", 0, 0)], verify=True) == uniform
+        assert marginal(model, [("B", 0, 0)]) == uniform
         slots = (("B", 0, 0),)
         assert _marginal_by_enumeration(model, slots, 0, 0) == uniform
         assert _marginal_by_enumeration(model, slots, 1, 1) == uniform
@@ -520,12 +520,9 @@ class TestMemo:
         for build in (independent_pairs, explicit_from_box):
             warm = build(box, n)
             for spec in marginal_specs(n):
-                for verify in (True, False):
-                    marginal(warm, spec, verify=verify)
+                marginal(warm, spec)
             for spec in marginal_specs(n):
-                for verify in (True, False):
-                    assert marginal(warm, spec, verify=verify) == \
-                        marginal(build(box, n), spec, verify=verify)
+                assert marginal(warm, spec) == marginal(build(box, n), spec)
 
     def test_repeat_call_reads_the_memo(self, monkeypatch):
         from macrobox import ensemble
@@ -539,8 +536,6 @@ class TestMemo:
         # Another spelling of the same slots is the same normalised key.
         again = marginal(model, (("A", 0, 1), ("B", 1, 0)))
         assert again == first and len(calls) == 1
-        marginal(model, [("A", 0, 1), ("B", 1, 0)], verify=False)
-        assert len(calls) == 2
 
     def test_mutating_a_result_does_not_leak(self):
         for model in (independent_pairs(make_pr_box(), 2),
@@ -569,10 +564,7 @@ class TestMemo:
         for _ in range(3):
             with pytest.raises(SignallingError):
                 marginal(model, spec)
-        assert not any(key[0] == "marginal" and key[2] for key in model._memo)
-        # Without the completion check the first completion's law is returned.
-        assert marginal(model, spec, verify=False) == \
-            _marginal_by_enumeration(model, tuple(spec), 0, 0)
+        assert not any(key[0] == "marginal-counts" for key in model._memo)
 
     def test_memo_is_not_part_of_identity(self):
         warm = independent_pairs(make_pr_box(), 2)
@@ -685,10 +677,9 @@ class TestProductMarginalCounts:
             # Separate models, so neither reads the other's memo.
             by_correlator, by_marginal = build(box, n), build(box, n)
             for spec in marginal_specs(n):
-                for verify in (True, False):
-                    value = marginal_correlator(by_correlator, spec, verify=verify)
-                    assert isinstance(value, F)
-                    assert value == signed_sum(marginal(by_marginal, spec, verify=verify))
+                value = marginal_correlator(by_correlator, spec)
+                assert isinstance(value, F)
+                assert value == signed_sum(marginal(by_marginal, spec))
 
     def test_correlator_and_marginal_share_one_computation(self, monkeypatch):
         from macrobox import ensemble
@@ -729,7 +720,6 @@ class TestProductMarginalCounts:
         for _ in range(3):
             with pytest.raises(SignallingError):
                 marginal_correlator(model, [("A", 0, 0)])
-        assert marginal_correlator(model, [("A", 0, 0)], verify=False) == 0
 
 
 class TestProductNoSignalling:

@@ -1,5 +1,6 @@
 """Symmetrized distributions, JPDs and their closed-form cross-checks."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrobox import (
+    ConstructionError,
     DomainError,
     OUTCOMES,
     SignallingError,
@@ -463,6 +465,41 @@ class TestJPDSerialization:
         again = SymmetricJPD.from_json(jpd.to_json())
         assert not again.valid
         assert again.entries == jpd.entries
+
+
+    @staticmethod
+    def one_slot_jpd_json(schema_copies=1, setting=0, events=("(+;+)", "(-;-)")):
+        group = {"setting": setting, "copies": schema_copies}
+        return json.dumps({"schema": {"alice": [group], "bob": [group]},
+                           "entries": [{"outcomes": e, "p": "1/2"} for e in events],
+                           "valid": True})
+
+    def test_one_slot_jpd_loads(self):
+        jpd = SymmetricJPD.from_json(self.one_slot_jpd_json())
+        assert jpd.total() == 1 and jpd.valid
+
+    @pytest.mark.parametrize("events", [("(+,+;+)", "(-;-)"), ("(+;+)", "(-;-,-)"),
+                                        ("(+;+)", "(;-)")])
+    def test_event_width_must_match_schema(self, events):
+        with pytest.raises(ConstructionError, match="does not list 1 Alice and 1 Bob"):
+            SymmetricJPD.from_json(self.one_slot_jpd_json(events=events))
+
+    def test_event_listed_twice_rejected(self):
+        with pytest.raises(ConstructionError, match="listed twice"):
+            SymmetricJPD.from_json(self.one_slot_jpd_json(events=("(+;+)", "(+;+)")))
+
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_copies_below_one_rejected(self, copies):
+        with pytest.raises(ConstructionError, match="copies >= 1"):
+            SymmetricJPD.from_json(self.one_slot_jpd_json(
+                schema_copies=copies, events=("(;)",)))
+
+    @pytest.mark.parametrize("field, value", [("copies", 1.5), ("copies", True),
+                                              ("copies", "1"), ("setting", 0.0)])
+    def test_non_integer_schema_rejected(self, field, value):
+        kwargs = {"schema_copies" if field == "copies" else field: value}
+        with pytest.raises(ConstructionError, match="not an integer"):
+            SymmetricJPD.from_json(self.one_slot_jpd_json(**kwargs))
 
 
 class TestEffectiveChsh:
