@@ -378,7 +378,7 @@ def run_moments(config: RunConfig) -> str:
 def run_distribution(config: RunConfig) -> str:
     model = _build_model(config)
     i, j = config.params["i"], config.params["j"]
-    dist = macro_distribution(model, i, j, allow_large=config.allow_large)
+    dist = macro_distribution(model, i, j)
     if config.fmt == "csv":
         return dist.to_csv()
     if config.fmt == "json":
@@ -418,7 +418,7 @@ def run_gisin(config: RunConfig) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-#: Above this n, verify skips the exhaustive checks unless --allow-large.
+#: Above this n, verify skips the 4^n oracle row unless --allow-large.
 VERIFY_EXHAUSTIVE_LIMIT = 6
 
 
@@ -432,15 +432,6 @@ def _require_construction(model: EnsembleModel, copies: int = 1) -> None:
     need = copies * max(model.s_a, model.s_b)
     if model.n < need:
         raise _Skip(f"construction needs n >= {need}")
-
-
-def _require_exhaustive(model: EnsembleModel, config: RunConfig, what: str) -> None:
-    """SKIP a 4^n enumeration above VERIFY_EXHAUSTIVE_LIMIT; --allow-large
-    raises the limit to the desk bound."""
-    n = model.n
-    if not (n <= VERIFY_EXHAUSTIVE_LIMIT or (config.allow_large and n <= desk_bound())):
-        raise _Skip(f"{what} skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
-                    f"(pass --allow-large to force)")
 
 
 def _validity_failure(verdict, prefix: str = "") -> str | None:
@@ -458,10 +449,10 @@ def _verify_normalization(model: EnsembleModel, config: RunConfig) -> tuple:
 
 def _verify_no_signalling(model: EnsembleModel, config: RunConfig) -> tuple:
     """Primary: :func:`check_no_signalling` (the box's rows for a product
-    model, the exhaustive swap scan for a joint table).  Check: its report
-    holds no violation.  Exhaustive-gated."""
-    _require_exhaustive(model, config, "exhaustive swap check")
-    report = check_no_signalling(model, allow_large=config.allow_large)
+    model, the swap scan over the table's stored blocks for a joint table).
+    Check: its report holds no violation.  No precondition: neither route
+    enumerates more than the model holds, so the row runs at every n."""
+    report = check_no_signalling(model)
     return (None if report.ok else str(report.violations[0]),
             "all single-particle setting swaps agree")
 
@@ -483,7 +474,10 @@ def _verify_marginal_identities(model: EnsembleModel, config: RunConfig) -> tupl
 def _verify_path_agreement(model: EnsembleModel, config: RunConfig) -> tuple:
     """Primary: the microscopic sums of the second-moment and correlation
     routines.  Check: their effective-distribution forms, which each
-    routine compares itself, raising on a disagreement."""
+    routine compares itself, raising on a disagreement.  For a product
+    model the two are independent (integer box rows against the Fraction
+    DP over ``box.prob``); for a joint table both read the same memoised
+    marginals, so the row checks only the two summations."""
     for i in range(model.s_a):
         macro_local_second_moment(model, ALICE, i)
     for j in range(model.s_b):
@@ -498,15 +492,19 @@ def _verify_oracle(model: EnsembleModel, config: RunConfig) -> tuple:
     """Primary: :func:`macro_moment_general` at k = 1, 2 and, for a product
     model, :func:`macro_distribution`.  Check: the enumeration of
     :func:`macro_distribution_bruteforce`, which for any other model is
-    ``macro_distribution`` itself.  Exhaustive-gated."""
-    _require_exhaustive(model, config, "4^n enumeration")
+    ``macro_distribution`` itself.  SKIPs above VERIFY_EXHAUSTIVE_LIMIT;
+    --allow-large raises that limit to the desk bound."""
+    n = model.n
+    if not (n <= VERIFY_EXHAUSTIVE_LIMIT or (config.allow_large and n <= desk_bound())):
+        raise _Skip(f"4^n enumeration skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
+                    f"(pass --allow-large to force)")
     failure = None
     for i, j in product(range(model.s_a), range(model.s_b)):
         dist = macro_distribution_bruteforce(model, i, j, allow_large=config.allow_large)
         if dist.total() != 1:
             failure = f"distribution at ({i},{j}) not normalized"
         if isinstance(model, IndependentPairs):
-            primary = macro_distribution(model, i, j, allow_large=config.allow_large)
+            primary = macro_distribution(model, i, j)
             if primary.probs != dist.probs:
                 failure = (f"distribution at ({i},{j}): primary "
                            f"route differs from enumeration")

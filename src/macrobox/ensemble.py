@@ -12,11 +12,11 @@ keeps one private memo of the laws derived from it (see
 
 Laws are integer counts over a common denominator until they are handed
 out.  A product model's marginals are products of its box's integer rows;
-an explicit table's marginals, and the exhaustive operations, scan the
-nonzero support (at most 4^N outcome tuples) of each setting assignment
-through the model's ``_support`` kernel.  Exhaustive operations refuse N
-above the desk bound (default 12, override via MACROBOX_MAX_N or an
-explicit ``allow_large`` flag).
+an explicit table's marginals and swap check scan the blocks it holds
+through the model's ``_support`` kernel.  The desk bound (default 12,
+override via MACROBOX_MAX_N or an explicit ``allow_large`` flag) guards
+only the 4^N enumeration of the brute-force distribution of a product
+model in :mod:`macrobox.macro`.
 """
 
 from __future__ import annotations
@@ -63,19 +63,16 @@ def desk_bound() -> int:
     return bound
 
 
-def ensure_desk_scale(n: int, operation: str, allow_large: bool = False) -> None:
-    """Refuse exhaustive work beyond the desk bound unless overridden.
-
-    Enumeration cost grows with the nonzero support (at most 4^N tuples) per
-    setting assignment, times up to s^(2N) assignments; the bound keeps
-    runtimes predictable.
-    """
+def ensure_desk_scale(n: int, allow_large: bool = False) -> None:
+    """Refuse the 4^N enumeration of :func:`~macrobox.macro.macro_distribution_bruteforce`
+    on a product model (one box in, up to 4^N tuples streamed) beyond the
+    desk bound unless overridden; the bound keeps runtimes predictable."""
     bound = desk_bound()
     if n > bound and not allow_large:
         raise DeskBoundError(
-            f"{operation} enumerates O(4^N) terms and n={n} exceeds the desk "
-            f"bound {bound}; pass allow_large=True (CLI: --allow-large) or set "
-            f"{DESK_BOUND_ENV_VAR} to proceed")
+            f"macro_distribution_bruteforce enumerates O(4^N) terms and n={n} "
+            f"exceeds the desk bound {bound}; pass allow_large=True (CLI: "
+            f"--allow-large) or set {DESK_BOUND_ENV_VAR} to proceed")
 
 
 @dataclass(frozen=True)
@@ -263,9 +260,11 @@ class ExplicitJoint(EnsembleModel):
     ``n`` in-range settings per side, every outcome must be +1 or -1, and
     each setting assignment must be nonnegative and normalized.  The model
     holds read-only views of private copies of ``table`` and its blocks,
-    so its memoised laws cannot go stale.  No-signalling is not enforced:
-    signalling tables are constructible on purpose and flagged later by
-    :func:`check_no_signalling` or by marginal completion checks.
+    so its memoised laws cannot go stale, plus each block's lcm from that
+    check, which scales the block when :meth:`_support` first reads it.
+    No-signalling is not enforced: signalling tables are constructible on
+    purpose and flagged later by :func:`check_no_signalling` or by marginal
+    completion checks.
     """
 
     n: int
@@ -274,6 +273,7 @@ class ExplicitJoint(EnsembleModel):
     table: Mapping
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    _scales: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, s_a, s_b = self.n, self.s_a, self.s_b
@@ -300,6 +300,7 @@ class ExplicitJoint(EnsembleModel):
                         f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
                 entries[(oa, ob)] = as_rational(p)
             normalized[(sa, sb)] = MappingProxyType(entries)
+        scales = {}
         for sa in product(range(s_a), repeat=n):
             for sb in product(range(s_b), repeat=n):
                 block = normalized.get((sa, sb), {})
@@ -317,30 +318,22 @@ class ExplicitJoint(EnsembleModel):
                     raise ConstructionError(
                         f"outcomes for setting assignment {sa};{sb} sum to "
                         f"{Fraction(total, scale)}, not 1")
+                scales[(sa, sb)] = scale
         object.__setattr__(self, "table", MappingProxyType(normalized))
+        object.__setattr__(self, "_scales", MappingProxyType(scales))
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
-        block = self.table.get((settings.alice, settings.bob))
-        if block is None:
-            raise DomainError(
-                f"no table entry for settings {settings.alice};{settings.bob}")
-        return block.get((outcomes.alice, outcomes.bob), ZERO)
+        return self.table[(settings.alice, settings.bob)].get(
+            (outcomes.alice, outcomes.bob), ZERO)
 
     def _support(self, settings: SettingAssignment) -> tuple:
         key = (settings.alice, settings.bob)
-        return self._memoized(("support", key), lambda: self._scaled_block(key))
-
-    def _scaled_block(self, key: tuple) -> tuple:
-        block = self.table.get(key)
-        if block is None:
-            raise DomainError(f"no table entry for settings {key[0]};{key[1]}")
-        scale = lcm(*(p.denominator for p in block.values()))
+        scale = self._scales[key]
         # Descending order of the +1/-1 tuples is product(OUTCOMES) order.
-        entries = sorted(((oa + ob, p.numerator * (scale // p.denominator))
-                          for (oa, ob), p in block.items() if p != 0),
-                         reverse=True)
-        return scale, tuple(entries)
+        return self._memoized(("support", key), lambda: (scale, tuple(sorted(
+            ((oa + ob, p.numerator * (scale // p.denominator))
+             for (oa, ob), p in self.table[key].items() if p != 0), reverse=True))))
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -584,19 +577,19 @@ def marginal_correlator(model: EnsembleModel, spec: Sequence) -> Fraction:
                     scale)
 
 
-def check_no_signalling(model: EnsembleModel, allow_large: bool = False) -> ValidationReport:
+def check_no_signalling(model: EnsembleModel) -> ValidationReport:
     """No-signalling violations over all single-particle setting swaps.
 
     For every particle, every pair of its settings, and every setting context
     of the remaining 2N-1 particles, the distribution of all other outcomes
-    must be unchanged.  Desk-bounded for every model.  A product model
-    answers from its box: a product of no-signalling boxes is no-signalling,
-    so the report holds the no-signalling rows of
-    :func:`~macrobox.boxes.validate_pairbox` on ``model.box`` (none, since
-    construction validated the box).  Any other model gets the exhaustive
-    :func:`_swap_scan`.
+    must be unchanged.  A product model answers from its box at any N: a
+    product of no-signalling boxes is no-signalling, so the report holds the
+    no-signalling rows of :func:`~macrobox.boxes.validate_pairbox` on
+    ``model.box`` (none, since construction validated the box).  Any other
+    model gets the exhaustive :func:`_swap_scan`, which reads each of the
+    table's s^(2N) blocks 2N times; construction already holds all of them,
+    so the cost is linear in the input and no desk bound applies.
     """
-    ensure_desk_scale(model.n, "check_no_signalling", allow_large)
     if isinstance(model, IndependentPairs):
         return ValidationReport(violations=tuple(
             v for v in validate_pairbox(model.box).violations if v.kind == "no-signalling"))
@@ -609,9 +602,9 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
     Loops over one combined 2N-slot setting context (Alice's settings, then
     Bob's) with the swapped slot pinned at 0 and swapped to each setting.
     Cost is s^(2N) scans of the nonzero support (at most 4^N tuples each);
-    callers apply the desk bound.  The laws are compared as integer counts
-    (:func:`_same_law`); Fractions are built only for a mismatch, to report
-    its worst residual.
+    on a joint table each scan reads a block the model already holds.  The
+    laws are compared as integer counts (:func:`_same_law`); Fractions are
+    built only for a mismatch, to report its worst residual.
     """
     n = model.n
     violations = []

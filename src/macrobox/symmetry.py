@@ -406,7 +406,8 @@ class SymmetricJPD:
     @staticmethod
     def from_json(text: str) -> "SymmetricJPD":
         """Load a JPD from its :meth:`to_json` form: integer schema fields,
-        ``copies >= 1``, and each event listed once with one outcome per slot."""
+        nonnegative and strictly ascending settings per side, ``copies >= 1``,
+        and each event listed once with one outcome per slot."""
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -418,6 +419,10 @@ class SymmetricJPD:
                              for g in data["schema"]["bob"])
             if any(copies < 1 for _, copies in schema_a + schema_b):
                 raise ValueError("every schema group needs copies >= 1")
+            for settings in ([s for s, _ in schema_a], [s for s, _ in schema_b]):
+                if settings != sorted(set(settings)) or min(settings, default=0) < 0:
+                    raise ValueError(f"schema settings {settings} are not "
+                                     f"nonnegative and strictly ascending")
             widths = (sum(c for _, c in schema_a), sum(c for _, c in schema_b))
             entries = {}
             for entry in data["entries"]:

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, formats, exit codes, determinism."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -171,13 +172,29 @@ class TestExecution:
         assert payload["valid"] is True
 
     def test_desk_bound_env(self, capsys, monkeypatch):
+        # verify's oracle row runs the brute force on a product model, the
+        # only desk-bounded route.
         monkeypatch.setenv("MACROBOX_MAX_N", "2")
-        code, _, err = run_cli(capsys, ["distribution", "--box", "pr", "--n", "3"])
+        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "3"])
         assert code == 1
-        assert "desk" in err or "MACROBOX_MAX_N" in err
-        code, out, _ = run_cli(capsys, ["distribution", "--box", "pr", "--n", "3",
+        assert "FAIL oracle-agreement: macro_distribution_bruteforce" in out
+        assert "MACROBOX_MAX_N" in out
+        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "3",
                                         "--allow-large"])
         assert code == 0
+
+    def test_pair_box_distribution_above_desk_bound(self, capsys):
+        n = 13
+        code, out, err = run_cli(capsys, ["distribution", "--box", "pr", "--n", str(n)])
+        assert (code, err) == (0, "")
+        probs = {}
+        for line in out.splitlines()[2:]:
+            x_value, y_value, p = line.split()
+            probs[int(x_value), int(y_value)] = F(p)
+        for k in range(n + 1):
+            value = n - 2 * k
+            assert probs[value, value] == F(math.comb(n, k), 2 ** n)
+        assert sum(probs.values()) == 1
 
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
@@ -277,8 +294,7 @@ class TestVerifyOutput:
         assert (code, err) == (0, "")
         assert out == (
             "PASS normalization: box table normalized for every setting pair\n"
-            "SKIP no-signalling: exhaustive swap check skipped for n=7 > 6 "
-            "(pass --allow-large to force)\n"
+            "PASS no-signalling: all single-particle setting swaps agree\n"
             "PASS marginal-identities: averages-JPD marginals equal the effective pair "
             "distribution\n"
             "PASS path-agreement: microscopic and effective routes agree\n"
@@ -287,7 +303,12 @@ class TestVerifyOutput:
             "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
             "PASS fluctuations-jpd: valid and reproduces the two-pair effective "
             "distribution\n"
-            "result: PASS (7 checks, 0 failed, 2 skipped)\n")
+            "result: PASS (7 checks, 0 failed, 1 skipped)\n")
+
+    def test_no_signalling_row_runs_above_exhaustive_limit(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "7"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "PASS no-signalling: all single-particle setting swaps agree"
 
     def test_isotropic_two_pairs_json(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "2",
@@ -381,7 +402,7 @@ class TestDistributionRoutes:
         assert ("PASS oracle-agreement: moment expansion matches brute-force "
                 "enumeration (k=1,2)") in out
 
-        def shifted(model, i, j, allow_large=False):
+        def shifted(model, i, j):
             probs = {key: F(0) for key in product((-2, 0, 2), repeat=2)}
             probs[(2, 2)] = F(1)
             return MacroDistribution(n=2, alice_setting=i, bob_setting=j, probs=probs)

@@ -339,6 +339,14 @@ class TestNoSignallingCheck:
         assert any(v.where[0] == "A" and v.where[1] == 0
                    for v in report.violations)
 
+    def test_joint_table_scan_ignores_desk_bound(self, monkeypatch):
+        # The scan reads the blocks the table holds, so n=2 > 1 still runs.
+        monkeypatch.setenv("MACROBOX_MAX_N", "1")
+        model = explicit_joint(2, 2, 2, cross_pair_signalling_table())
+        report = check_no_signalling(model)
+        assert report == _swap_scan(model)
+        assert any(v.where[:2] == ("A", 0) for v in report.violations)
+
 
 class TestIntegerComparison:
     """The swap scan and the completion check compare integer count laws."""
@@ -617,8 +625,8 @@ class TestDeskBound:
         monkeypatch.setenv("MACROBOX_MAX_N", "3")
         assert desk_bound() == 3
         with pytest.raises(DeskBoundError):
-            ensure_desk_scale(4, "test-op")
-        ensure_desk_scale(4, "test-op", allow_large=True)
+            ensure_desk_scale(4)
+        ensure_desk_scale(4, allow_large=True)
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("MACROBOX_MAX_N", "many")
@@ -627,7 +635,7 @@ class TestDeskBound:
 
     def test_refuses_above_bound(self):
         with pytest.raises(DeskBoundError):
-            ensure_desk_scale(desk_bound() + 1, "test-op")
+            ensure_desk_scale(desk_bound() + 1)
 
 
 def product_table(box, n):
@@ -762,8 +770,7 @@ class TestProductNoSignalling:
             IndependentPairs(box=make_pr_box(), n=0)
 
     def test_desk_bound_still_applies(self, monkeypatch):
+        # Neither route enumerates beyond its input, so no DeskBoundError.
         monkeypatch.setenv("MACROBOX_MAX_N", "2")
-        with pytest.raises(DeskBoundError):
-            check_no_signalling(independent_pairs(make_pr_box(), 3))
-        assert check_no_signalling(independent_pairs(make_pr_box(), 3),
-                                   allow_large=True).ok
+        assert check_no_signalling(independent_pairs(make_pr_box(), 3)).ok
+        assert check_no_signalling(explicit_from_box(make_pr_box(), 3)).ok

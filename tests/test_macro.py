@@ -200,6 +200,15 @@ class TestBruteForceDistribution:
         dist = macro_distribution_bruteforce(model, 0, 0, allow_large=True)
         assert dist.total() == 1
 
+    def test_joint_table_ignores_desk_bound(self, monkeypatch):
+        # The scan reads one block the table holds, so n=3 > 2 still runs.
+        monkeypatch.setenv("MACROBOX_MAX_N", "2")
+        joint = explicit_from_box(make_pr_box(), 3)
+        dist = macro_distribution_bruteforce(joint, 0, 0)
+        assert dist == macro_distribution_bruteforce(independent_pairs(make_pr_box(), 3),
+                                                     0, 0, allow_large=True)
+        assert macro_distribution(joint, 0, 0) == dist
+
     def test_csv_layout(self):
         dist = macro_distribution_bruteforce(independent_pairs(make_pr_box(), 1), 0, 0)
         lines = dist.to_csv().splitlines()
@@ -214,7 +223,7 @@ class TestConvolutionDistribution:
     @staticmethod
     def assert_matches_oracle(model, allow_large=False):
         for i, j in SETTINGS:
-            primary = macro_distribution(model, i, j, allow_large=allow_large)
+            primary = macro_distribution(model, i, j)
             oracle = macro_distribution_bruteforce(model, i, j, allow_large=allow_large)
             assert primary == oracle
             assert list(primary.probs) == list(oracle.probs)
@@ -231,10 +240,12 @@ class TestConvolutionDistribution:
             self.assert_matches_oracle(independent_pairs(box, n))
 
     def test_allow_large(self, monkeypatch):
+        # Only the 4^N brute force is desk-bounded; the convolution is not.
         monkeypatch.setenv("MACROBOX_MAX_N", "2")
         model = independent_pairs(make_isotropic_box(F(1, 3)), 3)
         with pytest.raises(DeskBoundError):
-            macro_distribution(model, 0, 0)
+            macro_distribution_bruteforce(model, 0, 0)
+        assert macro_distribution(model, 0, 0).total() == 1
         self.assert_matches_oracle(model, allow_large=True)
 
     def test_shares_no_kernel_or_memo(self, monkeypatch):
@@ -246,14 +257,12 @@ class TestConvolutionDistribution:
         monkeypatch.setattr(IndependentPairs, "_support", forbidden)
         monkeypatch.setattr(IndependentPairs, "_memoized", forbidden)
         assert macro_distribution(model, 1, 0) == oracle
-        assert macro_distribution(independent_pairs(make_pr_box(), 40), 1, 1,
-                                  allow_large=True).total() == 1
+        assert macro_distribution(independent_pairs(make_pr_box(), 40), 1, 1).total() == 1
 
     def test_binomial_closed_form(self):
         # At (0, 0) the PR box gives A = B, a sum of n fair +-1 steps.
         n = 30
-        dist = macro_distribution(independent_pairs(make_pr_box(), n), 0, 0,
-                                  allow_large=True)
+        dist = macro_distribution(independent_pairs(make_pr_box(), n), 0, 0)
         for k in range(n + 1):
             value = n - 2 * k
             assert dist.prob(value, value) == F(math.comb(n, k), 2 ** n)

@@ -494,6 +494,20 @@ class TestJPDSerialization:
             SymmetricJPD.from_json(self.one_slot_jpd_json(
                 schema_copies=copies, events=("(;)",)))
 
+    @pytest.mark.parametrize("alice", [
+        [{"setting": 0, "copies": 1}, {"setting": 0, "copies": 1}],
+        [{"setting": 1, "copies": 1}, {"setting": 0, "copies": 1}],
+        [{"setting": -1, "copies": 1}],
+    ], ids=["repeated", "descending", "negative"])
+    def test_schema_settings_must_be_nonnegative_and_ascending(self, alice):
+        data = json.loads(self.one_slot_jpd_json())
+        data["schema"]["alice"] = alice
+        data["entries"] = [{"outcomes": "(" + ",".join("+" * len(alice)) + ";+)",
+                            "p": "1"}]
+        with pytest.raises(ConstructionError,
+                           match="malformed jpd JSON: .*nonnegative and strictly ascending"):
+            SymmetricJPD.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("field, value", [("copies", 1.5), ("copies", True),
                                               ("copies", "1"), ("setting", 0.0)])
     def test_non_integer_schema_rejected(self, field, value):
