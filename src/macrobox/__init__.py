@@ -37,7 +37,6 @@ from .ensemble import (
     OutcomeAssignment,
     SettingAssignment,
     check_no_signalling,
-    desk_bound,
     explicit_joint,
     explicit_joint_from_json,
     independent_pairs,
@@ -46,7 +45,6 @@ from .ensemble import (
 )
 from .errors import (
     ConstructionError,
-    DeskBoundError,
     DomainError,
     MacroboxError,
     PathDisagreementError,

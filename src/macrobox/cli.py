@@ -34,13 +34,10 @@ from .boxes import (
     validate_pairbox,
 )
 from .ensemble import (
-    DESK_BOUND_DEFAULT,
-    DESK_BOUND_ENV_VAR,
     EnsembleModel,
     ExplicitJoint,
     IndependentPairs,
     check_no_signalling,
-    desk_bound,
     explicit_joint_from_data,
     independent_pairs,
 )
@@ -81,7 +78,6 @@ class RunConfig:
     n: int
     fmt: str
     out: str | None
-    allow_large: bool
     params: dict = field(default_factory=dict)
     box: PairBox | None = None
     joint: ExplicitJoint | None = None
@@ -139,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=RENDER_FORMATS,
                         default="text", help="output format (default text)")
     common.add_argument("--out", default=None, help="write the report to this path")
-    common.add_argument("--allow-large", action="store_true",
-                        help=f"override the desk bound (default {DESK_BOUND_DEFAULT}, "
-                             f"or {DESK_BOUND_ENV_VAR}) for exhaustive enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("box", parents=[common],
@@ -188,10 +181,6 @@ def parse_args(argv) -> RunConfig:
     """Parse and validate; exits with code 2 on any usage error."""
     parser = build_parser()
     namespace = parser.parse_args(argv)
-    try:
-        desk_bound()
-    except DomainError as exc:
-        parser.error(str(exc))
     if namespace.n < 1:
         parser.error(f"--n must be at least 1, got {namespace.n}")
     box, joint = _load_box_spec(namespace.box, parser)
@@ -205,8 +194,7 @@ def parse_args(argv) -> RunConfig:
         if hasattr(namespace, key):
             params[key] = getattr(namespace, key)
     return RunConfig(command=namespace.command, box_spec=namespace.box, n=n,
-                     fmt=namespace.fmt, out=namespace.out,
-                     allow_large=namespace.allow_large, params=params,
+                     fmt=namespace.fmt, out=namespace.out, params=params,
                      box=box, joint=joint)
 
 
@@ -418,7 +406,8 @@ def run_gisin(config: RunConfig) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-#: Above this n, verify skips the 4^n oracle row unless --allow-large.
+#: Above this n, verify's oracle row does not run the 4^n enumeration of a
+#: product model and checks the moment expansion against the convolution.
 VERIFY_EXHAUSTIVE_LIMIT = 6
 
 
@@ -438,7 +427,7 @@ def _validity_failure(verdict, prefix: str = "") -> str | None:
     return None if verdict.valid and verdict.total == 1 else f"{prefix}{verdict}"
 
 
-def _verify_normalization(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_normalization(model: EnsembleModel) -> tuple:
     """Primary: the model's table.  Check: construction, which rejects a
     pair box that fails :func:`validate_pairbox` and a joint table with a
     setting block that does not sum to 1, so a built model always passes."""
@@ -447,7 +436,7 @@ def _verify_normalization(model: EnsembleModel, config: RunConfig) -> tuple:
     return None, "joint table normalized for every assignment"
 
 
-def _verify_no_signalling(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_no_signalling(model: EnsembleModel) -> tuple:
     """Primary: :func:`check_no_signalling` (the box's rows for a product
     model, the swap scan over the table's stored blocks for a joint table).
     Check: its report holds no violation.  No precondition: neither route
@@ -457,7 +446,7 @@ def _verify_no_signalling(model: EnsembleModel, config: RunConfig) -> tuple:
             "all single-particle setting swaps agree")
 
 
-def _verify_marginal_identities(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_marginal_identities(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_pair`.  Check: the one-slot-per-side
     marginals of :func:`jpd_averages`.  Needs the averages construction."""
     _require_construction(model)
@@ -471,7 +460,7 @@ def _verify_marginal_identities(model: EnsembleModel, config: RunConfig) -> tupl
     return failure, "averages-JPD marginals equal the effective pair distribution"
 
 
-def _verify_path_agreement(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_path_agreement(model: EnsembleModel) -> tuple:
     """Primary: the microscopic sums of the second-moment and correlation
     routines.  Check: their effective-distribution forms, which each
     routine compares itself, raising on a disagreement.  For a product
@@ -488,22 +477,23 @@ def _verify_path_agreement(model: EnsembleModel, config: RunConfig) -> tuple:
     return None, "microscopic and effective routes agree"
 
 
-def _verify_oracle(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_oracle(model: EnsembleModel) -> tuple:
     """Primary: :func:`macro_moment_general` at k = 1, 2 and, for a product
     model, :func:`macro_distribution`.  Check: the enumeration of
     :func:`macro_distribution_bruteforce`, which for any other model is
-    ``macro_distribution`` itself.  SKIPs above VERIFY_EXHAUSTIVE_LIMIT;
-    --allow-large raises that limit to the desk bound."""
+    ``macro_distribution`` itself.  A product model above
+    VERIFY_EXHAUSTIVE_LIMIT would stream 4^n tuples, so there the expansion
+    is checked against the convolution of ``macro_distribution`` alone."""
     n = model.n
-    if not (n <= VERIFY_EXHAUSTIVE_LIMIT or (config.allow_large and n <= desk_bound())):
-        raise _Skip(f"4^n enumeration skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT} "
-                    f"(pass --allow-large to force)")
+    product_model = isinstance(model, IndependentPairs)
+    exhaustive = n <= VERIFY_EXHAUSTIVE_LIMIT or not product_model
+    route = "enumeration" if exhaustive else "convolution"
     failure = None
     for i, j in product(range(model.s_a), range(model.s_b)):
-        dist = macro_distribution_bruteforce(model, i, j, allow_large=config.allow_large)
+        dist = (macro_distribution_bruteforce if exhaustive else macro_distribution)(model, i, j)
         if dist.total() != 1:
             failure = f"distribution at ({i},{j}) not normalized"
-        if isinstance(model, IndependentPairs):
+        if exhaustive and product_model:
             primary = macro_distribution(model, i, j)
             if primary.probs != dist.probs:
                 failure = (f"distribution at ({i},{j}): primary "
@@ -513,11 +503,14 @@ def _verify_oracle(model: EnsembleModel, config: RunConfig) -> tuple:
             oracle = dist.joint_moment(order)
             if expansion != oracle:
                 failure = (f"<(A{i} B{j})^{order}> expansion {expansion} "
-                           f"!= enumeration {oracle}")
-    return failure, "moment expansion matches brute-force enumeration (k=1,2)"
+                           f"!= {route} {oracle}")
+    if exhaustive:
+        return failure, "moment expansion matches brute-force enumeration (k=1,2)"
+    return failure, (f"moment expansion matches the convolution (k=1,2); 4^n "
+                     f"enumeration skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT}")
 
 
-def _verify_averages_validity(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_averages_validity(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_averages`, or below its construction the PR box's
     :func:`pr_averages_jpd_closed_form`.  Check: :func:`jpd_validity`,
     every entry nonnegative and the sum 1."""
@@ -533,7 +526,7 @@ def _verify_averages_validity(model: EnsembleModel, config: RunConfig) -> tuple:
     return _validity_failure(jpd_validity(jpd_averages(model))), "all entries nonnegative, sum 1"
 
 
-def _verify_fluctuations(model: EnsembleModel, config: RunConfig) -> tuple:
+def _verify_fluctuations(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_fluctuations`.  Checks: :func:`jpd_validity`, then
     its two-slots-per-side marginals against :func:`effective_quad`.  Needs
     the two-copies construction."""
@@ -552,9 +545,10 @@ def _verify_fluctuations(model: EnsembleModel, config: RunConfig) -> tuple:
     return failure, passed
 
 
-#: verify's rows in output order.  Each check returns (failure detail or
-#: None, PASS detail), raises _Skip, or raises MacroboxError (a FAIL).  The
-#: checks read library routes as this module's globals at call time.
+#: verify's rows in output order.  Each check takes the model and returns
+#: (failure detail or None, PASS detail), raises _Skip, or raises
+#: MacroboxError (a FAIL).  The checks read library routes as this module's
+#: globals at call time.
 _VERIFY_ROWS = (
     ("normalization", _verify_normalization),
     ("no-signalling", _verify_no_signalling),
@@ -571,7 +565,7 @@ def _verify_checks(config: RunConfig):
     model = _build_model(config)
     for name, check in _VERIFY_ROWS:
         try:
-            failure, passed = check(model, config)
+            failure, passed = check(model)
         except _Skip as skip:
             yield "SKIP", name, str(skip)
         except MacroboxError as exc:

@@ -13,16 +13,15 @@ keeps one private memo of the laws derived from it (see
 Laws are integer counts over a common denominator until they are handed
 out.  A product model's marginals are products of its box's integer rows;
 an explicit table's marginals and swap check scan the blocks it holds
-through the model's ``_support`` kernel.  The desk bound (default 12,
-override via MACROBOX_MAX_N or an explicit ``allow_large`` flag) guards
-only the 4^N enumeration of the brute-force distribution of a product
-model in :mod:`macrobox.macro`.
+through the model's ``_support`` kernel.  A product model's kernel streams
+up to 4^N tuples from one box; in the library only the brute-force
+distribution of :mod:`macrobox.macro` reads it, and that function states
+the cost and leaves the size to its caller.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -43,36 +42,7 @@ from .boxes import (
     json_int,
     validate_pairbox,
 )
-from .errors import ConstructionError, DeskBoundError, DomainError, SignallingError
-
-DESK_BOUND_DEFAULT = 12
-DESK_BOUND_ENV_VAR = "MACROBOX_MAX_N"
-
-
-def desk_bound() -> int:
-    """Largest N exhaustive enumerations accept without an override."""
-    raw = os.environ.get(DESK_BOUND_ENV_VAR)
-    if raw is None:
-        return DESK_BOUND_DEFAULT
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 1:
-        raise DomainError(f"{DESK_BOUND_ENV_VAR} must be a positive integer, got {raw!r}")
-    return bound
-
-
-def ensure_desk_scale(n: int, allow_large: bool = False) -> None:
-    """Refuse the 4^N enumeration of :func:`~macrobox.macro.macro_distribution_bruteforce`
-    on a product model (one box in, up to 4^N tuples streamed) beyond the
-    desk bound unless overridden; the bound keeps runtimes predictable."""
-    bound = desk_bound()
-    if n > bound and not allow_large:
-        raise DeskBoundError(
-            f"macro_distribution_bruteforce enumerates O(4^N) terms and n={n} "
-            f"exceeds the desk bound {bound}; pass allow_large=True (CLI: "
-            f"--allow-large) or set {DESK_BOUND_ENV_VAR} to proceed")
+from .errors import ConstructionError, DomainError, SignallingError
 
 
 @dataclass(frozen=True)
@@ -588,7 +558,7 @@ def check_no_signalling(model: EnsembleModel) -> ValidationReport:
     ``model.box`` (none, since construction validated the box).  Any other
     model gets the exhaustive :func:`_swap_scan`, which reads each of the
     table's s^(2N) blocks 2N times; construction already holds all of them,
-    so the cost is linear in the input and no desk bound applies.
+    so the cost is linear in the input.
     """
     if isinstance(model, IndependentPairs):
         return ValidationReport(violations=tuple(

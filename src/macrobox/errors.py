@@ -27,10 +27,6 @@ class SignallingError(MacroboxError):
         self.second = second
 
 
-class DeskBoundError(MacroboxError):
-    """An exhaustive enumeration would exceed the configured size bound."""
-
-
 class PathDisagreementError(MacroboxError):
     """Two independent computation routes produced different exact values.
 

@@ -35,16 +35,14 @@ from .ensemble import (
     SettingAssignment,
     _as_law,
     _support_counts,
-    ensure_desk_scale,
     marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
 from .symmetry import (
+    _symmetrized_entries,
     effective_correlator,
     effective_pair,
     effective_quad,
-    jpd_fluctuations,
-    jpd_marginal,
     matching_assignment_count,
 )
 
@@ -133,8 +131,18 @@ def _one_side(model: EnsembleModel, side: str, settings: tuple) -> tuple:
 
 
 def macro_average(model: EnsembleModel, side: str, setting: int) -> Fraction:
-    """<A_i> (or <B_j>): sum of the single-particle means."""
-    return _distinct_tuple_sum(model, *_one_side(model, side, (setting,)))
+    """<A_i> (or <B_j>): sum of the single-particle means, cross-checked
+    against N <a>_eff, N times the effective one-slot mean."""
+    micro = _distinct_tuple_sum(model, *_one_side(model, side, (setting,)))
+    if side == ALICE:
+        mean = effective_correlator(model, setting, 0, 1, 0)
+    else:
+        mean = effective_correlator(model, 0, setting, 0, 1)
+    via_effective = model.n * mean
+    if micro != via_effective:
+        raise PathDisagreementError(
+            f"<{side}{setting}>: microscopic sum {micro} != effective route {via_effective}")
+    return micro
 
 
 def macro_correlation(model: EnsembleModel, i: int, j: int) -> Fraction:
@@ -269,9 +277,10 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     their lcm L and that 4-point step is convolved N times over the running
     sums, O(N^3) integer work, with one Fraction(count, L^N) per grid
     point (``isotropic:1/3``: 0.3 s at N = 100, 2.7 s at N = 200 on a
-    2-core Xeon), so no desk bound applies.  This reads only the box, never
-    the model's support kernel or memo, so :func:`macro_distribution_bruteforce`
-    stays an independent check.  Other models go to the brute force.
+    2-core Xeon).  This reads only the box, never the model's support
+    kernel or memo, so :func:`macro_distribution_bruteforce` stays an
+    independent check.  Other models go to the brute force, which reads
+    one block the joint table holds.
     """
     if not isinstance(model, IndependentPairs):
         return macro_distribution_bruteforce(model, i, j)
@@ -295,23 +304,22 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     return MacroDistribution(n=n, alice_setting=i, bob_setting=j, probs=grid)
 
 
-def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int,
-                                  allow_large: bool = False) -> MacroDistribution:
+def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
     """Oracle: sum the microscopic joint law under uniform settings.
 
-    Scans the model's nonzero support (at most 4^N outcome tuples) and
-    deliberately shares no machinery with the convolution of
-    :func:`macro_distribution` or with the effective-distribution and
-    coincidence-expansion routes, so it is the independent check for all of
-    them.  Desk-bounded for a product model only: there one box streams up
-    to 4^N tuples, while a joint table's scan reads one block it already
-    holds.  Its callers are ``verify``'s oracle-agreement row,
-    :func:`macro_distribution` for models that are not independent pairs,
-    and the tests.
+    Scans the model's nonzero support and deliberately shares no machinery
+    with the convolution of :func:`macro_distribution` or with the
+    effective-distribution and coincidence-expansion routes, so it is the
+    independent check for all of them.  A joint table's scan reads one
+    block it already holds.  A product model streams up to 4^N outcome
+    tuples from one box (``isotropic:1/3``: 7 ms at N = 6, 0.5 s at N = 9
+    on a 2-core Xeon, four times longer per extra pair), so the caller
+    picks the size: ``verify``'s oracle-agreement row runs it on a product
+    model only up to ``VERIFY_EXHAUSTIVE_LIMIT``.  Its callers are
+    that row, :func:`macro_distribution` for models that are not
+    independent pairs, and the tests.
     """
     _require_settings(model, i, j)
-    if isinstance(model, IndependentPairs):
-        ensure_desk_scale(model.n, allow_large)
     n = model.n
     law = _as_law(*_support_counts(model, SettingAssignment.uniform(n, i, j),
                                    lambda combined: (sum(combined[:n]), sum(combined[n:]))))
@@ -440,7 +448,7 @@ class GisinMatrix:
 
     Diagonal and cross-side entries come from the microscopic moments; the
     same-side off-diagonal entries cannot be measured microscopically and
-    are taken from the fluctuations-JPD marginals.  Mixing entry origins
+    are the fluctuations JPD's two-slot marginals.  Mixing entry origins
     like this is what produces the negative eigenvalues.
     """
 
@@ -462,8 +470,11 @@ class GisinMatrix:
 def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
     """Correlation matrix of (A0, A1, B0, B1) with JPD-derived same-side entries.
 
-    Needs N >= 4 because <A0 A1> and <B0 B1> are read off marginals of the
-    fluctuations JPD (as N^2 times the two-slot correlators).
+    Needs N >= 4 because <A0 A1> and <B0 B1> are defined by the fluctuations
+    JPD: N^2 times the correlator of its setting-0 and setting-1 slots on one
+    side.  That marginal is the symmetrized two-slot distribution, so each
+    entry is read from :func:`_symmetrized_entries` for those two slots
+    alone, without building the JPD's 2^8 entries.
     """
     if model.s_a != 2 or model.s_b != 2:
         raise DomainError("the correlation matrix is defined for 2 settings per side")
@@ -471,11 +482,11 @@ def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
         raise DomainError(
             f"the same-side entries need the fluctuations JPD, hence n >= 4; got {model.n}")
     n = model.n
-    jpd = jpd_fluctuations(model)
 
     def same_side_entry(side: str) -> Fraction:
-        dist = jpd_marginal(jpd, [(side, 0, 0), (side, 1, 0)])
-        correlator = sum((a * b * p for (a, b), p in dist.items()), ZERO)
+        entries = _symmetrized_entries(model, *_one_side(model, side, (0, 1)))
+        correlator = sum((math.prod(a_out + b_out) * p
+                          for (a_out, b_out), p in entries.items()), ZERO)
         return n * n * correlator
 
     second_a = [macro_local_second_moment(model, ALICE, s) for s in (0, 1)]
@@ -568,8 +579,8 @@ def moment_report(model: EnsembleModel, i: int, j: int) -> MomentReport:
                 f"negative variance for {name}: {value}; the model is inconsistent")
     dual = "microscopic+effective" if n >= 2 else "microscopic"
     paths = {
-        "average_a": "microscopic",
-        "average_b": "microscopic",
+        "average_a": "microscopic+effective",
+        "average_b": "microscopic+effective",
         "correlation": "microscopic+effective",
         "second_moment_a": dual,
         "second_moment_b": dual,

@@ -148,13 +148,6 @@ class QuadDistribution:
             total += y * yp * self.table[(i, j, x, xp, y, yp)]
         return total
 
-    def pair_marginal(self, i: int, j: int) -> dict:
-        """Marginal over (x; y), i.e. the first slot of each side."""
-        acc = {(x, y): ZERO for x in OUTCOMES for y in OUTCOMES}
-        for x, xp, y, yp in product(OUTCOMES, repeat=4):
-            acc[(x, y)] += self.table[(i, j, x, xp, y, yp)]
-        return acc
-
 
 def _symmetrized_product_entry(box: PairBox, n: int,
                                a_settings: tuple, a_outcomes: tuple,

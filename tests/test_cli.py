@@ -171,19 +171,7 @@ class TestExecution:
         payload = json.loads(target.read_text())
         assert payload["valid"] is True
 
-    def test_desk_bound_env(self, capsys, monkeypatch):
-        # verify's oracle row runs the brute force on a product model, the
-        # only desk-bounded route.
-        monkeypatch.setenv("MACROBOX_MAX_N", "2")
-        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "3"])
-        assert code == 1
-        assert "FAIL oracle-agreement: macro_distribution_bruteforce" in out
-        assert "MACROBOX_MAX_N" in out
-        code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "3",
-                                        "--allow-large"])
-        assert code == 0
-
-    def test_pair_box_distribution_above_desk_bound(self, capsys):
+    def test_pair_box_distribution_at_thirteen_pairs(self, capsys):
         n = 13
         code, out, err = run_cli(capsys, ["distribution", "--box", "pr", "--n", str(n)])
         assert (code, err) == (0, "")
@@ -196,16 +184,20 @@ class TestExecution:
             assert probs[value, value] == F(math.comb(n, k), 2 ** n)
         assert sum(probs.values()) == 1
 
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_desk_bound_env_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MACROBOX_MAX_N", value)
+    def test_allow_large_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["box", "--box", "pr"])
+            main(["verify", "--box", "pr", "--n", "7", "--allow-large"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "MACROBOX_MAX_N must be a positive integer" in err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --allow-large" in err
         assert "Traceback" not in err
+
+    def test_max_n_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("MACROBOX_MAX_N", "abc")
+        code, out, err = run_cli(capsys, ["box", "--box", "pr"])
+        assert (code, err) == (0, "")
+        assert "validation: ok" in out
 
 
 class TestDeterminism:
@@ -298,12 +290,29 @@ class TestVerifyOutput:
             "PASS marginal-identities: averages-JPD marginals equal the effective pair "
             "distribution\n"
             "PASS path-agreement: microscopic and effective routes agree\n"
-            "SKIP oracle-agreement: 4^n enumeration skipped for n=7 > 6 "
-            "(pass --allow-large to force)\n"
+            "PASS oracle-agreement: moment expansion matches the convolution (k=1,2); "
+            "4^n enumeration skipped for n=7 > 6\n"
             "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
             "PASS fluctuations-jpd: valid and reproduces the two-pair effective "
             "distribution\n"
-            "result: PASS (7 checks, 0 failed, 1 skipped)\n")
+            "result: PASS (7 checks, 0 failed, 0 skipped)\n")
+
+    @pytest.mark.parametrize("n", (7, 12, 40))
+    def test_oracle_row_runs_above_exhaustive_limit(self, capsys, n):
+        code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", str(n)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[4] == (f"PASS oracle-agreement: moment expansion matches the "
+                            f"convolution (k=1,2); 4^n enumeration skipped for n={n} > 6")
+        assert lines[-1] == "result: PASS (7 checks, 0 failed, 0 skipped)"
+
+    def test_oracle_row_checks_above_exhaustive_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("macrobox.cli.macro_moment_general",
+                            lambda model, i, j, order: F(1, 3))
+        code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "7"])
+        assert (code, err) == (1, "")
+        assert "FAIL oracle-agreement: <(A1 B1)^2> expansion 1/3 != convolution " in out
+        assert out.splitlines()[-1] == "result: FAIL (7 checks, 1 failed, 0 skipped)"
 
     def test_no_signalling_row_runs_above_exhaustive_limit(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "7"])

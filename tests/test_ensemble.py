@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from macrobox import (
     ConstructionError,
-    DeskBoundError,
     DomainError,
     ExplicitJoint,
     IndependentPairs,
@@ -22,7 +21,6 @@ from macrobox import (
     SettingAssignment,
     SignallingError,
     check_no_signalling,
-    desk_bound,
     explicit_joint,
     explicit_joint_from_json,
     independent_pairs,
@@ -39,7 +37,6 @@ from macrobox.ensemble import (
     _marginal_counts,
     _product_marginal_counts,
     _swap_scan,
-    ensure_desk_scale,
 )
 from tests.conftest import (
     cross_pair_signalling_table,
@@ -339,9 +336,7 @@ class TestNoSignallingCheck:
         assert any(v.where[0] == "A" and v.where[1] == 0
                    for v in report.violations)
 
-    def test_joint_table_scan_ignores_desk_bound(self, monkeypatch):
-        # The scan reads the blocks the table holds, so n=2 > 1 still runs.
-        monkeypatch.setenv("MACROBOX_MAX_N", "1")
+    def test_joint_table_answer_is_the_swap_scan(self):
         model = explicit_joint(2, 2, 2, cross_pair_signalling_table())
         report = check_no_signalling(model)
         assert report == _swap_scan(model)
@@ -617,27 +612,6 @@ class TestFrozenTables:
                                              ((-1,), (-1,)): F(1, 2)}
 
 
-class TestDeskBound:
-    def test_default_bound(self):
-        assert desk_bound() == 12
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MACROBOX_MAX_N", "3")
-        assert desk_bound() == 3
-        with pytest.raises(DeskBoundError):
-            ensure_desk_scale(4)
-        ensure_desk_scale(4, allow_large=True)
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("MACROBOX_MAX_N", "many")
-        with pytest.raises(DomainError):
-            desk_bound()
-
-    def test_refuses_above_bound(self):
-        with pytest.raises(DeskBoundError):
-            ensure_desk_scale(desk_bound() + 1)
-
-
 def product_table(box, n):
     """``n`` copies of ``box`` as an explicit joint table, cell by cell and
     without validating the box, so signalling boxes can be wrapped too."""
@@ -769,8 +743,6 @@ class TestProductNoSignalling:
         with pytest.raises(DomainError):
             IndependentPairs(box=make_pr_box(), n=0)
 
-    def test_desk_bound_still_applies(self, monkeypatch):
-        # Neither route enumerates beyond its input, so no DeskBoundError.
-        monkeypatch.setenv("MACROBOX_MAX_N", "2")
+    def test_product_and_its_joint_table_pass(self):
         assert check_no_signalling(independent_pairs(make_pr_box(), 3)).ok
         assert check_no_signalling(explicit_from_box(make_pr_box(), 3)).ok

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from macrobox import (
     ALICE,
-    DeskBoundError,
     DomainError,
     IndependentPairs,
+    PathDisagreementError,
     UnsupportedExtensionError,
+    explicit_joint,
     gisin_matrix,
     independent_pairs,
     jacobi_eigenvalues,
+    jpd_fluctuations,
+    jpd_marginal,
     macro_average,
     macro_correlation,
     macro_distribution,
@@ -162,6 +165,14 @@ class TestDistinctTupleSum:
         assert macro_average(independent_pairs(make_pr_box(), 9), ALICE, 0) == 0
         assert specs == [[(ALICE, 0, 0)]]
 
+    def test_average_checks_effective_route(self, monkeypatch):
+        monkeypatch.setattr("macrobox.macro.effective_correlator",
+                            lambda model, i, j, a, b: F(1, 7))
+        model = independent_pairs(make_pr_box(), 3)
+        for side in (ALICE, "B"):
+            with pytest.raises(PathDisagreementError, match="effective route 3/7"):
+                macro_average(model, side, 0)
+
     def test_average_rejects_unknown_side(self):
         with pytest.raises(DomainError, match="side must be"):
             macro_average(independent_pairs(make_pr_box(), 2), "C", 0)
@@ -192,21 +203,10 @@ class TestBruteForceDistribution:
         assert dist.support_values() == (-3, -1, 1, 3)
         assert dist.total() == 1
 
-    def test_desk_bound(self, monkeypatch):
-        monkeypatch.setenv("MACROBOX_MAX_N", "2")
-        model = independent_pairs(make_pr_box(), 3)
-        with pytest.raises(DeskBoundError):
-            macro_distribution_bruteforce(model, 0, 0)
-        dist = macro_distribution_bruteforce(model, 0, 0, allow_large=True)
-        assert dist.total() == 1
-
-    def test_joint_table_ignores_desk_bound(self, monkeypatch):
-        # The scan reads one block the table holds, so n=3 > 2 still runs.
-        monkeypatch.setenv("MACROBOX_MAX_N", "2")
+    def test_joint_table_matches_product(self):
         joint = explicit_from_box(make_pr_box(), 3)
         dist = macro_distribution_bruteforce(joint, 0, 0)
-        assert dist == macro_distribution_bruteforce(independent_pairs(make_pr_box(), 3),
-                                                     0, 0, allow_large=True)
+        assert dist == macro_distribution_bruteforce(independent_pairs(make_pr_box(), 3), 0, 0)
         assert macro_distribution(joint, 0, 0) == dist
 
     def test_csv_layout(self):
@@ -221,10 +221,10 @@ class TestConvolutionDistribution:
     """``macro_distribution`` (convolution) against the brute-force oracle."""
 
     @staticmethod
-    def assert_matches_oracle(model, allow_large=False):
+    def assert_matches_oracle(model):
         for i, j in SETTINGS:
             primary = macro_distribution(model, i, j)
-            oracle = macro_distribution_bruteforce(model, i, j, allow_large=allow_large)
+            oracle = macro_distribution_bruteforce(model, i, j)
             assert primary == oracle
             assert list(primary.probs) == list(oracle.probs)
 
@@ -238,15 +238,6 @@ class TestConvolutionDistribution:
     def test_boxes_with_zero_cells(self, box):
         for n in (1, 2, 5):
             self.assert_matches_oracle(independent_pairs(box, n))
-
-    def test_allow_large(self, monkeypatch):
-        # Only the 4^N brute force is desk-bounded; the convolution is not.
-        monkeypatch.setenv("MACROBOX_MAX_N", "2")
-        model = independent_pairs(make_isotropic_box(F(1, 3)), 3)
-        with pytest.raises(DeskBoundError):
-            macro_distribution_bruteforce(model, 0, 0)
-        assert macro_distribution(model, 0, 0).total() == 1
-        self.assert_matches_oracle(model, allow_large=True)
 
     def test_shares_no_kernel_or_memo(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -447,6 +438,38 @@ class TestGisinMatrix:
         with pytest.raises(DomainError):
             gisin_matrix(independent_pairs(make_pr_box(), 3))
 
+    @staticmethod
+    def assert_same_side_entries_are_jpd_marginals(model):
+        matrix = gisin_matrix(model)
+        jpd = jpd_fluctuations(model)
+        n = model.n
+        for side, entry in ((ALICE, matrix.entries[0][1]), ("B", matrix.entries[2][3])):
+            dist = jpd_marginal(jpd, [(side, 0, 0), (side, 1, 0)])
+            assert entry == n * n * sum((a * b * p for (a, b), p in dist.items()), F(0))
+
+    @settings(max_examples=10, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=4, max_value=6))
+    def test_same_side_entries_are_jpd_marginals(self, box, n):
+        self.assert_same_side_entries_are_jpd_marginals(independent_pairs(box, n))
+
+    def test_joint_table_same_side_entries_are_jpd_marginals(self):
+        # Shared randomness over all four pairs: with weight 1/3 every pair
+        # answers det(+,-,+,-), with weight 2/3 det(+,+,-,-).
+        n = 4
+        branches = ((F(1, 3), (1, -1), (1, -1)), (F(2, 3), (1, 1), (-1, -1)))
+        table = {}
+        for sa in product((0, 1), repeat=n):
+            for sb in product((0, 1), repeat=n):
+                block = {}
+                for weight, alice, bob in branches:
+                    key = (tuple(alice[i] for i in sa), tuple(bob[j] for j in sb))
+                    block[key] = block.get(key, F(0)) + weight
+                table[(sa, sb)] = block
+        model = explicit_joint(n, 2, 2, table)
+        self.assert_same_side_entries_are_jpd_marginals(model)
+        matrix = gisin_matrix(model)
+        assert matrix.entries[0][1] == matrix.entries[2][3] == F(16, 3)
+
 
 class TestMomentReport:
     def test_pr_report(self):
@@ -473,6 +496,7 @@ class TestMomentReport:
     def test_single_pair_paths(self):
         report = moment_report(independent_pairs(make_pr_box(), 1), 0, 0)
         assert report.paths["second_moment_a"] == "microscopic"
+        assert report.paths["average_a"] == report.paths["average_b"] == "microscopic+effective"
 
     def test_json_fields(self):
         import json

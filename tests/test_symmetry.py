@@ -208,7 +208,10 @@ class TestEffectiveQuad:
         quad = effective_quad(model)
         eff = effective_pair(model)
         for i, j in SETTINGS:
-            for (x, y), p in quad.pair_marginal(i, j).items():
+            pair_marginal = {(x, y): F(0) for x in OUTCOMES for y in OUTCOMES}
+            for x, xp, y, yp in product(OUTCOMES, repeat=4):
+                pair_marginal[(x, y)] += quad.prob(i, j, x, xp, y, yp)
+            for (x, y), p in pair_marginal.items():
                 assert p == eff.prob(i, j, x, y)
 
 
