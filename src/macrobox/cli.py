@@ -44,6 +44,7 @@ from .ensemble import (
 from .errors import DomainError, MacroboxError
 from .macro import (
     gisin_matrix,
+    macro_average,
     macro_correlation,
     macro_distribution,
     macro_distribution_bruteforce,
@@ -104,10 +105,11 @@ def _load_box_spec(spec: str, parser: argparse.ArgumentParser):
         return make_deterministic_box(*values), None
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        if not os.path.exists(path):
-            parser.error(f"box file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            parser.error(f"cannot read box file {path}: {getattr(exc, 'strerror', None) or exc}")
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -461,15 +463,17 @@ def _verify_marginal_identities(model: EnsembleModel) -> tuple:
 
 
 def _verify_path_agreement(model: EnsembleModel) -> tuple:
-    """Primary: the microscopic sums of the second-moment and correlation
-    routines.  Check: their effective-distribution forms, which each
-    routine compares itself, raising on a disagreement.  For a product
-    model the two are independent (integer box rows against the Fraction
-    DP over ``box.prob``); for a joint table both read the same memoised
-    marginals, so the row checks only the two summations."""
+    """Primary: the distinct-tuple sums behind the averages, second moments
+    and correlations.  Check: the signed sums of the symmetrised entries,
+    which each routine compares itself, raising on a disagreement.  For a
+    product model the two are independent (integer box rows against the
+    Fraction DP over ``box.prob``); for a joint table both read the same
+    memoised marginals, so the row checks only the two summations."""
     for i in range(model.s_a):
+        macro_average(model, ALICE, i)
         macro_local_second_moment(model, ALICE, i)
     for j in range(model.s_b):
+        macro_average(model, BOB, j)
         macro_local_second_moment(model, BOB, j)
     for i, j in product(range(model.s_a), range(model.s_b)):
         macro_correlation(model, i, j)
@@ -620,8 +624,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         return code
     try:
         sys.stdout.write(report)

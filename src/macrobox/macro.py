@@ -1,14 +1,18 @@
 """Macroscopic observables on box ensembles.
 
 A macroscopic measurement sums one property over all N particles in a
-region, so the observable outcomes are N, N-2, ..., -N per side.  This
-module computes correlations, second moments and general k-th moments of
-the collective products, each by at least two independent routes that must
-agree exactly; the exact distribution of the collective sums (an integer
-convolution for independent pairs, checked against a brute-force
-enumeration oracle); the conditional variance of the summed incompatible
-Bob observables under a value assignment; and the 4x4 correlation matrix
-whose negative eigenvalues constitute the macroscopic-limit paradox.
+region, so the observable outcomes are N, N-2, ..., -N per side.  Every
+moment <A_i^p B_j^q> is one coincidence expansion over distinct-particle
+correlators (:func:`_expansion`).  The averages, correlations and second
+moments feed it two correlator sources that must agree exactly: the
+distinct-tuple sums (primary) and the signed sums of the symmetrised
+entries (check).  General k-th moments feed it :func:`effective_correlator`
+and are checked by ``verify``'s oracle row.  Also here: the exact
+distribution of the collective sums (an integer convolution for
+independent pairs, checked against a brute-force enumeration oracle); the
+conditional variance of the summed incompatible Bob observables under a
+value assignment; and the 4x4 correlation matrix whose negative
+eigenvalues constitute the macroscopic-limit paradox.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .boxes import (
     OUTCOMES,
     ZERO,
     canonical_json,
-    pair_correlation,
     rational_to_str,
 )
 from .ensemble import (
@@ -38,13 +41,7 @@ from .ensemble import (
     marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
-from .symmetry import (
-    _symmetrized_entries,
-    effective_correlator,
-    effective_pair,
-    effective_quad,
-    matching_assignment_count,
-)
+from .symmetry import _symmetrized_correlator, effective_correlator, matching_assignment_count
 
 
 def odd_multiplicity_counts(length: int, symbols: int) -> list:
@@ -119,88 +116,81 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
     return total
 
 
-def _one_side(model: EnsembleModel, side: str, settings: tuple) -> tuple:
-    """(alice settings, bob settings) with ``settings`` on ``side`` only."""
+def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
+    """The coincidence expansion of <A^p B^q> over N pairs.
+
+    Expanding the product over index maps u: [p] -> [N], v: [q] -> [N] and
+    using that squared +-1 outcomes drop out, each term reduces to a
+    correlator over the r Alice (s Bob) particles hit an odd number of
+    times, giving sum_{r,s} c(p, r, N) c(q, s, N) correlator(r, s) with c
+    from :func:`odd_multiplicity_counts`.  A term whose count is 0 is never
+    evaluated, so no correlator is asked for more slots than N pairs hold,
+    and the empty correlator is 1 without being computed.
+    """
+    counts_a = odd_multiplicity_counts(p, n)
+    counts_b = odd_multiplicity_counts(q, n)
+    total = ZERO
+    for r, count_r in enumerate(counts_a):
+        for s, count_s in enumerate(counts_b):
+            if count_r and count_s:
+                total += count_r * count_s * (ONE if r == s == 0 else correlator(r, s))
+    return total
+
+
+def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
+    """<A_i^p B_j^q> by :func:`_expansion` over two correlator sources that
+    must agree exactly.
+
+    Primary: the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided
+    by (N)_r (N)_s (integer box rows for a pair box).  Check: the signed sums
+    of the symmetrised entries, :func:`_symmetrized_correlator` (the
+    Fraction matching DP for a pair box, the generic enumeration for a
+    joint table).
+    """
+    _require_settings(model, i, j)
+    n = model.n
+    micro = _expansion(n, p, q, lambda r, s: _distinct_tuple_sum(
+        model, (i,) * r, (j,) * s) / (math.perm(n, r) * math.perm(n, s)))
+    via_effective = _expansion(n, p, q, lambda r, s: _symmetrized_correlator(
+        model, (i,) * r, (j,) * s))
+    if micro != via_effective:
+        body = " ".join(f"{side}{setting}" for side, setting, power
+                        in ((ALICE, i, p), (BOB, j, q)) if power)
+        if max(p, q) > 1:
+            body = f"({body})^{max(p, q)}" if p and q else f"{body}^{max(p, q)}"
+        raise PathDisagreementError(
+            f"<{body}>: microscopic sum {micro} != effective route {via_effective}")
+    return micro
+
+
+def _one_side(side: str, setting: int, power: int) -> tuple:
+    """(i, j, p, q) of the moment of order ``power`` on ``side`` alone."""
     if side == ALICE:
-        _require_settings(model, settings[0], 0)
-        return settings, ()
+        return setting, 0, power, 0
     if side == BOB:
-        _require_settings(model, 0, settings[0])
-        return (), settings
+        return 0, setting, 0, power
     raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
 
 
 def macro_average(model: EnsembleModel, side: str, setting: int) -> Fraction:
-    """<A_i> (or <B_j>): sum of the single-particle means, cross-checked
-    against N <a>_eff, N times the effective one-slot mean."""
-    micro = _distinct_tuple_sum(model, *_one_side(model, side, (setting,)))
-    if side == ALICE:
-        mean = effective_correlator(model, setting, 0, 1, 0)
-    else:
-        mean = effective_correlator(model, 0, setting, 0, 1)
-    via_effective = model.n * mean
-    if micro != via_effective:
-        raise PathDisagreementError(
-            f"<{side}{setting}>: microscopic sum {micro} != effective route {via_effective}")
-    return micro
+    """<A_i> (or <B_j>): N times the one-slot correlator, checked."""
+    return _checked_moment(model, *_one_side(side, setting, 1))
 
 
 def macro_correlation(model: EnsembleModel, i: int, j: int) -> Fraction:
-    """<A_i B_j>, by the microscopic double sum and by N^2 times the
-    effective-pair correlation; the two routes must agree exactly."""
-    _require_settings(model, i, j)
-    n = model.n
-    micro = _distinct_tuple_sum(model, (i,), (j,))
-    via_effective = n * n * pair_correlation(effective_pair(model), i, j)
-    if micro != via_effective:
-        raise PathDisagreementError(
-            f"<A{i} B{j}>: microscopic sum {micro} != effective route {via_effective}")
-    return micro
+    """<A_i B_j>: N^2 times the one-slot-per-side correlator, checked."""
+    return _checked_moment(model, i, j, 1, 1)
 
 
 def macro_local_second_moment(model: EnsembleModel, side: str, setting: int) -> Fraction:
-    """<A_i^2> (or <B_j^2>) = N + sum over distinct particle pairs of the
-    same-side two-particle correlators; cross-checked against
-    N (1 + (N-1) <a a'>_eff) whenever N >= 2."""
-    slots = _one_side(model, side, (setting, setting))
-    n = model.n
-    micro = n + _distinct_tuple_sum(model, *slots)
-    if n >= 2:
-        if side == ALICE:
-            same = effective_correlator(model, setting, 0, 2, 0)
-        else:
-            same = effective_correlator(model, 0, setting, 0, 2)
-        via_effective = n * (1 + (n - 1) * same)
-        if micro != via_effective:
-            raise PathDisagreementError(
-                f"<{side}{setting}^2>: microscopic sum {micro} != effective "
-                f"route {via_effective}")
-    return micro
+    """<A_i^2> (or <B_j^2>) = N + N (N-1) <a a'>, checked."""
+    return _checked_moment(model, *_one_side(side, setting, 2))
 
 
 def macro_joint_second_moment(model: EnsembleModel, i: int, j: int) -> Fraction:
-    """<(A_i B_j)^2> by the coincidence expansion
-    N^2 + N sum <a a'> + N sum <b b'> + sum <a a' b b'>
-    over distinct index pairs, cross-checked against the effective-quad
-    form N^2 (N-1) (1/(N-1) + <a a'> + <b b'> + (N-1) <a a' b b'>) for N >= 2."""
-    _require_settings(model, i, j)
-    n = model.n
-    micro = (n * n
-             + n * _distinct_tuple_sum(model, (i, i), ())
-             + n * _distinct_tuple_sum(model, (), (j, j))
-             + _distinct_tuple_sum(model, (i, i), (j, j)))
-    if n >= 2:
-        quad = effective_quad(model)
-        via_effective = n * n * (n - 1) * (
-            Fraction(1, n - 1)
-            + quad.alice_pair_correlator(i, j)
-            + quad.bob_pair_correlator(i, j)
-            + (n - 1) * quad.quad_correlator(i, j))
-        if micro != via_effective:
-            raise PathDisagreementError(
-                f"<(A{i} B{j})^2>: microscopic sum {micro} != effective "
-                f"route {via_effective}")
-    return micro
+    """<(A_i B_j)^2> = N^2 + N^2 (N-1) (<a a'> + <b b'>)
+    + N^2 (N-1)^2 <a a' b b'>, checked."""
+    return _checked_moment(model, i, j, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -330,29 +320,14 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
 
 
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:
-    """<(A_i B_j)^order> via the coincidence-pattern expansion.
-
-    Expanding the product over index maps u, v: [order] -> [N] and using
-    that squared +-1 outcomes drop out, each term reduces to a correlator
-    over the r (resp. s) particles hit an odd number of times, giving
-    sum_{r,s} c(order, r, N) c(order, s, N) E_eff(r, s) with c the parity
-    DP counts and E_eff the distinct-tuple average correlator.
-    """
+    """<(A_i B_j)^order> by :func:`_expansion` with E_eff(r, s), the
+    closed-form (pair box) or symmetrised (joint table) distinct-tuple
+    average of :func:`effective_correlator`."""
     _require_settings(model, i, j)
     if order < 0:
         raise DomainError(f"moment order must be nonnegative, got {order}")
-    if order == 0:
-        return ONE
-    counts = odd_multiplicity_counts(order, model.n)
-    total = ZERO
-    for r, count_r in enumerate(counts):
-        if count_r == 0:
-            continue
-        for s, count_s in enumerate(counts):
-            if count_s == 0:
-                continue
-            total += count_r * count_s * effective_correlator(model, i, j, r, s)
-    return total
+    return _expansion(model.n, order, order,
+                      lambda r, s: effective_correlator(model, i, j, r, s))
 
 
 def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> Fraction:
@@ -473,8 +448,8 @@ def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
     Needs N >= 4 because <A0 A1> and <B0 B1> are defined by the fluctuations
     JPD: N^2 times the correlator of its setting-0 and setting-1 slots on one
     side.  That marginal is the symmetrized two-slot distribution, so each
-    entry is read from :func:`_symmetrized_entries` for those two slots
-    alone, without building the JPD's 2^8 entries.
+    entry is the :func:`_symmetrized_correlator` of those two slots alone,
+    without building the JPD's 2^8 entries.
     """
     if model.s_a != 2 or model.s_b != 2:
         raise DomainError("the correlation matrix is defined for 2 settings per side")
@@ -482,19 +457,12 @@ def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
         raise DomainError(
             f"the same-side entries need the fluctuations JPD, hence n >= 4; got {model.n}")
     n = model.n
-
-    def same_side_entry(side: str) -> Fraction:
-        entries = _symmetrized_entries(model, *_one_side(model, side, (0, 1)))
-        correlator = sum((math.prod(a_out + b_out) * p
-                          for (a_out, b_out), p in entries.items()), ZERO)
-        return n * n * correlator
-
     second_a = [macro_local_second_moment(model, ALICE, s) for s in (0, 1)]
     second_b = [macro_local_second_moment(model, BOB, s) for s in (0, 1)]
     cross = {(i, j): macro_correlation(model, i, j)
              for i in (0, 1) for j in (0, 1)}
-    a0a1 = same_side_entry(ALICE)
-    b0b1 = same_side_entry(BOB)
+    a0a1 = n * n * _symmetrized_correlator(model, (0, 1), ())
+    b0b1 = n * n * _symmetrized_correlator(model, (), (0, 1))
     rows = (
         (second_a[0], a0a1, cross[(0, 0)], cross[(0, 1)]),
         (a0a1, second_a[1], cross[(1, 0)], cross[(1, 1)]),
@@ -577,15 +545,9 @@ def moment_report(model: EnsembleModel, i: int, j: int) -> MomentReport:
         if value < 0:
             raise PathDisagreementError(
                 f"negative variance for {name}: {value}; the model is inconsistent")
-    dual = "microscopic+effective" if n >= 2 else "microscopic"
-    paths = {
-        "average_a": "microscopic+effective",
-        "average_b": "microscopic+effective",
-        "correlation": "microscopic+effective",
-        "second_moment_a": dual,
-        "second_moment_b": dual,
-        "joint_second_moment": dual,
-    }
+    paths = {name: "microscopic+effective" for name in (
+        "average_a", "average_b", "correlation",
+        "second_moment_a", "second_moment_b", "joint_second_moment")}
     return MomentReport(
         n=n, alice_setting=i, bob_setting=j,
         average_a=average_a, average_b=average_b, correlation=correlation,

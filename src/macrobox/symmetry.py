@@ -135,19 +135,6 @@ class QuadDistribution:
             total += x * xp * y * yp * self.table[(i, j, x, xp, y, yp)]
         return total
 
-    def alice_pair_correlator(self, i: int, j: int) -> Fraction:
-        """<a a'> from the Alice-side marginal."""
-        total = ZERO
-        for x, xp, y, yp in product(OUTCOMES, repeat=4):
-            total += x * xp * self.table[(i, j, x, xp, y, yp)]
-        return total
-
-    def bob_pair_correlator(self, i: int, j: int) -> Fraction:
-        total = ZERO
-        for x, xp, y, yp in product(OUTCOMES, repeat=4):
-            total += y * yp * self.table[(i, j, x, xp, y, yp)]
-        return total
-
 
 def _symmetrized_product_entry(box: PairBox, n: int,
                                a_settings: tuple, a_outcomes: tuple,
@@ -260,6 +247,14 @@ def _symmetrized_entries(model: EnsembleModel,
     return dict(model._memoized(("symmetrized", a_settings, b_settings), compute))
 
 
+def _symmetrized_correlator(model: EnsembleModel,
+                            a_settings: tuple, b_settings: tuple) -> Fraction:
+    """Product correlator of all the slots, averaged over ordered tuples of
+    distinct particles: the signed sum of :func:`_symmetrized_entries`."""
+    entries = _symmetrized_entries(model, a_settings, b_settings)
+    return sum((math.prod(a_out + b_out) * p for (a_out, b_out), p in entries.items()), ZERO)
+
+
 def _symmetrized_product_entries(model: IndependentPairs,
                                  a_settings: tuple, b_settings: tuple) -> dict:
     """All symmetrized-distribution entries of a product model, one DP per
@@ -303,8 +298,9 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     bob_count outcomes at bob_setting> over all ordered tuples of pairwise
     distinct particles on each side.  Zero slot counts are allowed; the
     empty product is 1.  A product model sums over matchings in closed
-    form; any other model takes the signed sum of the memoised
-    :func:`_symmetrized_entries`, which the effective pair and quad share.
+    form; any other model takes :func:`_symmetrized_correlator`, the signed
+    sum of the memoised symmetrised entries that the effective pair and
+    quad share.
     """
     n = model.n
     if not (0 <= alice_count <= n):
@@ -331,10 +327,8 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
                     * mean_b ** (bob_count - matched))
             total += ways * term
         return total / (math.perm(n, alice_count) * math.perm(n, bob_count))
-    entries = _symmetrized_entries(model, (alice_setting,) * alice_count,
+    return _symmetrized_correlator(model, (alice_setting,) * alice_count,
                                    (bob_setting,) * bob_count)
-    return sum((math.prod(a_out) * math.prod(b_out) * p
-                for (a_out, b_out), p in entries.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------

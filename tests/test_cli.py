@@ -344,18 +344,13 @@ class TestVerifyOutput:
     def test_signalling_file_text(self, capsys, signalling_file):
         code, out, err = run_cli(capsys, ["verify", "--box", f"file:{signalling_file}"])
         assert (code, err) == (1, "")
-        leaks = "; ".join(
-            f"no-signalling at ('A', {i}, {x}, 0, 1): p(x={symbol}|i={i}) is 1/2 via j=0 "
-            f"but {via_one} via j=1 (residual {residual})"
-            for i in (0, 1)
-            for x, symbol, via_one, residual in ((1, "+", 1, "1/2"), (-1, "-", 0, "-1/2")))
         assert out == (
             "PASS normalization: joint table normalized for every assignment\n"
             "FAIL no-signalling: no-signalling at ('B', 0, 0, 1, (0,), (0,)): marginal of "
             "the other particles changes when (B,0) swaps setting 0 -> 1 (residual 1/2)\n"
             "SKIP marginal-identities: construction needs n >= 2\n"
-            "FAIL path-agreement: effective pair distribution is not a valid "
-            f"no-signalling box: {leaks}\n"
+            "FAIL path-agreement: marginal over (('A', 0, 0),) depends on the completion "
+            "settings (fill (0,0) vs (1,1)): the model signals\n"
             "PASS oracle-agreement: moment expansion matches brute-force enumeration (k=1,2)\n"
             "SKIP averages-jpd-validity: construction needs n >= 2\n"
             "SKIP fluctuations-jpd: construction needs n >= 4\n"
@@ -530,6 +525,29 @@ class TestFileBoxes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "malformed joint-table" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "box.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"s_a": 2, \xff}')
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"cannot read box file {path}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+        code = main(["box", "--box", "pr", "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 """Macroscopic moments, the enumeration oracle, and the discussion quantities."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from macrobox import (
     ALICE,
+    BOB,
     DomainError,
     IndependentPairs,
     PathDisagreementError,
@@ -166,16 +168,53 @@ class TestDistinctTupleSum:
         assert specs == [[(ALICE, 0, 0)]]
 
     def test_average_checks_effective_route(self, monkeypatch):
-        monkeypatch.setattr("macrobox.macro.effective_correlator",
-                            lambda model, i, j, a, b: F(1, 7))
+        """Every checked moment compares its distinct-tuple sums with the
+        symmetrised-entry correlators and names itself on a mismatch."""
+        monkeypatch.setattr("macrobox.macro._symmetrized_correlator",
+                            lambda model, a_settings, b_settings: F(1, 7))
         model = independent_pairs(make_pr_box(), 3)
-        for side in (ALICE, "B"):
-            with pytest.raises(PathDisagreementError, match="effective route 3/7"):
-                macro_average(model, side, 0)
+        cases = (
+            (lambda: macro_average(model, ALICE, 1), "<A1>", "3/7"),
+            (lambda: macro_average(model, BOB, 1), "<B1>", "3/7"),
+            (lambda: macro_local_second_moment(model, ALICE, 0), "<A0^2>", "27/7"),
+            (lambda: macro_local_second_moment(model, BOB, 1), "<B1^2>", "27/7"),
+            (lambda: macro_correlation(model, 0, 1), "<A0 B1>", "9/7"),
+            (lambda: macro_joint_second_moment(model, 0, 1), "<(A0 B1)^2>", "135/7"),
+        )
+        for moment, label, check in cases:
+            with pytest.raises(PathDisagreementError,
+                               match=re.escape(f"{label}: microscopic sum ")) as exc:
+                moment()
+            assert str(exc.value).endswith(f"effective route {check}")
 
     def test_average_rejects_unknown_side(self):
         with pytest.raises(DomainError, match="side must be"):
             macro_average(independent_pairs(make_pr_box(), 2), "C", 0)
+
+
+class TestCheckedMomentsOracle:
+    """The four checked moments against the moments of the brute-force law
+    of (A_i, B_j)."""
+
+    @staticmethod
+    def _assert_oracle(model):
+        for i, j in product(range(model.s_a), range(model.s_b)):
+            dist = macro_distribution_bruteforce(model, i, j)
+            assert macro_average(model, ALICE, i) == dist.alice_moment(1)
+            assert macro_average(model, BOB, j) == dist.bob_moment(1)
+            assert macro_local_second_moment(model, ALICE, i) == dist.alice_moment(2)
+            assert macro_local_second_moment(model, BOB, j) == dist.bob_moment(2)
+            assert macro_correlation(model, i, j) == dist.joint_moment(1)
+            assert macro_joint_second_moment(model, i, j) == dist.joint_moment(2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @given(box=no_signalling_boxes())
+    @settings(max_examples=3, deadline=None)
+    def test_no_signalling_boxes(self, n, box):
+        self._assert_oracle(independent_pairs(box, n))
+
+    def test_joint_table(self):
+        self._assert_oracle(explicit_from_box(mixed_denominator_box(), 3))
 
 
 class TestBruteForceDistribution:
@@ -495,8 +534,7 @@ class TestMomentReport:
 
     def test_single_pair_paths(self):
         report = moment_report(independent_pairs(make_pr_box(), 1), 0, 0)
-        assert report.paths["second_moment_a"] == "microscopic"
-        assert report.paths["average_a"] == report.paths["average_b"] == "microscopic+effective"
+        assert set(report.paths.values()) == {"microscopic+effective"}
 
     def test_json_fields(self):
         import json
