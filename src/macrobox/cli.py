@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -124,6 +125,7 @@ def _load_box_spec(spec: str, parser: argparse.ArgumentParser):
                  f"det:x0,x1,y0,y1 | file:path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macrobox",

@@ -13,7 +13,11 @@ keeps one private memo of the laws derived from it (see
 Laws are integer counts over a common denominator until they are handed
 out.  A product model's marginals are products of its box's integer rows;
 an explicit table's marginals and swap check scan the blocks it holds
-through the model's ``_support`` kernel.  A product model's kernel streams
+through the model's ``_support`` kernel, keyed by C-level projections of
+each outcome tuple.  An explicit table is checked on integers from the
+JSON loader on: the loader checks each entry's integer lists once, and
+construction checks each block once, by its numerators and lcm (see
+:class:`ExplicitJoint`).  A product model's kernel streams
 up to 4^N tuples from one box; in the library only the brute-force
 distribution of :mod:`macrobox.macro` reads it, and that function states
 the cost and leaves the size to its caller.
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,6 +48,9 @@ from .boxes import (
     validate_pairbox,
 )
 from .errors import ConstructionError, DomainError, SignallingError
+
+#: The one type :func:`~macrobox.boxes.json_int` accepts; bool is a subclass, not a match.
+_INT_TYPE = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -228,10 +236,18 @@ class ExplicitJoint(EnsembleModel):
     outcomes); omitted outcome entries are zero.  Construction checks the
     table against ``n``, ``s_a`` and ``s_b``: every setting key must list
     ``n`` in-range settings per side, every outcome must be +1 or -1, and
-    each setting assignment must be nonnegative and normalized.  The model
-    holds read-only views of private copies of ``table`` and its blocks,
-    so its memoised laws cannot go stale, plus each block's lcm from that
-    check, which scales the block when :meth:`_support` first reads it.
+    each setting assignment must be nonnegative and normalized.
+
+    The check is one pass over the stored entries, on integers: each
+    block's numerators are summed per denominator and the total is
+    compared with the block's lcm.  A bad setting key or outcome raises
+    where it is met, in table order; the other faults (an outcome tuple of
+    the wrong length, a negative numerator, a wrong total) are held per
+    block, and the first failing setting assignment in ``product`` order
+    is reported, a missing block as summing to 0.  The model holds
+    read-only views of private copies of ``table`` and its blocks, so its
+    memoised laws cannot go stale, plus each block's lcm from that check,
+    which scales the block when :meth:`_support` first reads it.
     No-signalling is not enforced: signalling tables are constructible on
     purpose and flagged later by :func:`check_no_signalling` or by marginal
     completion checks.
@@ -254,6 +270,9 @@ class ExplicitJoint(EnsembleModel):
         if not self.table:
             raise ConstructionError("empty joint table")
         normalized = {}
+        scales = {}
+        faults = {}  # setting key -> its first failed entry or sum check, or None
+        outcome_keys: dict = {}  # outcome key -> ((alice, bob) tuples, lengths are n)
         for key, block in self.table.items():
             sa, sb = tuple(key[0]), tuple(key[1])
             if len(sa) != n or len(sb) != n:
@@ -263,32 +282,45 @@ class ExplicitJoint(EnsembleModel):
                 raise ConstructionError(
                     f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
             entries = {}
+            sums: dict = {}  # denominator -> sum of its numerators
+            fault = None
             for ok, p in block.items():
-                oa, ob = tuple(ok[0]), tuple(ok[1])
-                if any(v not in OUTCOMES for v in oa + ob):
-                    raise ConstructionError(
-                        f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
-                entries[(oa, ob)] = as_rational(p)
-            normalized[(sa, sb)] = MappingProxyType(entries)
-        scales = {}
-        for sa in product(range(s_a), repeat=n):
-            for sb in product(range(s_b), repeat=n):
-                block = normalized.get((sa, sb), {})
-                for (oa, ob), p in block.items():
-                    if len(oa) != n or len(ob) != n:
+                checked = outcome_keys.get(ok)
+                if checked is None:
+                    oa, ob = tuple(ok[0]), tuple(ok[1])
+                    if any(v not in OUTCOMES for v in oa + ob):
                         raise ConstructionError(
-                            f"outcome tuple length mismatch at settings {sa};{sb}")
-                    if p < 0:
-                        raise ConstructionError(
-                            f"negative probability {p} at settings {sa};{sb}, "
-                            f"outcomes {oa};{ob}")
-                scale = lcm(*(p.denominator for p in block.values()))
-                total = sum(p.numerator * (scale // p.denominator) for p in block.values())
+                            f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
+                    checked = outcome_keys[ok] = ((oa, ob), len(oa) == n == len(ob))
+                outcomes, fits = checked
+                entries[outcomes] = p = as_rational(p)
+                numerator, denominator = p.numerator, p.denominator
+                if fault is None:
+                    if not fits:
+                        fault = f"outcome tuple length mismatch at settings {sa};{sb}"
+                    elif numerator < 0:
+                        fault = (f"negative probability {p} at settings {sa};{sb}, "
+                                 f"outcomes {outcomes[0]};{outcomes[1]}")
+                sums[denominator] = sums.get(denominator, 0) + numerator
+            if fault is None:
+                scale = lcm(*sums)
+                total = sum(count * (scale // d) for d, count in sums.items())
                 if total != scale:
-                    raise ConstructionError(
-                        f"outcomes for setting assignment {sa};{sb} sum to "
-                        f"{Fraction(total, scale)}, not 1")
+                    fault = (f"outcomes for setting assignment {sa};{sb} sum to "
+                             f"{Fraction(total, scale)}, not 1")
                 scales[(sa, sb)] = scale
+            normalized[(sa, sb)] = MappingProxyType(entries)
+            faults[(sa, sb)] = fault
+        # Keys are in range, so a missing block shows in the count.  The
+        # first failing assignment is reported in product order.
+        if len(normalized) != (s_a * s_b) ** n or any(faults.values()):
+            for sa in product(range(s_a), repeat=n):
+                for sb in product(range(s_b), repeat=n):
+                    fault = faults.get(
+                        (sa, sb),
+                        f"outcomes for setting assignment {sa};{sb} sum to 0, not 1")
+                    if fault is not None:
+                        raise ConstructionError(fault)
         object.__setattr__(self, "table", MappingProxyType(normalized))
         object.__setattr__(self, "_scales", MappingProxyType(scales))
 
@@ -328,7 +360,13 @@ def explicit_joint_from_json(text: str) -> ExplicitJoint:
 
 def explicit_joint_from_data(data) -> ExplicitJoint:
     """Build a joint table from the parsed JSON object of
-    :func:`explicit_joint_from_json`."""
+    :func:`explicit_joint_from_json`.
+
+    Each entry's four lists must hold integers only, by the rule of
+    :func:`~macrobox.boxes.json_int` (no bools, no floats), checked once per
+    entry.  Repeated entries are summed, and each distinct "p/q" text is
+    parsed once.
+    """
     try:
         n = json_int(data["n"])
         s_a = json_int(data["s_a"])
@@ -340,10 +378,12 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     parsed: dict = {}  # "p/q" text -> Fraction; tables repeat few distinct values
     for entry in entries:
         try:
-            sa = tuple(map(json_int, entry["settings_a"]))
-            sb = tuple(map(json_int, entry["settings_b"]))
-            oa = tuple(map(json_int, entry["outcomes_a"]))
-            ob = tuple(map(json_int, entry["outcomes_b"]))
+            sa = tuple(entry["settings_a"])
+            sb = tuple(entry["settings_b"])
+            oa = tuple(entry["outcomes_a"])
+            ob = tuple(entry["outcomes_b"])
+            if not _INT_TYPE.issuperset(map(type, sa + sb + oa + ob)):
+                raise TypeError("settings and outcomes must be integers")
             raw = entry["p"]
             if isinstance(raw, str):
                 p = parsed.get(raw)
@@ -430,8 +470,18 @@ def _marginal_counts(model: EnsembleModel, slots: tuple,
             settings_b[particle] = setting
             positions.append(model.n + particle)
     settings = SettingAssignment(alice=tuple(settings_a), bob=tuple(settings_b))
-    return _support_counts(model, settings,
-                           lambda combined: tuple(combined[pos] for pos in positions))
+    return _support_counts(model, settings, _projection(positions))
+
+
+def _projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The C-level key ``combined -> tuple(combined[pos] for pos in positions)``.
+
+    ``itemgetter`` of one index returns the bare item, so one position reads
+    a one-item slice instead, which keeps the key a 1-tuple.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _product_marginal_counts(model: IndependentPairs, slots: tuple,
@@ -583,6 +633,7 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
             continue
         for particle in range(n):
             skip = offset + particle
+            others = _projection([k for k in range(2 * n) if k != skip])
             for context in product(*([range(model.s_a)] * n + [range(model.s_b)] * n)):
                 if context[skip] != 0:
                     continue  # pin the swapped slot; loop below swaps it
@@ -590,8 +641,7 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
                 for swapped in range(s_count):
                     settings = context[:skip] + (swapped,) + context[skip + 1:]
                     dists.append((swapped, _support_counts(
-                        model, SettingAssignment(settings[:n], settings[n:]),
-                        lambda combined: combined[:skip] + combined[skip + 1:])))
+                        model, SettingAssignment(settings[:n], settings[n:]), others)))
                 base_setting, (base_scale, base_counts) = dists[0]
                 for swapped, (scale, counts) in dists[1:]:
                     if not _same_law(base_scale, base_counts, scale, counts):

@@ -49,7 +49,12 @@ from .boxes import (
     rational_to_str,
     validate_pairbox,
 )
-from .ensemble import EnsembleModel, IndependentPairs, marginal
+from .ensemble import (
+    EnsembleModel,
+    IndependentPairs,
+    _marginal_count_law,
+    _normalize_spec,
+)
 from .errors import ConstructionError, DomainError, SignallingError
 
 
@@ -187,26 +192,36 @@ def _symmetrized_generic_entries(model: EnsembleModel,
     """All symmetrized-distribution entries for an arbitrary model.
 
     Enumerates every ordered tuple of pairwise-distinct particles per side
-    and accumulates the model's multi-slot marginals; cost grows like
-    (N)_a (N)_b marginal evaluations and is only meant for small N.
+    and sums the model's memoised integer marginal count laws
+    (:func:`~macrobox.ensemble._marginal_count_law`, checked as
+    :func:`~macrobox.ensemble.marginal`), one sum per denominator; each
+    entry's Fraction is built once, at the end.  Cost grows like
+    (N)_a (N)_b marginal laws and is only meant for small N.
     """
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
-    entries = {
-        (a_out, b_out): ZERO
-        for a_out in product(OUTCOMES, repeat=a_count)
-        for b_out in product(OUTCOMES, repeat=b_count)
-    }
+    # The first particle tuple is (0, 1, ...) on each side: validating its
+    # slots raises what marginal() would; every later tuple differs only
+    # in particles, which are in range.
+    _normalize_spec(model, [(ALICE, k, s) for k, s in enumerate(a_settings)]
+                    + [(BOB, l, s) for l, s in enumerate(b_settings)])
+    by_scale: dict = {}  # denominator -> outcome tuple -> summed counts
     for a_particles in permutations(range(n), a_count):
+        alice = tuple((ALICE, k, s) for k, s in zip(a_particles, a_settings))
         for b_particles in permutations(range(n), b_count):
-            spec = ([(ALICE, k, s) for k, s in zip(a_particles, a_settings)]
-                    + [(BOB, l, s) for l, s in zip(b_particles, b_settings)])
-            dist = marginal(model, spec)
-            for outcomes, p in dist.items():
-                key = (outcomes[:a_count], outcomes[a_count:])
-                entries[key] += p
-    norm = math.perm(n, a_count) * math.perm(n, b_count)
-    return {key: p / norm for key, p in entries.items()}
+            slots = alice + tuple((BOB, l, s) for l, s in zip(b_particles, b_settings))
+            scale, counts = _marginal_count_law(model, slots)
+            sums = by_scale.setdefault(scale, {})
+            for outcomes, count in counts.items():
+                sums[outcomes] = sums.get(outcomes, 0) + count
+    scale = math.lcm(*by_scale)
+    totals = dict.fromkeys(product(OUTCOMES, repeat=a_count + b_count), 0)
+    for d, sums in by_scale.items():
+        for outcomes, count in sums.items():
+            totals[outcomes] += count * (scale // d)
+    norm = scale * math.perm(n, a_count) * math.perm(n, b_count)
+    return {(outcomes[:a_count], outcomes[a_count:]): Fraction(total, norm)
+            for outcomes, total in totals.items()}
 
 
 def _canonical_within_blocks(settings: tuple, outcomes: tuple) -> tuple:

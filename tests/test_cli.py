@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from macrobox import MacroDistribution, SymmetricJPD, make_pr_box
-from macrobox.cli import main, parse_args
+from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
 from tests.conftest import explicit_from_box, mixed_denominator_box, signalling_joint_table
 
@@ -198,6 +198,35 @@ class TestExecution:
         code, out, err = run_cli(capsys, ["box", "--box", "pr"])
         assert (code, err) == (0, "")
         assert "validation: ok" in out
+
+
+class TestParserCache:
+    """One parser per process: a cached parser prints what a fresh one does."""
+
+    ARGVS = (["moments", "--box", "pr", "--n", "3"],
+             ["jpd", "--box", "pr", "--kind", "nope"],
+             ["effective", "--box", "isotropic:1/3", "--n", "2", "--kind", "quad"])
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_cached_parser_prints_what_a_fresh_one_does(self, capsys):
+        build_parser.cache_clear()
+        cached = [self.outcome(capsys, argv) for argv in self.ARGVS]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in cached] == [0, 2, 0]
+        assert "invalid choice: 'nope'" in cached[1][2]
+        assert cached == fresh
 
 
 class TestDeterminism:

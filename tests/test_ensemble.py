@@ -241,6 +241,12 @@ class TestExplicitJoint:
 
 
 class TestMarginal:
+    @pytest.mark.parametrize("build", [independent_pairs, explicit_from_box])
+    def test_empty_and_one_slot_keys_are_tuples(self, build):
+        model = build(make_isotropic_box(F(1, 3)), 2)
+        assert marginal(model, []) == {(): F(1)}
+        assert marginal(model, [("B", 1, 1)]) == {(1,): F(1, 2), (-1,): F(1, 2)}
+
     def test_same_pair_recovers_box(self):
         box = make_pr_box()
         model = independent_pairs(box, 2)
@@ -610,6 +616,86 @@ class TestFrozenTables:
         table[((0,), (0,))].clear()
         assert model.table[((0,), (0,))] == {((1,), (1,)): F(1, 2),
                                              ((-1,), (-1,)): F(1, 2)}
+
+
+def pr_table():
+    """The one-pair PR box as a plain joint table, block by block."""
+    return {(sa, sb): dict(block) for (sa, sb), block in
+            explicit_from_box(make_pr_box(), 1).table.items()}
+
+
+def joint_json(model):
+    """The JSON text of a joint table, as the loader reads it."""
+    entries = [{"settings_a": list(sa), "settings_b": list(sb),
+                "outcomes_a": list(oa), "outcomes_b": list(ob),
+                "p": f"{p.numerator}/{p.denominator}"}
+               for (sa, sb), block in model.table.items()
+               for (oa, ob), p in block.items()]
+    return json.dumps({"n": model.n, "s_a": model.s_a, "s_b": model.s_b,
+                       "entries": entries})
+
+
+class TestOnePassChecks:
+    """Construction checks every block in one pass and still reports what a
+    check-by-check pass would: outcome faults first, in table order, then
+    the first failing setting assignment in ``product`` order."""
+
+    NEGATIVE = {((1,), (1,)): F(3, 2), ((-1,), (-1,)): F(-1, 2)}
+
+    def test_bad_outcome_beats_earlier_negative_entry(self):
+        table = pr_table()
+        table[((0,), (0,))] = self.NEGATIVE
+        table[((1,), (1,))] = {((2,), (1,)): F(1)}
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(1, 2, 2, table)
+        assert str(info.value) == "outcomes must be +1 or -1, got (2,);(1,) at settings (1,);(1,)"
+
+    def test_missing_block_beats_later_negative_entry(self):
+        table = pr_table()
+        del table[((0,), (1,))]
+        table[((1,), (0,))] = self.NEGATIVE
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(1, 2, 2, table)
+        assert str(info.value) == "outcomes for setting assignment (0,);(1,) sum to 0, not 1"
+
+    def test_negative_entry_beats_later_missing_block(self):
+        table = pr_table()
+        del table[((1,), (1,))]
+        table[((0,), (1,))] = self.NEGATIVE
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(1, 2, 2, table)
+        assert str(info.value) == \
+            "negative probability -1/2 at settings (0,);(1,), outcomes (-1,);(-1,)"
+
+    def test_product_order_not_table_order(self):
+        table = dict(reversed(pr_table().items()))
+        table[((1,), (1,))] = self.NEGATIVE
+        table[((0,), (1,))] = {((1,), (1,)): F(1, 3)}
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(1, 2, 2, table)
+        assert str(info.value) == "outcomes for setting assignment (0,);(1,) sum to 1/3, not 1"
+
+    def test_first_entry_fault_of_a_block_wins(self):
+        table = {((0, 0), (0, 0)): {((1, 1), (1,)): F(1), ((1, 1), (1, 1)): F(-1)}}
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(2, 1, 1, table)
+        assert str(info.value) == "outcome tuple length mismatch at settings (0, 0);(0, 0)"
+
+    @pytest.mark.parametrize("field", ["settings_a", "settings_b", "outcomes_a", "outcomes_b"])
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_json_non_integer_lists_rejected(self, field, bad):
+        data = json.loads(joint_json(explicit_from_box(make_pr_box(), 1)))
+        entry = next(e for e in data["entries"] if e[field] == [1])
+        entry[field] = [bad]
+        with pytest.raises(ConstructionError, match="malformed joint-table entry"):
+            explicit_joint_from_json(json.dumps(data))
+
+    @settings(max_examples=6, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
+    @example(box=mixed_denominator_box(), n=3)
+    def test_json_round_trip(self, box, n):
+        model = explicit_from_box(box, n)
+        assert explicit_joint_from_json(joint_json(model)) == model
 
 
 def product_table(box, n):

@@ -44,6 +44,7 @@ from macrobox.symmetry import matching_assignment_count
 from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
+    mixed_denominator_box,
     no_signalling_boxes,
     signalling_joint_table,
 )
@@ -565,7 +566,7 @@ class TestSymmetrizedMemo:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("marginal", "_symmetrized_product_entry"):
+        for name in ("_marginal_count_law", "_symmetrized_product_entry"):
             monkeypatch.setattr(symmetry, name, counted(name))
         model = build(make_isotropic_box(F(1, 3)), 3)
         first = effective_quad(model)
@@ -595,3 +596,48 @@ class TestSymmetrizedMemo:
         for _ in range(3):
             with pytest.raises(SignallingError):
                 effective_pair(model)
+
+
+class TestGenericEntries:
+    """The integer route of ``_symmetrized_generic_entries``."""
+
+    @staticmethod
+    def mixture(first, second, weight, n):
+        """``weight`` of ``first`` and the rest of ``second``, n pairs each,
+        as one explicit joint table."""
+        tables = [explicit_from_box(box, n).table for box in (first, second)]
+        table = {}
+        for key in tables[0]:
+            block = {}
+            for part, w in zip(tables, (weight, 1 - weight)):
+                for outcomes, p in part[key].items():
+                    block[outcomes] = block.get(outcomes, 0) + w * p
+            table[key] = block
+        return explicit_joint(n, 2, 2, table)
+
+    @pytest.mark.parametrize("a_settings, b_settings",
+                             [((0,), (1,)), ((0, 1), (1,)), ((1, 1), (0, 0)), ((), (0, 1))])
+    def test_matches_fraction_sum_of_marginals(self, a_settings, b_settings):
+        n = 3
+        model = self.mixture(mixed_denominator_box(), make_isotropic_box(F(1, 3)), F(2, 5), n)
+        block_lcms = {math.lcm(*(p.denominator for p in block.values()))
+                      for block in model.table.values()}
+        assert len(block_lcms) > 1
+        expected = {(a_out, b_out): F(0)
+                    for a_out in product(OUTCOMES, repeat=len(a_settings))
+                    for b_out in product(OUTCOMES, repeat=len(b_settings))}
+        for a_particles in permutations(range(n), len(a_settings)):
+            for b_particles in permutations(range(n), len(b_settings)):
+                spec = ([("A", k, s) for k, s in zip(a_particles, a_settings)]
+                        + [("B", l, s) for l, s in zip(b_particles, b_settings)])
+                for outcomes, p in marginal(model, spec).items():
+                    expected[outcomes[:len(a_settings)], outcomes[len(a_settings):]] += p
+        norm = math.perm(n, len(a_settings)) * math.perm(n, len(b_settings))
+        entries = symmetry._symmetrized_generic_entries(model, a_settings, b_settings)
+        assert list(entries) == list(expected)
+        assert entries == {key: p / norm for key, p in expected.items()}
+
+    def test_out_of_range_setting_raises_as_marginal_does(self):
+        model = explicit_from_box(make_pr_box(), 2)
+        with pytest.raises(DomainError, match="setting 2 out of range for side B"):
+            effective_correlator(model, 0, 2, 1, 1)
