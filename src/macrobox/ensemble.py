@@ -49,9 +49,6 @@ from .boxes import (
 )
 from .errors import ConstructionError, DomainError, SignallingError
 
-#: The one type :func:`~macrobox.boxes.json_int` accepts; bool is a subclass, not a match.
-_INT_TYPE = frozenset((int,))
-
 
 @dataclass(frozen=True)
 class SettingAssignment:
@@ -238,9 +235,11 @@ class ExplicitJoint(EnsembleModel):
     ``n`` in-range settings per side, every outcome must be +1 or -1, and
     each setting assignment must be nonnegative and normalized.
 
-    The check is one pass over the stored entries, on integers: each
-    block's numerators are summed per denominator and the total is
-    compared with the block's lcm.  A bad setting key or outcome raises
+    The check is one pass over each block's entries, on integers
+    (:func:`_check_block`): the numerators are summed per denominator and
+    the total is compared with the block's lcm.  Two outcome keys that
+    name one outcome tuple store the last value, and that block is checked
+    again on what it stores.  A bad setting key or outcome raises
     where it is met, in table order; the other faults (an outcome tuple of
     the wrong length, a negative numerator, a wrong total) are held per
     block, and the first failing setting assignment in ``product`` order
@@ -281,36 +280,14 @@ class ExplicitJoint(EnsembleModel):
             if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
                 raise ConstructionError(
                     f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
-            entries = {}
-            sums: dict = {}  # denominator -> sum of its numerators
-            fault = None
-            for ok, p in block.items():
-                checked = outcome_keys.get(ok)
-                if checked is None:
-                    oa, ob = tuple(ok[0]), tuple(ok[1])
-                    if any(v not in OUTCOMES for v in oa + ob):
-                        raise ConstructionError(
-                            f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
-                    checked = outcome_keys[ok] = ((oa, ob), len(oa) == n == len(ob))
-                outcomes, fits = checked
-                entries[outcomes] = p = as_rational(p)
-                numerator, denominator = p.numerator, p.denominator
-                if fault is None:
-                    if not fits:
-                        fault = f"outcome tuple length mismatch at settings {sa};{sb}"
-                    elif numerator < 0:
-                        fault = (f"negative probability {p} at settings {sa};{sb}, "
-                                 f"outcomes {outcomes[0]};{outcomes[1]}")
-                sums[denominator] = sums.get(denominator, 0) + numerator
-            if fault is None:
-                scale = lcm(*sums)
-                total = sum(count * (scale // d) for d, count in sums.items())
-                if total != scale:
-                    fault = (f"outcomes for setting assignment {sa};{sb} sum to "
-                             f"{Fraction(total, scale)}, not 1")
-                scales[(sa, sb)] = scale
+            entries, fault, scale = _check_block(n, sa, sb, block.items(), outcome_keys)
+            if len(entries) != len(block):
+                # Two outcome keys name one outcome tuple and only the last
+                # value is stored, so the stored entries are checked again.
+                entries, fault, scale = _check_block(n, sa, sb, entries.items(), outcome_keys)
             normalized[(sa, sb)] = MappingProxyType(entries)
             faults[(sa, sb)] = fault
+            scales[(sa, sb)] = scale
         # Keys are in range, so a missing block shows in the count.  The
         # first failing assignment is reported in product order.
         if len(normalized) != (s_a * s_b) ** n or any(faults.values()):
@@ -336,6 +313,48 @@ class ExplicitJoint(EnsembleModel):
         return self._memoized(("support", key), lambda: (scale, tuple(sorted(
             ((oa + ob, p.numerator * (scale // p.denominator))
              for (oa, ob), p in self.table[key].items() if p != 0), reverse=True))))
+
+
+def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
+                 outcome_keys: dict) -> tuple:
+    """``(entries, fault, scale)`` of one joint-table block's
+    ``(outcome key, p)`` items, checked in one pass.
+
+    A bad outcome raises where it is met.  ``fault`` is the message of the
+    first entry with an outcome tuple of the wrong length or a negative
+    numerator, else of a total other than 1, else None; the total is the
+    numerators summed per denominator and rescaled to their lcm ``scale``.
+    ``outcome_keys`` caches each outcome key's normalised tuples across
+    blocks.
+    """
+    entries = {}
+    sums: dict = {}  # denominator -> sum of its numerators
+    fault = None
+    for ok, p in items:
+        checked = outcome_keys.get(ok)
+        if checked is None:
+            oa, ob = tuple(ok[0]), tuple(ok[1])
+            if any(v not in OUTCOMES for v in oa + ob):
+                raise ConstructionError(
+                    f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
+            checked = outcome_keys[ok] = ((oa, ob), len(oa) == n == len(ob))
+        outcomes, fits = checked
+        entries[outcomes] = p = as_rational(p)
+        numerator, denominator = p.numerator, p.denominator
+        if fault is None:
+            if not fits:
+                fault = f"outcome tuple length mismatch at settings {sa};{sb}"
+            elif numerator < 0:
+                fault = (f"negative probability {p} at settings {sa};{sb}, "
+                         f"outcomes {outcomes[0]};{outcomes[1]}")
+        sums[denominator] = sums.get(denominator, 0) + numerator
+    scale = lcm(*sums)
+    if fault is None:
+        total = sum(count * (scale // d) for d, count in sums.items())
+        if total != scale:
+            fault = (f"outcomes for setting assignment {sa};{sb} sum to "
+                     f"{Fraction(total, scale)}, not 1")
+    return entries, fault, scale
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -382,7 +401,7 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
             sb = tuple(entry["settings_b"])
             oa = tuple(entry["outcomes_a"])
             ob = tuple(entry["outcomes_b"])
-            if not _INT_TYPE.issuperset(map(type, sa + sb + oa + ob)):
+            if not all(type(v) is int for v in sa + sb + oa + ob):
                 raise TypeError("settings and outcomes must be integers")
             raw = entry["p"]
             if isinstance(raw, str):

@@ -49,12 +49,7 @@ from .boxes import (
     rational_to_str,
     validate_pairbox,
 )
-from .ensemble import (
-    EnsembleModel,
-    IndependentPairs,
-    _marginal_count_law,
-    _normalize_spec,
-)
+from .ensemble import EnsembleModel, IndependentPairs, marginal
 from .errors import ConstructionError, DomainError, SignallingError
 
 
@@ -192,33 +187,27 @@ def _symmetrized_generic_entries(model: EnsembleModel,
     """All symmetrized-distribution entries for an arbitrary model.
 
     Enumerates every ordered tuple of pairwise-distinct particles per side
-    and sums the model's memoised integer marginal count laws
-    (:func:`~macrobox.ensemble._marginal_count_law`, checked as
-    :func:`~macrobox.ensemble.marginal`), one sum per denominator; each
-    entry's Fraction is built once, at the end.  Cost grows like
-    (N)_a (N)_b marginal laws and is only meant for small N.
+    and sums the model's multi-slot marginals (:func:`~macrobox.ensemble.marginal`)
+    on integers: each marginal probability's numerator is added to the
+    entry's sum for its denominator, and each entry's Fraction is built
+    once, at the end.  Cost grows like (N)_a (N)_b marginal evaluations and
+    is only meant for small N.
     """
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
-    # The first particle tuple is (0, 1, ...) on each side: validating its
-    # slots raises what marginal() would; every later tuple differs only
-    # in particles, which are in range.
-    _normalize_spec(model, [(ALICE, k, s) for k, s in enumerate(a_settings)]
-                    + [(BOB, l, s) for l, s in enumerate(b_settings)])
-    by_scale: dict = {}  # denominator -> outcome tuple -> summed counts
+    by_denominator: dict = {}  # denominator -> outcome tuple -> summed numerators
     for a_particles in permutations(range(n), a_count):
-        alice = tuple((ALICE, k, s) for k, s in zip(a_particles, a_settings))
+        alice = [(ALICE, k, s) for k, s in zip(a_particles, a_settings)]
         for b_particles in permutations(range(n), b_count):
-            slots = alice + tuple((BOB, l, s) for l, s in zip(b_particles, b_settings))
-            scale, counts = _marginal_count_law(model, slots)
-            sums = by_scale.setdefault(scale, {})
-            for outcomes, count in counts.items():
-                sums[outcomes] = sums.get(outcomes, 0) + count
-    scale = math.lcm(*by_scale)
+            dist = marginal(model, alice + [(BOB, l, s) for l, s in zip(b_particles, b_settings)])
+            for outcomes, p in dist.items():
+                sums = by_denominator.setdefault(p.denominator, {})
+                sums[outcomes] = sums.get(outcomes, 0) + p.numerator
+    scale = math.lcm(*by_denominator)
     totals = dict.fromkeys(product(OUTCOMES, repeat=a_count + b_count), 0)
-    for d, sums in by_scale.items():
-        for outcomes, count in sums.items():
-            totals[outcomes] += count * (scale // d)
+    for d, sums in by_denominator.items():
+        for outcomes, numerator in sums.items():
+            totals[outcomes] += numerator * (scale // d)
     norm = scale * math.perm(n, a_count) * math.perm(n, b_count)
     return {(outcomes[:a_count], outcomes[a_count:]): Fraction(total, norm)
             for outcomes, total in totals.items()}

@@ -681,6 +681,22 @@ class TestOnePassChecks:
             explicit_joint(2, 1, 1, table)
         assert str(info.value) == "outcome tuple length mismatch at settings (0, 0);(0, 0)"
 
+    def test_duplicate_outcome_key_keeps_the_last_value(self):
+        # ``range(1, 2)`` and ``(1,)`` name the same outcome tuple: the block
+        # stores only the last value, which alone sums to 1/2.
+        table = {((0,), (0,)): {((1,), (1,)): F(1, 2), (range(1, 2), (1,)): F(1, 2)}}
+        with pytest.raises(ConstructionError) as info:
+            explicit_joint(1, 1, 1, table)
+        assert str(info.value) == "outcomes for setting assignment (0,);(0,) sum to 1/2, not 1"
+
+    def test_duplicate_outcome_key_overwrites_a_negative_value(self):
+        table = {((0,), (0,)): {((1,), (1,)): F(-1, 2), (range(1, 2), (1,)): F(1, 2),
+                                ((-1,), (-1,)): F(1, 2)}}
+        model = explicit_joint(1, 1, 1, table)
+        assert dict(model.table[((0,), (0,))]) == {((1,), (1,)): F(1, 2),
+                                                   ((-1,), (-1,)): F(1, 2)}
+        assert marginal(model, [("A", 0, 0)]) == {(1,): F(1, 2), (-1,): F(1, 2)}
+
     @pytest.mark.parametrize("field", ["settings_a", "settings_b", "outcomes_a", "outcomes_b"])
     @pytest.mark.parametrize("bad", [True, 1.0, "1"])
     def test_json_non_integer_lists_rejected(self, field, bad):

@@ -566,7 +566,7 @@ class TestSymmetrizedMemo:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("_marginal_count_law", "_symmetrized_product_entry"):
+        for name in ("marginal", "_symmetrized_product_entry"):
             monkeypatch.setattr(symmetry, name, counted(name))
         model = build(make_isotropic_box(F(1, 3)), 3)
         first = effective_quad(model)
