@@ -2,14 +2,17 @@
 
 A pair box is a conditional probability table p(x, y | i, j) over two binary
 (+1/-1) outcomes, one per side, with i and j indexing the local measurement
-settings.  Every probability is a `fractions.Fraction`, so all identities
-checked elsewhere in the package are exact; floats appear only in the
-eigenvalue extraction of :mod:`macrobox.macro`.
+settings.  Every probability is an int or a `fractions.Fraction`
+(construction rejects anything else), so all identities checked elsewhere
+in the package are exact; floats appear only in the eigenvalue extraction
+of :mod:`macrobox.macro`.  Validation scales the cells by their lcm and
+checks integers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -110,8 +113,9 @@ class PairBox:
     """Probability table of one bipartite box.
 
     ``table`` maps (alice_setting, bob_setting, alice_outcome, bob_outcome)
-    to an exact probability.  Each side needs at least one setting
-    (:class:`ConstructionError` otherwise).  Instances are immutable: the
+    to an exact probability, an int (not a bool) or a Fraction.  Each side
+    needs at least one setting, and any other cell value is refused
+    (:class:`ConstructionError` in both cases).  Instances are immutable: the
     box keeps a read-only view of a private copy of ``table``.  Missing
     cells are 0.
     """
@@ -125,7 +129,12 @@ class PairBox:
             raise ConstructionError(
                 f"a pair box needs at least one setting per side, got "
                 f"s_a={self.s_a}, s_b={self.s_b}")
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        table = dict(self.table)
+        for key, p in table.items():
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                raise ConstructionError(
+                    f"pair-box cell {key} is {p!r}, not an int or a Fraction")
+        object.__setattr__(self, "table", MappingProxyType(table))
 
     def prob(self, i: int, j: int, x: int, y: int) -> Fraction:
         self._check_settings(i, j)
@@ -247,29 +256,36 @@ def validate_pairbox(box: PairBox) -> ValidationReport:
     """Check normalization, nonnegativity and the no-signalling marginals.
 
     Violations are data, not errors: the report lists each broken identity
-    with its indices and exact residual.
+    with its indices and exact residual.  The checks run on the cells
+    scaled to integers by their lcm L; a Fraction is built only for a
+    violation's residual and detail.
     """
+    table = box.table
+    cells = {key: table.get(key, 0) for key in
+             product(range(box.s_a), range(box.s_b), OUTCOMES, OUTCOMES)}
+    scale = math.lcm(*(p.denominator for p in cells.values()))
+    weight = {key: p.numerator * (scale // p.denominator) for key, p in cells.items()}
     violations = []
     for i in range(box.s_a):
         for j in range(box.s_b):
-            total = sum((box.prob(i, j, x, y) for x in OUTCOMES for y in OUTCOMES), ZERO)
-            if total != 1:
+            total = sum(weight[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES)
+            if total != scale:
                 violations.append(Violation(
-                    kind="normalization", where=(i, j), residual=total - 1,
-                    detail=f"cells at settings ({i},{j}) sum to {total}"))
-    for i, j, x, y in product(range(box.s_a), range(box.s_b), OUTCOMES, OUTCOMES):
-        p = box.prob(i, j, x, y)
-        if p < 0:
+                    kind="normalization", where=(i, j),
+                    residual=Fraction(total - scale, scale),
+                    detail=f"cells at settings ({i},{j}) sum to {Fraction(total, scale)}"))
+    for key, w in weight.items():
+        if w < 0:
             violations.append(Violation(
-                kind="negativity", where=(i, j, x, y), residual=p,
-                detail=f"negative probability {p}"))
+                kind="negativity", where=key, residual=cells[key],
+                detail=f"negative probability {cells[key]}"))
     # Alice's marginal may not depend on Bob's setting, and vice versa.
     for i in range(box.s_a):
         for x in OUTCOMES:
-            reference = box.marginal_a(i, x, j=0)
+            via = [weight[(i, j, x, PLUS)] + weight[(i, j, x, MINUS)] for j in range(box.s_b)]
             for j in range(1, box.s_b):
-                other = box.marginal_a(i, x, j=j)
-                if other != reference:
+                if via[j] != via[0]:
+                    reference, other = Fraction(via[0], scale), Fraction(via[j], scale)
                     violations.append(Violation(
                         kind="no-signalling", where=(ALICE, i, x, 0, j),
                         residual=other - reference,
@@ -277,10 +293,10 @@ def validate_pairbox(box: PairBox) -> ValidationReport:
                                f"but {other} via j={j}"))
     for j in range(box.s_b):
         for y in OUTCOMES:
-            reference = box.marginal_b(j, y, i=0)
+            via = [weight[(i, j, PLUS, y)] + weight[(i, j, MINUS, y)] for i in range(box.s_a)]
             for i in range(1, box.s_a):
-                other = box.marginal_b(j, y, i=i)
-                if other != reference:
+                if via[i] != via[0]:
+                    reference, other = Fraction(via[0], scale), Fraction(via[i], scale)
                     violations.append(Violation(
                         kind="no-signalling", where=(BOB, j, y, 0, i),
                         residual=other - reference,

@@ -7,7 +7,9 @@ correlators (:func:`_expansion`).  The averages, correlations and second
 moments feed it two correlator sources that must agree exactly: the
 distinct-tuple sums (primary) and the signed sums of the symmetrised
 entries (check).  General k-th moments feed it :func:`effective_correlator`
-and are checked by ``verify``'s oracle row.  Also here: the exact
+and are checked by ``verify``'s oracle row; a pair box's correlator is
+an integer closed form.  The expansion sums integer numerators per
+denominator and builds one Fraction per moment.  Also here: the exact
 distribution of the collective sums (an integer convolution for
 independent pairs, checked against a brute-force enumeration oracle); the
 conditional variance of the summed incompatible Bob observables under a
@@ -125,16 +127,22 @@ def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
     times, giving sum_{r,s} c(p, r, N) c(q, s, N) correlator(r, s) with c
     from :func:`odd_multiplicity_counts`.  A term whose count is 0 is never
     evaluated, so no correlator is asked for more slots than N pairs hold,
-    and the empty correlator is 1 without being computed.
+    and the empty correlator is 1 without being computed.  The sum runs on
+    integers: each term's count times its correlator's numerator is added
+    to the sum for that denominator, and the moment's one Fraction is
+    built at the end.
     """
     counts_a = odd_multiplicity_counts(p, n)
     counts_b = odd_multiplicity_counts(q, n)
-    total = ZERO
+    by_denominator: dict = {}  # denominator -> summed count * numerator
     for r, count_r in enumerate(counts_a):
         for s, count_s in enumerate(counts_b):
             if count_r and count_s:
-                total += count_r * count_s * (ONE if r == s == 0 else correlator(r, s))
-    return total
+                value = ONE if r == s == 0 else correlator(r, s)
+                d = value.denominator
+                by_denominator[d] = by_denominator.get(d, 0) + count_r * count_s * value.numerator
+    scale = math.lcm(*by_denominator)
+    return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
 
 
 def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
@@ -265,12 +273,14 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     For independent pairs, (A_i, B_j) is a sum of N iid copies of the
     box's (x, y) law at (i, j).  The four cells are scaled to integers by
     their lcm L and that 4-point step is convolved N times over the running
-    sums, O(N^3) integer work, with one Fraction(count, L^N) per grid
-    point (``isotropic:1/3``: 0.3 s at N = 100, 2.7 s at N = 200 on a
-    2-core Xeon).  This reads only the box, never the model's support
-    kernel or memo, so :func:`macro_distribution_bruteforce` stays an
-    independent check.  Other models go to the brute force, which reads
-    one block the joint table holds.
+    sums, O(N^3) big-integer operations, with one Fraction(count, L^N) per
+    grid point (``isotropic:1/3``: 0.6 s at N = 100, 5 s at N = 200 in one
+    process on a 2-core Xeon).  Time grows faster than N^3 because the
+    counts gain digits with every step.  This reads only the box, never
+    the model's support kernel or memo, so
+    :func:`macro_distribution_bruteforce` stays an independent check.
+    Other models go to the brute force, which reads one block the joint
+    table holds.
     """
     if not isinstance(model, IndependentPairs):
         return macro_distribution_bruteforce(model, i, j)

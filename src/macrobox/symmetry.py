@@ -294,6 +294,19 @@ def effective_quad(model: EnsembleModel) -> QuadDistribution:
     return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
 
 
+def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
+    """``(L, P, A, B)`` for setting pair (i, j): the lcm L of the row's four
+    cells, and L times the pair correlation <a_i b_j> and the means <a_i>
+    and <b_j>, all read from the row itself."""
+    cells = [(x, y, box.prob(i, j, x, y)) for x in OUTCOMES for y in OUTCOMES]
+    scale = math.lcm(*(p.denominator for _, _, p in cells))
+    weights = [(x, y, p.numerator * (scale // p.denominator)) for x, y, p in cells]
+    return (scale,
+            sum(x * y * w for x, y, w in weights),
+            sum(x * w for x, _, w in weights),
+            sum(y * w for _, y, w in weights))
+
+
 def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: int,
                          alice_count: int, bob_count: int) -> Fraction:
     """Average product correlator over ordered distinct-particle tuples.
@@ -301,10 +314,18 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     Averages <prod of alice_count outcomes at alice_setting times prod of
     bob_count outcomes at bob_setting> over all ordered tuples of pairwise
     distinct particles on each side.  Zero slot counts are allowed; the
-    empty product is 1.  A product model sums over matchings in closed
-    form; any other model takes :func:`_symmetrized_correlator`, the signed
-    sum of the memoised symmetrised entries that the effective pair and
-    quad share.
+    empty product is 1.
+
+    A product model sums over matchings in closed form on integers.  With
+    r = alice_count, s = bob_count and the row integers (L, P, A, B) of
+    :func:`_correlator_row`, memoised per model, the value is the one
+    Fraction sum_m ways_m P^m L^m A^(r-m) B^(s-m) / (L^(r+s) (N)_r (N)_s),
+    with ways_m = C(r, m) C(s, m) m! (N)_(r+s-m) the assignments with m
+    matched slots.  The row is read from ``box.table``, not from the
+    support kernel's rows, so the brute-force distribution stays an
+    independent check.  Any other model takes :func:`_symmetrized_correlator`,
+    the signed sum of the memoised symmetrised entries that the effective
+    pair and quad share.
     """
     n = model.n
     if not (0 <= alice_count <= n):
@@ -314,23 +335,21 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     if alice_count == 0 and bob_count == 0:
         return ONE
     if isinstance(model, IndependentPairs):
-        box = model.box
-        pair = sum((x * y * box.prob(alice_setting, bob_setting, x, y)
-                    for x in OUTCOMES for y in OUTCOMES), ZERO)
-        mean_a = sum((x * box.marginal_a(alice_setting, x) for x in OUTCOMES), ZERO)
-        mean_b = sum((y * box.marginal_b(bob_setting, y) for y in OUTCOMES), ZERO)
-        total = ZERO
+        scale, pair, mean_a, mean_b = model._memoized(
+            ("correlator-row", alice_setting, bob_setting),
+            lambda: _correlator_row(model.box, alice_setting, bob_setting))
+        total = 0
         for matched in range(min(alice_count, bob_count) + 1):
             ways = (math.comb(alice_count, matched) * math.comb(bob_count, matched)
                     * math.factorial(matched)
                     * matching_assignment_count(n, matched, alice_count, bob_count))
             if ways == 0:
                 continue
-            term = (pair ** matched
-                    * mean_a ** (alice_count - matched)
-                    * mean_b ** (bob_count - matched))
-            total += ways * term
-        return total / (math.perm(n, alice_count) * math.perm(n, bob_count))
+            total += (ways * (pair * scale) ** matched
+                      * mean_a ** (alice_count - matched)
+                      * mean_b ** (bob_count - matched))
+        return Fraction(total, scale ** (alice_count + bob_count)
+                        * math.perm(n, alice_count) * math.perm(n, bob_count))
     return _symmetrized_correlator(model, (alice_setting,) * alice_count,
                                    (bob_setting,) * bob_count)
 

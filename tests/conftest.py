@@ -136,6 +136,43 @@ def mixed_denominator_box():
     return PairBox(s_a=2, s_b=2, table=table)
 
 
+def three_fault_box():
+    """PR box with every kind of validation fault: the (0, 0) row halved
+    (normalization), a negative cell at (1, 1), and rows (1, 0) and (1, 1)
+    whose marginals depend on the other side's setting (no-signalling)."""
+    table = dict(make_pr_box().table)
+    for key in [k for k in table if k[:2] == (0, 0)]:
+        table[key] = table[key] / 2
+    table[(1, 1, 1, 1)] = Fraction(-1, 4)
+    table[(1, 1, 1, -1)] = Fraction(3, 4)
+    table[(1, 0, 1, 1)] = Fraction(1, 3)
+    table[(1, 0, -1, -1)] = Fraction(2, 3)
+    return PairBox(s_a=2, s_b=2, table=table)
+
+
+#: ``str(validate_pairbox(three_fault_box()))``, one violation per entry.
+THREE_FAULT_VIOLATIONS = (
+    "normalization at (0, 0): cells at settings (0,0) sum to 1/2 (residual -1/2)",
+    "negativity at (1, 1, 1, 1): negative probability -1/4 (residual -1/4)",
+    "no-signalling at ('A', 0, 1, 0, 1): p(x=+|i=0) is 1/4 via j=0 but 1/2 via j=1 "
+    "(residual 1/4)",
+    "no-signalling at ('A', 0, -1, 0, 1): p(x=-|i=0) is 1/4 via j=0 but 1/2 via j=1 "
+    "(residual 1/4)",
+    "no-signalling at ('A', 1, 1, 0, 1): p(x=+|i=1) is 1/3 via j=0 but 1/2 via j=1 "
+    "(residual 1/6)",
+    "no-signalling at ('A', 1, -1, 0, 1): p(x=-|i=1) is 2/3 via j=0 but 1/2 via j=1 "
+    "(residual -1/6)",
+    "no-signalling at ('B', 0, 1, 0, 1): p(y=+|j=0) is 1/4 via i=0 but 1/3 via i=1 "
+    "(residual 1/12)",
+    "no-signalling at ('B', 0, -1, 0, 1): p(y=-|j=0) is 1/4 via i=0 but 2/3 via i=1 "
+    "(residual 5/12)",
+    "no-signalling at ('B', 1, 1, 0, 1): p(y=+|j=1) is 1/2 via i=0 but 1/4 via i=1 "
+    "(residual -1/4)",
+    "no-signalling at ('B', 1, -1, 0, 1): p(y=-|j=1) is 1/2 via i=0 but 3/4 via i=1 "
+    "(residual 1/4)",
+)
+
+
 def all_deterministic_boxes():
     return [make_deterministic_box(x0, x1, y0, y1)
             for x0, x1, y0, y1 in product(OUTCOMES, repeat=4)]

@@ -23,7 +23,7 @@ from macrobox import (
     rational_to_str,
     validate_pairbox,
 )
-from tests.conftest import no_signalling_boxes
+from tests.conftest import THREE_FAULT_VIOLATIONS, no_signalling_boxes, three_fault_box
 
 F = Fraction
 
@@ -160,6 +160,19 @@ class TestValidation:
         report = validate_pairbox(PairBox(s_a=2, s_b=2, table=table))
         assert any(v.kind == "negativity" for v in report.violations)
 
+    def test_full_report_text(self):
+        # Every fault kind in one box: the report's order, residuals and
+        # detail texts are pinned as one string.
+        report = validate_pairbox(three_fault_box())
+        assert [v.kind for v in report.violations] == (
+            ["normalization", "negativity"] + ["no-signalling"] * 8)
+        assert str(report) == "; ".join(THREE_FAULT_VIOLATIONS)
+
+    def test_integer_cells_validate(self):
+        table = {(i, j, x, y): int(x == 1 and y == 1)
+                 for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)}
+        assert validate_pairbox(PairBox(s_a=2, s_b=2, table=table)).ok
+
     @given(box=no_signalling_boxes())
     def test_random_mixtures_validate(self, box):
         assert validate_pairbox(box).ok
@@ -168,6 +181,13 @@ class TestValidation:
     def test_rejects_a_side_without_settings(self, s_a, s_b):
         with pytest.raises(ConstructionError, match="at least one setting"):
             PairBox(s_a=s_a, s_b=s_b, table={})
+
+    @pytest.mark.parametrize("value", [0.25, True, "1/4"])
+    def test_rejects_cells_that_are_not_int_or_fraction(self, value):
+        # A float table sums to 1.0 and would otherwise pass validation.
+        table = {key: value for key in make_pr_box().table}
+        with pytest.raises(ConstructionError, match="not an int or a Fraction"):
+            PairBox(s_a=2, s_b=2, table=table)
 
     def test_chsh_needs_two_settings(self):
         pr = make_pr_box()

@@ -10,7 +10,13 @@ import pytest
 from macrobox import MacroDistribution, SymmetricJPD, make_pr_box
 from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
-from tests.conftest import explicit_from_box, mixed_denominator_box, signalling_joint_table
+from tests.conftest import (
+    THREE_FAULT_VIOLATIONS,
+    explicit_from_box,
+    mixed_denominator_box,
+    signalling_joint_table,
+    three_fault_box,
+)
 
 F = Fraction
 
@@ -469,6 +475,40 @@ class TestFileBoxes:
         code, out, _ = run_cli(capsys, ["box", "--box", f"file:{path}"])
         assert code == 0
         assert "chsh: 4/1" in out
+
+    def test_faulty_pair_box_text_bytes(self, capsys, tmp_path):
+        path = tmp_path / "faulty.json"
+        path.write_text(three_fault_box().to_json())
+        code, out, err = run_cli(capsys, ["box", "--box", f"file:{path}"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "pair box (s_a=2, s_b=2)\n"
+            "settings (0,0): (+;+)=1/4 (+;-)=0/1 (-;+)=0/1 (-;-)=1/4\n"
+            "settings (0,1): (+;+)=1/2 (+;-)=0/1 (-;+)=0/1 (-;-)=1/2\n"
+            "settings (1,0): (+;+)=1/3 (+;-)=0/1 (-;+)=0/1 (-;-)=2/3\n"
+            "settings (1,1): (+;+)=-1/4 (+;-)=3/4 (-;+)=1/2 (-;-)=0/1\n"
+            "correlations: <a0 b0>=1/2 <a0 b1>=1/1 <a1 b0>=1/1 <a1 b1>=-3/2\n"
+            "chsh: 4/1\n"
+            f"validation: {'; '.join(THREE_FAULT_VIOLATIONS)}\n")
+
+    def test_faulty_pair_box_json_bytes(self, capsys, tmp_path):
+        path = tmp_path / "faulty.json"
+        path.write_text(three_fault_box().to_json())
+        code, out, err = run_cli(capsys, ["box", "--box", f"file:{path}", "--format", "json"])
+        assert (code, err) == (0, "")
+        cells = ["1/4", "0/1", "0/1", "1/4", "1/2", "0/1", "0/1", "1/2",
+                 "1/3", "0/1", "0/1", "2/3", "-1/4", "3/4", "1/2", "0/1"]
+        table = [[i, j, x, y, p] for (i, j, x, y), p in zip(
+            product((0, 1), (0, 1), (1, -1), (1, -1)), cells)]
+        assert out == json.dumps({
+            "s_a": 2,
+            "s_b": 2,
+            "table": table,
+            "correlations": {"0,0": "1/2", "0,1": "1/1", "1,0": "1/1", "1,1": "-3/2"},
+            "valid": False,
+            "violations": list(THREE_FAULT_VIOLATIONS),
+            "chsh": "4/1",
+        }, indent=2) + "\n"
 
     def test_joint_file_n_mismatch(self, signalling_file):
         with pytest.raises(SystemExit) as exc:

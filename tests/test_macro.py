@@ -366,6 +366,16 @@ class TestGeneralMoments:
             for order in (1, 2, 3, 4):
                 assert macro_moment_general(model, i, j, order) == dist.joint_moment(order)
 
+    @settings(max_examples=20, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(7, 10), order=st.sampled_from((3, 4)),
+           i=st.integers(0, 1), j=st.integers(0, 1))
+    def test_higher_orders_match_convolution(self, box, n, order, i, j):
+        # Above the brute-force sizes the convolved distribution is the
+        # oracle for orders 3 and 4.
+        model = independent_pairs(box, n)
+        assert (macro_moment_general(model, i, j, order)
+                == macro_distribution(model, i, j).joint_moment(order))
+
     def test_third_moment_value(self):
         # Oracle: at settings (0, 0) the sums agree pairwise, so
         # <(A B)^3> = <A^6> for a sum of 4 fair +-1 steps = 544/... times 16ths.

@@ -252,6 +252,17 @@ class TestEffectiveCorrelator:
                     count += 1
             assert effective_correlator(model, 0, 1, r, s) == total / count
 
+    @settings(max_examples=40, deadline=None)
+    @given(box=no_signalling_boxes(), r=st.integers(0, 3), s=st.integers(0, 3),
+           extra=st.integers(0, 4), i=st.integers(0, 1), j=st.integers(0, 1))
+    def test_integer_closed_form_matches_matching_dp(self, box, r, s, extra, i, j):
+        # The integer closed form against the Fraction matching DP's signed
+        # entry sum, each on its own model so no memo is shared.
+        n = max(r, s, 1) + extra
+        expected = symmetry._symmetrized_correlator(
+            independent_pairs(box, n), (i,) * r, (j,) * s)
+        assert effective_correlator(independent_pairs(box, n), i, j, r, s) == expected
+
     def test_deterministic_box_gives_unity(self):
         model = independent_pairs(make_deterministic_box(1, 1, 1, 1), 4)
         for r, s in ((1, 1), (2, 2), (3, 1)):
