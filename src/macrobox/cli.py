@@ -376,9 +376,7 @@ def run_distribution(config: RunConfig) -> str:
     if config.fmt == "json":
         return dist.to_json()
     lines = [f"macro distribution (n={dist.n}, i={i}, j={j})", "X Y p"]
-    for x_value in dist.support_values():
-        for y_value in dist.support_values():
-            lines.append(f"{x_value} {y_value} {rational_to_str(dist.prob(x_value, y_value))}")
+    lines += [f"{x} {y} {rational_to_str(p)}" for x, y, p in dist.rows()]
     return "\n".join(lines) + "\n"
 
 
@@ -465,12 +463,13 @@ def _verify_marginal_identities(model: EnsembleModel) -> tuple:
 
 
 def _verify_path_agreement(model: EnsembleModel) -> tuple:
-    """Primary: the distinct-tuple sums behind the averages, second moments
-    and correlations.  Check: the signed sums of the symmetrised entries,
-    which each routine compares itself, raising on a disagreement.  For a
-    product model the two are independent (integer box rows against the
-    Fraction DP over ``box.prob``); for a joint table both read the same
-    memoised marginals, so the row checks only the two summations."""
+    """Primary: :func:`effective_correlator` behind the averages, second
+    moments and correlations.  Check: the distinct-tuple sums, which each
+    routine compares itself, raising on a disagreement.  For a product
+    model the two are independent (the integer closed form over
+    ``box.table`` against the matching sum over the scaled rows); for a
+    joint table both read the same memoised marginals, so the row checks
+    only the two summations."""
     for i in range(model.s_a):
         macro_average(model, ALICE, i)
         macro_local_second_moment(model, ALICE, i)

@@ -105,8 +105,8 @@ class EnsembleModel:
                outcomes: OutcomeAssignment) -> Fraction:
         """Same as joint_probability, without argument validation.
 
-        Point queries that build their assignments themselves call this
-        directly; exhaustive scans use :meth:`_support` instead.
+        In the package only :meth:`joint_probability` calls this; scans use
+        :meth:`_support` instead.
         """
         raise NotImplementedError
 

@@ -2,13 +2,14 @@
 
 A macroscopic measurement sums one property over all N particles in a
 region, so the observable outcomes are N, N-2, ..., -N per side.  Every
-moment <A_i^p B_j^q> is one coincidence expansion over distinct-particle
-correlators (:func:`_expansion`).  The averages, correlations and second
-moments feed it two correlator sources that must agree exactly: the
-distinct-tuple sums (primary) and the signed sums of the symmetrised
-entries (check).  General k-th moments feed it :func:`effective_correlator`
-and are checked by ``verify``'s oracle row; a pair box's correlator is
-an integer closed form.  The expansion sums integer numerators per
+moment <A_i^p B_j^q> has one primary route, :func:`_moment`: the
+coincidence expansion (:func:`_expansion`) over the distinct-particle
+correlators of :func:`effective_correlator`, an integer closed form for a
+pair box and the signed sums of the symmetrised entries for a joint
+table.  The averages, correlations and second moments are checked against
+the same expansion over the distinct-tuple sums of
+:func:`_distinct_tuple_sum`; general k-th moments are checked by
+``verify``'s oracle row.  The expansion sums integer numerators per
 denominator and builds one Fraction per moment.  Also here: the exact
 distribution of the collective sums (an integer convolution for
 independent pairs, checked against a brute-force enumeration oracle); the
@@ -145,30 +146,33 @@ def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
     return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
 
 
-def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
-    """<A_i^p B_j^q> by :func:`_expansion` over two correlator sources that
-    must agree exactly.
+def _moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
+    """<A_i^p B_j^q> by the primary route: :func:`_expansion` over
+    :func:`effective_correlator`.  Callers check the settings."""
+    return _expansion(model.n, p, q, lambda r, s: effective_correlator(model, i, j, r, s))
 
-    Primary: the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided
-    by (N)_r (N)_s (integer box rows for a pair box).  Check: the signed sums
-    of the symmetrised entries, :func:`_symmetrized_correlator` (the
-    Fraction matching DP for a pair box, the generic enumeration for a
-    joint table).
+
+def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
+    """<A_i^p B_j^q> by :func:`_moment`, checked against the same expansion
+    over the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided by
+    (N)_r (N)_s.  The check runs first.  On a pair box the two are
+    independent: the closed form reads ``box.table`` through
+    ``_correlator_row``, the matching sum the scaled rows through
+    ``_product_marginal_counts``.
     """
     _require_settings(model, i, j)
     n = model.n
     micro = _expansion(n, p, q, lambda r, s: _distinct_tuple_sum(
         model, (i,) * r, (j,) * s) / (math.perm(n, r) * math.perm(n, s)))
-    via_effective = _expansion(n, p, q, lambda r, s: _symmetrized_correlator(
-        model, (i,) * r, (j,) * s))
-    if micro != via_effective:
+    value = _moment(model, i, j, p, q)
+    if micro != value:
         body = " ".join(f"{side}{setting}" for side, setting, power
                         in ((ALICE, i, p), (BOB, j, q)) if power)
         if max(p, q) > 1:
             body = f"({body})^{max(p, q)}" if p and q else f"{body}^{max(p, q)}"
         raise PathDisagreementError(
-            f"<{body}>: microscopic sum {micro} != effective route {via_effective}")
-    return micro
+            f"<{body}>: microscopic sum {micro} != effective route {value}")
+    return value
 
 
 def _one_side(side: str, setting: int, power: int) -> tuple:
@@ -220,6 +224,11 @@ class MacroDistribution:
     def prob(self, x_value: int, y_value: int) -> Fraction:
         return self.probs.get((x_value, y_value), ZERO)
 
+    def rows(self):
+        """``(X, Y, p)`` over the complete support grid, X major."""
+        for x_value, y_value in product(self.support_values(), repeat=2):
+            yield x_value, y_value, self.prob(x_value, y_value)
+
     def joint_moment(self, order: int) -> Fraction:
         """<(A B)^order> = sum (X Y)^order p(X, Y)."""
         total = ZERO
@@ -243,28 +252,24 @@ class MacroDistribution:
         return sum(self.probs.values(), ZERO)
 
     def to_csv(self) -> str:
-        lines = ["X,Y,p"]
-        for x_value in self.support_values():
-            for y_value in self.support_values():
-                lines.append(
-                    f"{x_value},{y_value},{rational_to_str(self.prob(x_value, y_value))}")
+        lines = ["X,Y,p"] + [f"{x},{y},{rational_to_str(p)}" for x, y, p in self.rows()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        entries = []
-        for x_value in self.support_values():
-            for y_value in self.support_values():
-                entries.append({
-                    "X": x_value,
-                    "Y": y_value,
-                    "p": rational_to_str(self.prob(x_value, y_value)),
-                })
+        entries = [{"X": x, "Y": y, "p": rational_to_str(p)} for x, y, p in self.rows()]
         return canonical_json({
             "n": self.n,
             "alice_setting": self.alice_setting,
             "bob_setting": self.bob_setting,
             "entries": entries,
         })
+
+
+def _on_grid(n: int, i: int, j: int, prob) -> MacroDistribution:
+    """The distribution whose complete (X, Y) grid holds ``prob((X, Y))``."""
+    values = range(-n, n + 1, 2)
+    return MacroDistribution(n=n, alice_setting=i, bob_setting=j,
+                             probs={key: prob(key) for key in product(values, repeat=2)})
 
 
 def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
@@ -298,10 +303,7 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
                 advanced[key] = advanced.get(key, 0) + count * weight
         counts = advanced
     denominator = scale ** n
-    grid = {(x_value, y_value): Fraction(counts.get((x_value, y_value), 0), denominator)
-            for x_value in range(-n, n + 1, 2)
-            for y_value in range(-n, n + 1, 2)}
-    return MacroDistribution(n=n, alice_setting=i, bob_setting=j, probs=grid)
+    return _on_grid(n, i, j, lambda key: Fraction(counts.get(key, 0), denominator))
 
 
 def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
@@ -323,21 +325,15 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
     n = model.n
     law = _as_law(*_support_counts(model, SettingAssignment.uniform(n, i, j),
                                    lambda combined: (sum(combined[:n]), sum(combined[n:]))))
-    grid = {(x_value, y_value): law.get((x_value, y_value), ZERO)
-            for x_value in range(-n, n + 1, 2)
-            for y_value in range(-n, n + 1, 2)}
-    return MacroDistribution(n=n, alice_setting=i, bob_setting=j, probs=grid)
+    return _on_grid(n, i, j, lambda key: law.get(key, ZERO))
 
 
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:
-    """<(A_i B_j)^order> by :func:`_expansion` with E_eff(r, s), the
-    closed-form (pair box) or symmetrised (joint table) distinct-tuple
-    average of :func:`effective_correlator`."""
+    """<(A_i B_j)^order> by :func:`_moment`."""
     _require_settings(model, i, j)
     if order < 0:
         raise DomainError(f"moment order must be nonnegative, got {order}")
-    return _expansion(model.n, order, order,
-                      lambda r, s: effective_correlator(model, i, j, r, s))
+    return _moment(model, i, j, order, order)
 
 
 def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> Fraction:

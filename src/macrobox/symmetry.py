@@ -170,7 +170,7 @@ def _symmetrized_product_entry(box: PairBox, n: int,
         states = advanced
     total = ZERO
     for mask, value in states.items():
-        matched = bin(mask).count("1")
+        matched = mask.bit_count()
         count = matching_assignment_count(n, matched, a_count, b_count)
         if count == 0 or value == 0:
             continue

@@ -169,9 +169,9 @@ class TestDistinctTupleSum:
 
     def test_average_checks_effective_route(self, monkeypatch):
         """Every checked moment compares its distinct-tuple sums with the
-        symmetrised-entry correlators and names itself on a mismatch."""
-        monkeypatch.setattr("macrobox.macro._symmetrized_correlator",
-                            lambda model, a_settings, b_settings: F(1, 7))
+        effective correlators and names itself on a mismatch."""
+        monkeypatch.setattr("macrobox.macro.effective_correlator",
+                            lambda model, i, j, r, s: F(1, 7))
         model = independent_pairs(make_pr_box(), 3)
         cases = (
             (lambda: macro_average(model, ALICE, 1), "<A1>", "3/7"),
@@ -186,6 +186,21 @@ class TestDistinctTupleSum:
                                match=re.escape(f"{label}: microscopic sum ")) as exc:
                 moment()
             assert str(exc.value).endswith(f"effective route {check}")
+
+    def test_pair_box_moments_skip_the_matching_dp(self, monkeypatch):
+        """On a pair box every moment's primary route is the integer closed
+        form, so the Fraction matching DP is never run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matching DP ran")
+
+        monkeypatch.setattr("macrobox.symmetry._symmetrized_product_entry", refuse)
+        model = independent_pairs(make_isotropic_box(F(1, 3)), 4)
+        report = moment_report(model, 0, 1)
+        assert report.correlation == 4 * F(1, 3)
+        assert macro_average(model, BOB, 1) == report.average_b
+        assert macro_correlation(model, 1, 1) == -4 * F(1, 3)
+        assert macro_local_second_moment(model, ALICE, 1) == report.second_moment_a
+        assert macro_joint_second_moment(model, 0, 1) == report.joint_second_moment
 
     def test_average_rejects_unknown_side(self):
         with pytest.raises(DomainError, match="side must be"):
