@@ -76,11 +76,6 @@ def outcome_from_symbol(symbol: str) -> int:
     raise DomainError(f"not an outcome: {symbol!r}")
 
 
-def outcome_sort_key(outcomes) -> tuple:
-    """Sort key placing +1 before -1, elementwise."""
-    return tuple(0 if o == PLUS else 1 for o in outcomes)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One broken box/model invariant, with the offending indices."""

@@ -518,7 +518,9 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
 def _verify_averages_validity(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_averages`, or below its construction the PR box's
     :func:`pr_averages_jpd_closed_form`.  Check: :func:`jpd_validity`,
-    every entry nonnegative and the sum 1."""
+    every entry nonnegative and the sum 1.  At and above the bound every
+    entry is an average of products of nonnegative marginals, so there the
+    check catches implementation faults only."""
     try:
         _require_construction(model)
     except _Skip:
@@ -534,7 +536,8 @@ def _verify_averages_validity(model: EnsembleModel) -> tuple:
 def _verify_fluctuations(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_fluctuations`.  Checks: :func:`jpd_validity`, then
     its two-slots-per-side marginals against :func:`effective_quad`.  Needs
-    the two-copies construction."""
+    the two-copies construction, whose entries are nonnegative by
+    construction, so the validity check catches implementation faults only."""
     _require_construction(model, copies=2)
     passed = "valid and reproduces the two-pair effective distribution"
     jpd = jpd_fluctuations(model)

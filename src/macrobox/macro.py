@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 from typing import Mapping
 
 from .boxes import (
@@ -216,7 +217,10 @@ class MacroDistribution:
     n: int
     alice_setting: int
     bob_setting: int
-    probs: Mapping  # (X, Y) -> Fraction
+    probs: Mapping  # (X, Y) -> Fraction, read-only
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "probs", MappingProxyType(dict(self.probs)))
 
     def support_values(self) -> tuple:
         return tuple(range(-self.n, self.n + 1, 2))
@@ -500,7 +504,10 @@ class MomentReport:
     variance_a: Fraction
     variance_b: Fraction
     joint_variance: Fraction
-    paths: Mapping
+    paths: Mapping  # read-only
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "paths", MappingProxyType(dict(self.paths)))
 
     @property
     def fluctuation_a(self) -> float:

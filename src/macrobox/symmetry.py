@@ -20,6 +20,13 @@ Every other model goes through the explicit enumeration of ordered index
 tuples through model marginals; tests run it on product models wrapped as
 explicit tables as the oracle for the DP.
 
+A symmetrized value depends only on how many of each outcome every (side,
+setting) block of slots holds, so each distribution is a read-only map from
+orbits to values (:func:`_orbit_key`): 625 orbits against 65536 events at
+four copies of two settings per side.  A JPD file lists every event; its
+loader folds them back into orbits and refuses a missing event or two
+values in one orbit.
+
 Closed-form evaluators for the maximally nonlocal 2x2 box are implemented
 alongside the enumerators and cross-checked against them.
 """
@@ -31,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .boxes import (
@@ -44,7 +52,6 @@ from .boxes import (
     canonical_json,
     json_int,
     outcome_from_symbol,
-    outcome_sort_key,
     outcome_symbol,
     rational_to_str,
     validate_pairbox,
@@ -123,7 +130,10 @@ class QuadDistribution:
 
     s_a: int
     s_b: int
-    table: Mapping  # (i, j, x, xp, y, yp) -> Fraction, complete
+    table: Mapping  # (i, j, x, xp, y, yp) -> Fraction, complete, read-only
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def prob(self, i: int, j: int, x: int, xp: int, y: int, yp: int) -> Fraction:
         return self.table[(i, j, x, xp, y, yp)]
@@ -209,34 +219,47 @@ def _symmetrized_generic_entries(model: EnsembleModel,
         for outcomes, numerator in sums.items():
             totals[outcomes] += numerator * (scale // d)
     norm = scale * math.perm(n, a_count) * math.perm(n, b_count)
-    return {(outcomes[:a_count], outcomes[a_count:]): Fraction(total, norm)
-            for outcomes, total in totals.items()}
+    return {(a_key, b_key): Fraction(totals[a_key + b_key], norm)
+            for a_key in _side_orbits(a_settings) for b_key in _side_orbits(b_settings)}
 
 
-def _canonical_within_blocks(settings: tuple, outcomes: tuple) -> tuple:
-    """Sort outcomes inside each run of equal settings (+1 first).
+def _orbit_key(settings: tuple, outcomes: tuple) -> tuple:
+    """The orbit of ``outcomes`` under permutations of same-setting slots,
+    named by its member with +1 first inside each same-setting run.
 
-    Symmetrized values are invariant under permuting same-setting slots, so
-    this is a safe cache key and evaluation point.
+    ``settings`` must be nondecreasing, as every caller's are, so sorting
+    the (setting, -outcome) pairs keeps each run in its place.
     """
-    result = []
-    start = 0
-    while start < len(settings):
-        end = start
-        while end < len(settings) and settings[end] == settings[start]:
-            end += 1
-        result.extend(sorted(outcomes[start:end], reverse=True))
-        start = end
-    return tuple(result)
+    return tuple(-o for _, o in sorted(zip(settings, [-o for o in outcomes])))
+
+
+def _side_orbits(settings: tuple) -> dict:
+    """Every orbit key of one side's outcome tuples, as dict keys."""
+    return dict.fromkeys(_orbit_key(settings, outcomes)
+                         for outcomes in product(OUTCOMES, repeat=len(settings)))
+
+
+def _expand(a_settings: tuple, b_settings: tuple, orbits: Mapping):
+    """``(alice outcomes, bob outcomes, value)`` for every event, in
+    ``itertools.product(OUTCOMES, ...)`` order, each value read from the
+    event's orbit in ``orbits``."""
+    b_events = [(b_out, _orbit_key(b_settings, b_out))
+                for b_out in product(OUTCOMES, repeat=len(b_settings))]
+    for a_out in product(OUTCOMES, repeat=len(a_settings)):
+        a_key = _orbit_key(a_settings, a_out)
+        for b_out, b_key in b_events:
+            yield a_out, b_out, orbits[a_key, b_key]
 
 
 def _symmetrized_entries(model: EnsembleModel,
-                         a_settings: tuple, b_settings: tuple) -> dict:
-    """Complete symmetrized slot distribution, fast path for product models.
+                         a_settings: tuple, b_settings: tuple) -> Mapping:
+    """Complete symmetrized slot distribution as a read-only map from
+    (alice, bob) :func:`_orbit_key` pairs to values; fast path for product
+    models.  Both settings tuples must be nondecreasing.
 
-    The model memoises the result for its lifetime, keyed by
+    The model memoises the map for its lifetime, keyed by
     ``(a_settings, b_settings)``.  The slot-count guard runs on every call,
-    a failed computation stores nothing, and each call returns a fresh dict.
+    and a failed computation stores nothing.
     """
     n = model.n
     a_count, b_count = len(a_settings), len(b_settings)
@@ -244,40 +267,27 @@ def _symmetrized_entries(model: EnsembleModel,
         raise DomainError(
             f"need at least {max(a_count, b_count)} pairs for {a_count}+{b_count} "
             f"slots, got n={n}")
-    if isinstance(model, IndependentPairs):
-        compute = lambda: _symmetrized_product_entries(model, a_settings, b_settings)
-    else:
-        compute = lambda: _symmetrized_generic_entries(model, a_settings, b_settings)
-    return dict(model._memoized(("symmetrized", a_settings, b_settings), compute))
+    route = (_symmetrized_product_entries if isinstance(model, IndependentPairs)
+             else _symmetrized_generic_entries)
+    return model._memoized(("symmetrized", a_settings, b_settings),
+                           lambda: MappingProxyType(route(model, a_settings, b_settings)))
 
 
 def _symmetrized_correlator(model: EnsembleModel,
                             a_settings: tuple, b_settings: tuple) -> Fraction:
     """Product correlator of all the slots, averaged over ordered tuples of
     distinct particles: the signed sum of :func:`_symmetrized_entries`."""
-    entries = _symmetrized_entries(model, a_settings, b_settings)
-    return sum((math.prod(a_out + b_out) * p for (a_out, b_out), p in entries.items()), ZERO)
+    orbits = _symmetrized_entries(model, a_settings, b_settings)
+    return sum((math.prod(a_out + b_out) * p
+                for a_out, b_out, p in _expand(a_settings, b_settings, orbits)), ZERO)
 
 
 def _symmetrized_product_entries(model: IndependentPairs,
                                  a_settings: tuple, b_settings: tuple) -> dict:
-    """All symmetrized-distribution entries of a product model, one DP per
-    orbit of same-setting slot permutations."""
-    n = model.n
-    a_count, b_count = len(a_settings), len(b_settings)
-    cache: dict = {}
-    entries = {}
-    for a_out in product(OUTCOMES, repeat=a_count):
-        for b_out in product(OUTCOMES, repeat=b_count):
-            key = (_canonical_within_blocks(a_settings, a_out),
-                   _canonical_within_blocks(b_settings, b_out))
-            value = cache.get(key)
-            if value is None:
-                value = _symmetrized_product_entry(
-                    model.box, n, a_settings, key[0], b_settings, key[1])
-                cache[key] = value
-            entries[(a_out, b_out)] = value
-    return entries
+    """Orbit -> value for a product model, one matching DP per orbit."""
+    return {(a_key, b_key): _symmetrized_product_entry(
+                model.box, model.n, a_settings, a_key, b_settings, b_key)
+            for a_key in _side_orbits(a_settings) for b_key in _side_orbits(b_settings)}
 
 
 def effective_quad(model: EnsembleModel) -> QuadDistribution:
@@ -288,8 +298,8 @@ def effective_quad(model: EnsembleModel) -> QuadDistribution:
     table = {}
     for i in range(model.s_a):
         for j in range(model.s_b):
-            entries = _symmetrized_entries(model, (i, i), (j, j))
-            for ((x, xp), (y, yp)), p in entries.items():
+            orbits = _symmetrized_entries(model, (i, i), (j, j))
+            for (x, xp), (y, yp), p in _expand((i, i), (j, j), orbits):
                 table[(i, j, x, xp, y, yp)] = p
     return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
 
@@ -363,15 +373,23 @@ class SymmetricJPD:
     """Joint distribution over ``copies`` outcome slots per setting per side.
 
     ``schema_a``/``schema_b`` hold (setting, copies) groups in ascending
-    setting order; entries are keyed by (alice outcomes, bob outcomes)
-    tuples aligned with the expanded slot order and may be signed.  The
-    ``valid`` flag is true iff every entry is nonnegative.
+    setting order.  ``orbits`` is a read-only map from each orbit of events
+    under permutations of same-setting slots, keyed by the (alice, bob)
+    :func:`_orbit_key` pair over the expanded slot order, to the value every
+    event in it takes; values may be signed.
     """
 
     schema_a: tuple
     schema_b: tuple
-    entries: Mapping
-    valid: bool
+    orbits: Mapping
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "orbits", MappingProxyType(dict(self.orbits)))
+
+    @property
+    def valid(self) -> bool:
+        """True iff every value is nonnegative."""
+        return all(p >= 0 for p in self.orbits.values())
 
     def slots(self, side: str) -> tuple:
         """Expanded (setting, copy) slot labels for one side."""
@@ -379,25 +397,23 @@ class SymmetricJPD:
         return tuple((setting, copy) for setting, copies in schema
                      for copy in range(copies))
 
+    @property
+    def entries(self) -> dict:
+        """A fresh (alice outcomes, bob outcomes) -> probability dict over
+        every event."""
+        return {(a_out, b_out): p for a_out, b_out, p in self.items()}
+
     def total(self) -> Fraction:
-        return sum(self.entries.values(), ZERO)
+        return sum((p for _, _, p in self.items()), ZERO)
 
     def negative_entries(self) -> tuple:
-        found = []
-        for key in self._sorted_keys():
-            p = self.entries[key]
-            if p < 0:
-                found.append((key[0], key[1], p))
-        return tuple(found)
-
-    def _sorted_keys(self):
-        return sorted(self.entries,
-                      key=lambda k: outcome_sort_key(k[0] + k[1]))
+        return tuple(item for item in self.items() if item[2] < 0)
 
     def items(self):
-        """(alice outcomes, bob outcomes, probability) in canonical order."""
-        for key in self._sorted_keys():
-            yield key[0], key[1], self.entries[key]
+        """(alice outcomes, bob outcomes, probability) for every event, in
+        canonical order."""
+        return _expand(_slot_settings(self.schema_a), _slot_settings(self.schema_b),
+                       self.orbits)
 
     def to_json(self) -> str:
         data = {
@@ -417,7 +433,8 @@ class SymmetricJPD:
     def from_json(text: str) -> "SymmetricJPD":
         """Load a JPD from its :meth:`to_json` form: integer schema fields,
         nonnegative and strictly ascending settings per side, ``copies >= 1``,
-        and each event listed once with one outcome per slot."""
+        and every event listed once with one outcome per slot and the same
+        value as every other event of its orbit."""
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -433,7 +450,8 @@ class SymmetricJPD:
                 if settings != sorted(set(settings)) or min(settings, default=0) < 0:
                     raise ValueError(f"schema settings {settings} are not "
                                      f"nonnegative and strictly ascending")
-            widths = (sum(c for _, c in schema_a), sum(c for _, c in schema_b))
+            a_settings, b_settings = _slot_settings(schema_a), _slot_settings(schema_b)
+            widths = (len(a_settings), len(b_settings))
             entries = {}
             for entry in data["entries"]:
                 event = parse_event(entry["outcomes"])
@@ -444,15 +462,24 @@ class SymmetricJPD:
                 if event in entries:
                     raise ValueError(f"event {entry['outcomes']!r} is listed twice")
                 entries[event] = as_rational(entry["p"])
+            orbits = {}
+            for event in product(product(OUTCOMES, repeat=widths[0]),
+                                 product(OUTCOMES, repeat=widths[1])):
+                if event not in entries:
+                    raise ValueError(f"event {format_event(*event)} is missing")
+                key = (_orbit_key(a_settings, event[0]), _orbit_key(b_settings, event[1]))
+                p = orbits.setdefault(key, entries[event])
+                if entries[event] != p:
+                    raise ValueError(f"event {format_event(*event)} is {entries[event]}, but "
+                                     f"{format_event(*key)} in its orbit is {p}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed jpd JSON: {exc}") from exc
-        return _finish_jpd(schema_a, schema_b, entries)
+        return SymmetricJPD(schema_a, schema_b, orbits)
 
 
-def _finish_jpd(schema_a: tuple, schema_b: tuple, entries: dict) -> SymmetricJPD:
-    valid = all(p >= 0 for p in entries.values())
-    return SymmetricJPD(schema_a=schema_a, schema_b=schema_b,
-                        entries=entries, valid=valid)
+def _slot_settings(schema: tuple) -> tuple:
+    """The setting of each expanded slot of one side's (setting, copies) groups."""
+    return tuple(setting for setting, copies in schema for _ in range(copies))
 
 
 def jpd_general(model: EnsembleModel, copies: int) -> SymmetricJPD:
@@ -460,7 +487,7 @@ def jpd_general(model: EnsembleModel, copies: int) -> SymmetricJPD:
 
     Requires N >= copies * s per side: each slot must land on a distinct
     particle.  Entries are the permutation-symmetrized multi-slot marginals
-    with weight 1 / ((N)_(copies*s_a) (N)_(copies*s_b)).
+    with weight 1 / ((N)_(copies*s_a) (N)_(copies*s_b)), one per orbit.
     """
     if copies < 1:
         raise DomainError(f"need at least one slot copy, got copies={copies}")
@@ -471,12 +498,10 @@ def jpd_general(model: EnsembleModel, copies: int) -> SymmetricJPD:
         raise DomainError(
             f"a {copies}-copy JPD over {model.s_a}+{model.s_b} settings needs "
             f"copies*s = {need_a} Alice and {need_b} Bob particles; got n={n}")
-    a_settings = tuple(s for s in range(model.s_a) for _ in range(copies))
-    b_settings = tuple(s for s in range(model.s_b) for _ in range(copies))
-    entries = _symmetrized_entries(model, a_settings, b_settings)
     schema_a = tuple((s, copies) for s in range(model.s_a))
     schema_b = tuple((s, copies) for s in range(model.s_b))
-    return _finish_jpd(schema_a, schema_b, entries)
+    return SymmetricJPD(schema_a, schema_b, _symmetrized_entries(
+        model, _slot_settings(schema_a), _slot_settings(schema_b)))
 
 
 def jpd_averages(model: EnsembleModel) -> SymmetricJPD:
@@ -587,7 +612,8 @@ def pr_averages_jpd_closed_form(n: int) -> SymmetricJPD:
 
     The constructive symmetrized sum needs n >= 2, but the closed form can
     be evaluated at n = 1, where the low entries become -1/16 and the
-    validity flag is false.
+    validity flag is false.  With one slot per setting each event is its
+    own orbit.
     """
     high, low = pr_averages_jpd_values(n)
     entries = {}
@@ -595,7 +621,7 @@ def pr_averages_jpd_closed_form(n: int) -> SymmetricJPD:
         for b_out in product(OUTCOMES, repeat=2):
             entries[(a_out, b_out)] = high if (a_out, b_out) in _PR_HIGH_EVENTS else low
     schema = ((0, 1), (1, 1))
-    return _finish_jpd(schema, schema, entries)
+    return SymmetricJPD(schema, schema, entries)
 
 
 def pr_quad_values(n: int) -> dict:

@@ -119,6 +119,21 @@ def mixed_completion_signalling_table():
     return table
 
 
+def joint_mixture(first, second, weight, n):
+    """``weight`` of ``first`` and the rest of ``second``, n pairs each, as
+    one explicit joint table: not a product model, so it takes the generic
+    symmetrised route."""
+    tables = [explicit_from_box(box, n).table for box in (first, second)]
+    table = {}
+    for key in tables[0]:
+        block = {}
+        for part, w in zip(tables, (weight, 1 - weight)):
+            for outcomes, p in part[key].items():
+                block[outcomes] = block.get(outcomes, 0) + w * p
+        table[key] = block
+    return explicit_joint(n, 2, 2, table)
+
+
 def mixed_denominator_box():
     """No-signalling box whose setting pairs have different denominators.
 

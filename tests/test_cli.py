@@ -1,5 +1,6 @@
 """Command-line interface: parsing, dispatch, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -7,12 +8,13 @@ from itertools import product
 
 import pytest
 
-from macrobox import MacroDistribution, SymmetricJPD, make_pr_box
+from macrobox import MacroDistribution, SymmetricJPD, make_isotropic_box, make_pr_box
 from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
 from tests.conftest import (
     THREE_FAULT_VIOLATIONS,
     explicit_from_box,
+    joint_mixture,
     mixed_denominator_box,
     signalling_joint_table,
     three_fault_box,
@@ -254,6 +256,40 @@ class TestDeterminism:
                                      "--format", "json"])
         again = SymmetricJPD.from_json(out)
         assert again.to_json() == out
+
+    def test_golden_bytes(self, capsys, tmp_path):
+        """Every symmetrised output over a fixed grid hashes to one pinned
+        digest: three pair boxes and a two-pair joint table (the generic
+        route), in text and JSON, with the joint table only where two
+        pairs suffice.  A change that alters any byte of the
+        ``jpd``, ``effective`` or ``gisin`` output fails here."""
+        joint = joint_mixture(mixed_denominator_box(), make_isotropic_box(F(1, 3)), F(2, 5), 2)
+        joint_file = write_joint_file(tmp_path / "joint.json", joint.table, 2)
+        runs = []
+        for box in ("pr", "isotropic:1/3", "det:+,-,-,+"):
+            runs += [["jpd", "--box", box, "--n", "3", "--kind", "averages"],
+                     ["jpd", "--box", box, "--n", "4", "--kind", "fluctuations"],
+                     ["effective", "--box", box, "--n", "3", "--kind", "pair"],
+                     ["effective", "--box", box, "--n", "3", "--kind", "quad"],
+                     ["gisin", "--box", box, "--n", "4"]]
+        # Three copies cost about a second per PR-box run, so only the box
+        # with no zero cell and the sparse det box take them.
+        runs += [["jpd", "--box", box, "--n", "6", "--kind", "general", "--copies", "3"]
+                 for box in ("isotropic:1/3", "det:+,-,-,+")]
+        runs += [["jpd", "--box", "file:" + joint_file, "--n", "2", "--kind", "averages"],
+                 ["effective", "--box", "file:" + joint_file, "--n", "2", "--kind", "pair"],
+                 ["effective", "--box", "file:" + joint_file, "--n", "2", "--kind", "quad"]]
+        digest = hashlib.sha256()
+        for argv in runs:
+            for fmt in ("text", "json"):
+                code, out, err = run_cli(capsys, argv + ["--format", fmt])
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+        assert digest.hexdigest() == GOLDEN_SHA256
+
+
+#: sha256 over every output of :meth:`TestDeterminism.test_golden_bytes`.
+GOLDEN_SHA256 = "ce87551a3f73dac464e4efdac7a6079a315aaca9167cdc066e522eb67cee6edc"
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -19,17 +20,20 @@ from macrobox import (
     effective_correlator,
     effective_pair,
     effective_quad,
+    format_event,
     independent_pairs,
     jpd_averages,
     jpd_fluctuations,
     jpd_general,
     jpd_marginal,
     jpd_validity,
+    macro_distribution,
     make_deterministic_box,
     make_isotropic_box,
     make_pr_box,
     marginal,
     marginal_correlator,
+    moment_report,
     pair_correlation,
     pr_averages_high_events,
     pr_averages_jpd_closed_form,
@@ -40,10 +44,11 @@ from macrobox import (
     pr_quad_values,
 )
 from macrobox import explicit_joint, symmetry
-from macrobox.symmetry import matching_assignment_count
+from macrobox.symmetry import matching_assignment_count, parse_event
 from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
+    joint_mixture,
     mixed_denominator_box,
     no_signalling_boxes,
     signalling_joint_table,
@@ -483,11 +488,63 @@ class TestJPDSerialization:
 
 
     @staticmethod
-    def one_slot_jpd_json(schema_copies=1, setting=0, events=("(+;+)", "(-;-)")):
+    def one_slot_jpd_json(schema_copies=1, setting=0,
+                          events=("(+;+)", "(+;-)", "(-;+)", "(-;-)")):
+        """Equal outcomes at 1/2 each, the two unequal events at 0."""
         group = {"setting": setting, "copies": schema_copies}
+        entries = [{"outcomes": e, "p": "0" if e in ("(+;-)", "(-;+)") else "1/2"}
+                   for e in events]
         return json.dumps({"schema": {"alice": [group], "bob": [group]},
-                           "entries": [{"outcomes": e, "p": "1/2"} for e in events],
-                           "valid": True})
+                           "entries": entries, "valid": True})
+
+    @staticmethod
+    def two_alice_slot_jpd_json(values):
+        """Two setting-0 Alice slots and one Bob slot, ``values`` mapping
+        each listed event to its probability text."""
+        return json.dumps({
+            "schema": {"alice": [{"setting": 0, "copies": 2}],
+                       "bob": [{"setting": 0, "copies": 1}]},
+            "entries": [{"outcomes": e, "p": p} for e, p in values.items()],
+            "valid": True})
+
+    def test_incomplete_table_rejected(self):
+        with pytest.raises(ConstructionError, match=r"event \(\+,\+;\+\) is missing"):
+            SymmetricJPD.from_json(self.two_alice_slot_jpd_json({"(+,-;+)": "1"}))
+
+    def test_table_not_constant_on_an_orbit_rejected(self):
+        values = {format_event(a_out, b_out): "0"
+                  for a_out in product(OUTCOMES, repeat=2) for b_out in product(OUTCOMES, repeat=1)}
+        values["(+,-;+)"], values["(-,+;+)"] = "1/4", "3/4"
+        with pytest.raises(ConstructionError,
+                           match=r"event \(-,\+;\+\) is 3/4, but \(\+,-;\+\) in its orbit is 1/4"):
+            SymmetricJPD.from_json(self.two_alice_slot_jpd_json(values))
+        values["(-,+;+)"] = "1/4"
+        values["(+,+;+)"] = "1/2"
+        jpd = SymmetricJPD.from_json(self.two_alice_slot_jpd_json(values))
+        assert jpd.valid and jpd.total() == 1
+        assert len(jpd.orbits) == 6
+
+    @settings(max_examples=20, deadline=None)
+    @given(box=no_signalling_boxes(), copies=st.integers(min_value=1, max_value=2),
+           drop=st.booleans(), data=st.data())
+    def test_one_change_to_a_jpd_json_is_rejected(self, box, copies, drop, data):
+        text = jpd_general(independent_pairs(box, 2 * copies), copies).to_json()
+        assert SymmetricJPD.from_json(text).to_json() == text
+        payload = json.loads(text)
+        entries = payload["entries"]
+
+        def in_larger_orbit(entry):
+            a_out, b_out = parse_event(entry["outcomes"])
+            return any(len(set(side[k:k + copies])) > 1
+                       for side in (a_out, b_out) for k in range(0, len(side), copies))
+
+        if drop or copies == 1:
+            del entries[data.draw(st.integers(0, len(entries) - 1))]
+        else:
+            entry = data.draw(st.sampled_from([e for e in entries if in_larger_orbit(e)]))
+            entry["p"] = str(F(entry["p"]) + 1)
+        with pytest.raises(ConstructionError):
+            SymmetricJPD.from_json(json.dumps(payload))
 
     def test_one_slot_jpd_loads(self):
         jpd = SymmetricJPD.from_json(self.one_slot_jpd_json())
@@ -586,12 +643,21 @@ class TestSymmetrizedMemo:
         assert effective_quad(model) == first
         assert calls == []
 
-    def test_mutating_returned_entries_does_not_leak(self):
-        model = independent_pairs(make_pr_box(), 2)
-        jpd = jpd_averages(model)
-        expected = dict(jpd.entries)
-        jpd.entries.clear()
-        assert jpd_averages(model).entries == expected
+    def test_returned_tables_are_read_only(self):
+        model = independent_pairs(make_pr_box(), 4)
+        jpd = jpd_fluctuations(model)
+        quad = effective_quad(model)
+        tables = [(jpd.orbits, next(iter(jpd.orbits))),
+                  (quad.table, (0, 0, 1, 1, 1, 1)),
+                  (macro_distribution(model, 0, 0).probs, (4, 4)),
+                  (moment_report(model, 0, 0).paths, "correlation")]
+        for table, key in tables:
+            with pytest.raises(TypeError):
+                table[key] = F(1)
+        orbits = symmetry._symmetrized_entries(model, (0, 0), (0, 0))
+        assert symmetry._symmetrized_entries(model, (0, 0), (0, 0)) is orbits
+        assert jpd_fluctuations(model) == jpd
+        assert effective_quad(model) == quad
 
     def test_slot_guard_runs_before_lookup(self):
         model = independent_pairs(make_pr_box(), 3)
@@ -612,25 +678,11 @@ class TestSymmetrizedMemo:
 class TestGenericEntries:
     """The integer route of ``_symmetrized_generic_entries``."""
 
-    @staticmethod
-    def mixture(first, second, weight, n):
-        """``weight`` of ``first`` and the rest of ``second``, n pairs each,
-        as one explicit joint table."""
-        tables = [explicit_from_box(box, n).table for box in (first, second)]
-        table = {}
-        for key in tables[0]:
-            block = {}
-            for part, w in zip(tables, (weight, 1 - weight)):
-                for outcomes, p in part[key].items():
-                    block[outcomes] = block.get(outcomes, 0) + w * p
-            table[key] = block
-        return explicit_joint(n, 2, 2, table)
-
     @pytest.mark.parametrize("a_settings, b_settings",
                              [((0,), (1,)), ((0, 1), (1,)), ((1, 1), (0, 0)), ((), (0, 1))])
     def test_matches_fraction_sum_of_marginals(self, a_settings, b_settings):
         n = 3
-        model = self.mixture(mixed_denominator_box(), make_isotropic_box(F(1, 3)), F(2, 5), n)
+        model = joint_mixture(mixed_denominator_box(), make_isotropic_box(F(1, 3)), F(2, 5), n)
         block_lcms = {math.lcm(*(p.denominator for p in block.values()))
                       for block in model.table.values()}
         assert len(block_lcms) > 1
@@ -644,9 +696,15 @@ class TestGenericEntries:
                 for outcomes, p in marginal(model, spec).items():
                     expected[outcomes[:len(a_settings)], outcomes[len(a_settings):]] += p
         norm = math.perm(n, len(a_settings)) * math.perm(n, len(b_settings))
-        entries = symmetry._symmetrized_generic_entries(model, a_settings, b_settings)
-        assert list(entries) == list(expected)
-        assert entries == {key: p / norm for key, p in expected.items()}
+        orbits = symmetry._symmetrized_generic_entries(model, a_settings, b_settings)
+        by_counts = {}  # outcome counts per (side, setting) -> the sum's value
+        for (a_out, b_out), p in expected.items():
+            counts = (frozenset(Counter(zip(a_settings, a_out)).items()),
+                      frozenset(Counter(zip(b_settings, b_out)).items()))
+            assert by_counts.setdefault(counts, p) == p
+            key = (symmetry._orbit_key(a_settings, a_out), symmetry._orbit_key(b_settings, b_out))
+            assert orbits[key] == p / norm
+        assert len(orbits) == len(by_counts)
 
     def test_out_of_range_setting_raises_as_marginal_does(self):
         model = explicit_from_box(make_pr_box(), 2)
