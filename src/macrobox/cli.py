@@ -450,7 +450,12 @@ def _verify_no_signalling(model: EnsembleModel) -> tuple:
 
 def _verify_marginal_identities(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_pair`.  Check: the one-slot-per-side
-    marginals of :func:`jpd_averages`.  Needs the averages construction."""
+    marginals of :func:`jpd_averages`.  For a product model the two routes
+    are independent: the integer closed form over the box's rows against
+    the Fraction matching DP behind the JPD.  For a joint table both are
+    the generic enumeration over the model's memoised marginals, with one
+    slot per side for the pair and one slot per setting per side for the
+    JPD.  Needs the averages construction."""
     _require_construction(model)
     jpd = jpd_averages(model)
     pair = effective_pair(model)

@@ -13,12 +13,15 @@ keeps one private memo of the laws derived from it (see
 Laws are integer counts over a common denominator until they are handed
 out.  A product model's marginals are products of its box's integer rows;
 an explicit table's marginals and swap check scan the blocks it holds
-through the model's ``_support`` kernel, keyed by C-level projections of
-each outcome tuple.  An explicit table is checked on integers from the
+through the model's ``_support`` kernel.  The kernel names each joint
+outcome by one integer code, a bit per slot, so a scan keys its counts by
+the code masked to the slots it keeps (:func:`_support_counts`), and only a
+law that is handed out or reported is decoded into outcome tuples.  An
+explicit table is checked on integers from the
 JSON loader on: the loader checks each entry's integer lists once, and
 construction checks each block once, by its numerators and lcm (see
 :class:`ExplicitJoint`).  A product model's kernel streams
-up to 4^N tuples from one box; in the library only the brute-force
+up to 4^N codes from one box; in the library only the brute-force
 distribution of :mod:`macrobox.macro` reads it, and that function states
 the cost and leaves the size to its caller.
 """
@@ -30,15 +33,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .boxes import (
     ALICE,
     BOB,
+    MINUS,
     ONE,
     OUTCOMES,
+    PLUS,
     ZERO,
     PairBox,
     ValidationReport,
@@ -113,11 +117,14 @@ class EnsembleModel:
     def _support(self, settings: SettingAssignment) -> tuple:
         """``(D, pairs)``: the nonzero joint outcomes under ``settings``.
 
-        ``pairs`` yields ``(alice + bob outcomes, w)`` with integer ``w > 0``
-        and probability ``w / D``, in the order of
-        ``product(OUTCOMES, repeat=2 * n)``, skipping exactly the tuples whose
-        :meth:`_joint` is 0.  Keeping that order keeps every dict built from
-        the scan in the same insertion order as a full 4^N loop.
+        ``pairs`` yields ``(code, w)`` with integer ``w > 0`` and
+        probability ``w / D``.  ``code`` holds the 2N outcomes, Alice's
+        particles and then Bob's, one bit per slot: bit 2N-1-k is set when
+        slot k's outcome is -1 (:func:`_slot_shift`).  Codes ascend, which
+        is the order of ``product(OUTCOMES, repeat=2 * n)``, and exactly the
+        codes whose :meth:`_joint` is 0 are skipped.  Keeping that order
+        keeps every dict built from the scan in the same insertion order as
+        a full 4^N loop.
         """
         raise NotImplementedError
 
@@ -210,19 +217,25 @@ class IndependentPairs(EnsembleModel):
 
     def _support(self, settings: SettingAssignment) -> tuple:
         scale, rows = self._memoized(("support-rows",), self._scaled_rows)
-        per_pair = [rows[cell] for cell in zip(settings.alice, settings.bob)]
-        return scale ** self.n, self._support_leaves(per_pair)
+        n = self.n
+        # Per pair, its Alice outcomes in OUTCOMES order, each as (Alice's
+        # code bit, Bob's code bits, weights), the bits already shifted.
+        per_pair = [tuple(((x < 0) << _slot_shift(n, ALICE, k),
+                           tuple((y < 0) << _slot_shift(n, BOB, k) for y in ys), ws)
+                          for x, (ys, ws) in rows[cell].items())
+                    for k, cell in enumerate(zip(settings.alice, settings.bob))]
+        return scale ** n, self._support_leaves(per_pair)
 
     @staticmethod
     def _support_leaves(per_pair: list) -> Iterable:
         # Streamed, never listed: a product model's support can hold 4^N
-        # tuples.  Alice outcomes vary slowest, as in the literal loop.
+        # codes.  Alice's bits are the high ones and vary slowest.
         for alice in product(*per_pair):
-            picked = [by_x[x] for by_x, x in zip(per_pair, alice)]
-            bobs = product(*(ys for ys, _ in picked))
-            weights = product(*(ws for _, ws in picked))
+            high = sum(bit for bit, _, _ in alice)
+            bobs = product(*(bits for _, bits, _ in alice))
+            weights = product(*(ws for _, _, ws in alice))
             for bob, leaf in zip(bobs, weights):
-                yield alice + bob, prod(leaf)
+                yield high + sum(bob), prod(leaf)
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,9 @@ class ExplicitJoint(EnsembleModel):
     is reported, a missing block as summing to 0.  The model holds
     read-only views of private copies of ``table`` and its blocks, so its
     memoised laws cannot go stale, plus each block's lcm from that check,
-    which scales the block when :meth:`_support` first reads it.
+    which scales the block when :meth:`_support` first reads it, and the
+    support code of each outcome tuple the table names, computed once per
+    distinct outcome key.
     No-signalling is not enforced: signalling tables are constructible on
     purpose and flagged later by :func:`check_no_signalling` or by marginal
     completion checks.
@@ -259,6 +274,7 @@ class ExplicitJoint(EnsembleModel):
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     _scales: Mapping = field(init=False, repr=False, compare=False)
+    _codes: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, s_a, s_b = self.n, self.s_a, self.s_b
@@ -271,7 +287,7 @@ class ExplicitJoint(EnsembleModel):
         normalized = {}
         scales = {}
         faults = {}  # setting key -> its first failed entry or sum check, or None
-        outcome_keys: dict = {}  # outcome key -> ((alice, bob) tuples, lengths are n)
+        outcome_keys: dict = {}  # outcome key -> ((alice, bob) tuples, lengths are n, code)
         for key, block in self.table.items():
             sa, sb = tuple(key[0]), tuple(key[1])
             if len(sa) != n or len(sb) != n:
@@ -300,6 +316,8 @@ class ExplicitJoint(EnsembleModel):
                         raise ConstructionError(fault)
         object.__setattr__(self, "table", MappingProxyType(normalized))
         object.__setattr__(self, "_scales", MappingProxyType(scales))
+        object.__setattr__(self, "_codes", MappingProxyType(
+            {outcomes: code for outcomes, fits, code in outcome_keys.values() if fits}))
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
@@ -308,11 +326,10 @@ class ExplicitJoint(EnsembleModel):
 
     def _support(self, settings: SettingAssignment) -> tuple:
         key = (settings.alice, settings.bob)
-        scale = self._scales[key]
-        # Descending order of the +1/-1 tuples is product(OUTCOMES) order.
+        scale, codes = self._scales[key], self._codes
         return self._memoized(("support", key), lambda: (scale, tuple(sorted(
-            ((oa + ob, p.numerator * (scale // p.denominator))
-             for (oa, ob), p in self.table[key].items() if p != 0), reverse=True))))
+            (codes[outcomes], p.numerator * (scale // p.denominator))
+            for outcomes, p in self.table[key].items() if p != 0))))
 
 
 def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
@@ -324,7 +341,8 @@ def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
     first entry with an outcome tuple of the wrong length or a negative
     numerator, else of a total other than 1, else None; the total is the
     numerators summed per denominator and rescaled to their lcm ``scale``.
-    ``outcome_keys`` caches each outcome key's normalised tuples across
+    ``outcome_keys`` caches each outcome key's normalised tuples, whether
+    they list ``n`` outcomes per side, and then their support code, across
     blocks.
     """
     entries = {}
@@ -337,8 +355,10 @@ def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
             if any(v not in OUTCOMES for v in oa + ob):
                 raise ConstructionError(
                     f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
-            checked = outcome_keys[ok] = ((oa, ob), len(oa) == n == len(ob))
-        outcomes, fits = checked
+            fits = len(oa) == n == len(ob)
+            checked = outcome_keys[ok] = ((oa, ob), fits,
+                                          _outcome_code(n, oa, ob) if fits else None)
+        outcomes, fits, _ = checked
         entries[outcomes] = p = as_rational(p)
         numerator, denominator = p.numerator, p.denominator
         if fault is None:
@@ -355,6 +375,14 @@ def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
             fault = (f"outcomes for setting assignment {sa};{sb} sum to "
                      f"{Fraction(total, scale)}, not 1")
     return entries, fault, scale
+
+
+def _outcome_code(n: int, alice: tuple, bob: tuple) -> int:
+    """The support code of one joint outcome of ``n`` pairs (see
+    :meth:`EnsembleModel._support`)."""
+    return sum(1 << _slot_shift(n, side, particle)
+               for side, outcomes in ((ALICE, alice), (BOB, bob))
+               for particle, o in enumerate(outcomes) if o < 0)
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -439,21 +467,55 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
     return tuple(slots)
 
 
+def _slot_shift(n: int, side: str, particle: int) -> int:
+    """The bit of slot (side, particle) in a support code: 2N-1-k for the
+    combined slot k, Alice's particles first."""
+    return 2 * n - 1 - (particle if side == ALICE else n + particle)
+
+
 def _support_counts(model: EnsembleModel, settings: SettingAssignment,
-                    key: Callable[[tuple], object]) -> tuple:
-    """``(D, counts)``: the exact law of ``key(alice + bob outcomes)`` under
-    ``settings`` as integer counts over the common denominator ``D``.
+                    mask: int) -> tuple:
+    """``(D, counts)``: the exact law of ``code & mask`` under ``settings``
+    as integer counts over the common denominator ``D``.
 
     Scans the model's nonzero support once and sums the integer weights per
-    key.  Keys appear in the order of their first support tuple, and every
-    count is positive.
+    masked code, so the law is over the slots whose bits ``mask`` keeps.
+    Masked codes appear in the order of their first support code, and every
+    count is positive; :func:`_decoded` turns them into outcome tuples.
     """
     scale, support = model._support(settings)
     counts: dict = {}
-    for combined, weight in support:
-        k = key(combined)
-        counts[k] = counts.get(k, 0) + weight
+    get = counts.get
+    for code, weight in support:
+        code &= mask
+        counts[code] = get(code, 0) + weight
     return scale, counts
+
+
+def _side_sum_counts(model: EnsembleModel, settings: SettingAssignment) -> tuple:
+    """``(D, counts)``: the exact law of (sum of Alice's outcomes, sum of
+    Bob's) under ``settings``, as integer counts over ``D``.
+
+    Streams the model's nonzero support once, keying each code by the
+    popcounts of its halves (Alice's bits are the high N), so a product
+    model's 4^N codes are never listed.
+    """
+    n = model.n
+    low = (1 << n) - 1
+    scale, support = model._support(settings)
+    counts: dict = {}
+    for code, weight in support:
+        key = (n - 2 * (code >> n).bit_count(), n - 2 * (code & low).bit_count())
+        counts[key] = counts.get(key, 0) + weight
+    return scale, counts
+
+
+def _decoded(scale: int, counts: dict, shifts: Sequence[int]) -> tuple:
+    """``(D, counts)`` with the masked support codes of ``counts`` re-keyed,
+    in the same order, by the outcome tuples of the slots whose bits are
+    ``shifts``."""
+    return scale, {tuple([MINUS if code >> shift & 1 else PLUS for shift in shifts]): count
+                   for code, count in counts.items()}
 
 
 def _as_law(scale: int, counts: dict) -> dict:
@@ -477,30 +539,17 @@ def _same_law(scale: int, counts: dict, other_scale: int, other_counts: dict) ->
 def _marginal_counts(model: EnsembleModel, slots: tuple,
                      fill_a: int, fill_b: int) -> tuple:
     """``(D, counts)`` of the marginal over the nonzero support (at most 4^N
-    tuples) of one setting assignment, with fixed completion settings."""
-    settings_a = [fill_a] * model.n
-    settings_b = [fill_b] * model.n
-    positions = []
+    codes) of one setting assignment, with fixed completion settings,
+    keyed by masked support codes."""
+    n = model.n
+    settings_a = [fill_a] * n
+    settings_b = [fill_b] * n
+    mask = 0
     for side, particle, setting in slots:
-        if side == ALICE:
-            settings_a[particle] = setting
-            positions.append(particle)
-        else:
-            settings_b[particle] = setting
-            positions.append(model.n + particle)
+        (settings_a if side == ALICE else settings_b)[particle] = setting
+        mask |= 1 << _slot_shift(n, side, particle)
     settings = SettingAssignment(alice=tuple(settings_a), bob=tuple(settings_b))
-    return _support_counts(model, settings, _projection(positions))
-
-
-def _projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """The C-level key ``combined -> tuple(combined[pos] for pos in positions)``.
-
-    ``itemgetter`` of one index returns the bare item, so one position reads
-    a one-item slice instead, which keeps the key a 1-tuple.
-    """
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    return _support_counts(model, settings, mask)
 
 
 def _product_marginal_counts(model: IndependentPairs, slots: tuple,
@@ -511,34 +560,39 @@ def _product_marginal_counts(model: IndependentPairs, slots: tuple,
     A particle whose partner slot is not listed is summed out through the
     completion setting ``fill_a``/``fill_b`` on the opposite side, which is
     exactly where a signalling box would leak.  ``D`` is the box scale to
-    the power of the number of involved pairs; keys follow
-    ``product(OUTCOMES, repeat=len(slots))`` and every count is positive.
+    the power of the number of involved pairs, and every count is positive.
+    Keys are masked support codes, as :func:`_marginal_counts` gives them,
+    and in the same order: that of their first support code, which takes
+    each involved pair's first nonzero cell with the key's outcomes.
     """
     scale, rows = model._memoized(("support-rows",), model._scaled_rows)
+    n = model.n
     per_pair: dict = {}
-    for position, (side, particle, setting) in enumerate(slots):
-        per_pair.setdefault(particle, {})[side] = (position, setting)
-    factors = []  # (positions of the pair's listed slots, counts over their outcomes)
-    for sides in per_pair.values():
-        pos_a, i = sides.get(ALICE, (None, fill_a))
-        pos_b, j = sides.get(BOB, (None, fill_b))
-        listed = (pos_a is not None, pos_b is not None)
-        table: dict = {}
-        for x, (ys, ws) in rows[(i, j)].items():
+    for side, particle, setting in slots:
+        per_pair.setdefault(particle, {})[side] = setting
+    factors = []  # per pair: [first support code, masked code, weight]
+    for particle, sides in per_pair.items():
+        shift_a, shift_b = _slot_shift(n, ALICE, particle), _slot_shift(n, BOB, particle)
+        mask = (ALICE in sides) << shift_a | (BOB in sides) << shift_b
+        options: dict = {}
+        # Rows list x, then y, in OUTCOMES order, so a masked code first
+        # meets its smallest support code.
+        for x, (ys, ws) in rows[(sides.get(ALICE, fill_a), sides.get(BOB, fill_b))].items():
             for y, w in zip(ys, ws):
-                key = tuple(o for o, keep in zip((x, y), listed) if keep)
-                table[key] = table.get(key, 0) + w
-        factors.append((tuple(pos for pos in (pos_a, pos_b) if pos is not None), table))
-    counts = {}
-    for assignment in product(OUTCOMES, repeat=len(slots)):
-        weight = 1
-        for positions, table in factors:
-            weight *= table.get(tuple(assignment[pos] for pos in positions), 0)
-            if not weight:
-                break
-        if weight:
-            counts[assignment] = weight
-    return scale ** len(factors), counts
+                code = (x < 0) << shift_a | (y < 0) << shift_b
+                key = code & mask
+                if key in options:
+                    options[key][2] += w
+                else:
+                    options[key] = [code, key, w]
+        factors.append(options.values())
+    laws = []  # (first support code, masked code, weight)
+    for combo in product(*factors):
+        first, key, weight = 0, 0, 1
+        for code, bits, w in combo:
+            first, key, weight = first | code, key | bits, weight * w
+        laws.append((first, key, weight))
+    return scale ** len(factors), {key: weight for _, key, weight in sorted(laws)}
 
 
 def marginal(model: EnsembleModel, spec: Sequence) -> dict:
@@ -558,7 +612,9 @@ def marginal(model: EnsembleModel, spec: Sequence) -> dict:
     only (0, 0) is computed.
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
-    outcome tuples with zero probability are omitted.
+    outcome tuples with zero probability are omitted, and the rest are in
+    the order a literal loop over ``product(OUTCOMES, repeat=2 * n)`` first
+    meets them, on either kind of model.
 
     The model memoises the integer count law of :func:`_checked_marginal`,
     keyed by the normalised slots; each call builds a fresh Fraction dict
@@ -585,12 +641,14 @@ def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
     read-only, so the (1, 1) completion could not differ and is not
     computed.  Any other model scans the support (:func:`_marginal_counts`)
     under the (0, 0) completion and under the (1, 1) completion (0 on a
-    side with one setting), and compares the two with :func:`_same_law`.
+    side with one setting), and compares the two on masked codes with
+    :func:`_same_law`.  The stored law is decoded into outcome tuples once;
     Fractions are built only for a mismatch, to carry both laws on the
     error.
     """
+    shifts = [_slot_shift(model.n, side, particle) for side, particle, _ in slots]
     if isinstance(model, IndependentPairs):
-        return _product_marginal_counts(model, slots, 0, 0)
+        return _decoded(*_product_marginal_counts(model, slots, 0, 0), shifts)
     alt_a = 1 if model.s_a > 1 else 0
     alt_b = 1 if model.s_b > 1 else 0
     scale, counts = _marginal_counts(model, slots, 0, 0)
@@ -600,8 +658,9 @@ def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
             raise SignallingError(
                 f"marginal over {slots} depends on the completion settings "
                 f"(fill (0,0) vs ({alt_a},{alt_b})): the model signals",
-                first=_as_law(scale, counts), second=_as_law(alt_scale, alt_counts))
-    return scale, counts
+                first=_as_law(*_decoded(scale, counts, shifts)),
+                second=_as_law(*_decoded(alt_scale, alt_counts, shifts)))
+    return _decoded(scale, counts, shifts)
 
 
 def marginal_correlator(model: EnsembleModel, spec: Sequence) -> Fraction:
@@ -640,10 +699,11 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
 
     Loops over one combined 2N-slot setting context (Alice's settings, then
     Bob's) with the swapped slot pinned at 0 and swapped to each setting.
-    Cost is s^(2N) scans of the nonzero support (at most 4^N tuples each);
+    Cost is s^(2N) scans of the nonzero support (at most 4^N codes each);
     on a joint table each scan reads a block the model already holds.  The
-    laws are compared as integer counts (:func:`_same_law`); Fractions are
-    built only for a mismatch, to report its worst residual.
+    laws are compared as integer counts keyed by the codes with the swapped
+    slot's bit cleared (:func:`_same_law`); a mismatch is decoded into
+    outcome tuples and Fractions, to report its worst residual.
     """
     n = model.n
     violations = []
@@ -652,7 +712,9 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
             continue
         for particle in range(n):
             skip = offset + particle
-            others = _projection([k for k in range(2 * n) if k != skip])
+            shifts = [_slot_shift(n, s, k) for s in (ALICE, BOB) for k in range(n)
+                      if (s, k) != (side, particle)]
+            others = sum(1 << shift for shift in shifts)
             for context in product(*([range(model.s_a)] * n + [range(model.s_b)] * n)):
                 if context[skip] != 0:
                     continue  # pin the swapped slot; loop below swaps it
@@ -664,8 +726,8 @@ def _swap_scan(model: EnsembleModel) -> ValidationReport:
                 base_setting, (base_scale, base_counts) = dists[0]
                 for swapped, (scale, counts) in dists[1:]:
                     if not _same_law(base_scale, base_counts, scale, counts):
-                        base = _as_law(base_scale, base_counts)
-                        other = _as_law(scale, counts)
+                        base = _as_law(*_decoded(base_scale, base_counts, shifts))
+                        other = _as_law(*_decoded(scale, counts, shifts))
                         keys = set(base) | set(other)
                         worst = max(
                             keys,

@@ -41,7 +41,7 @@ from .ensemble import (
     IndependentPairs,
     SettingAssignment,
     _as_law,
-    _support_counts,
+    _side_sum_counts,
     marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
@@ -93,20 +93,19 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
     fresh particles a, a+1, ....  Each term is weighted by
     :func:`matching_assignment_count`; a term of weight 0 (too few pairs
     for that many distinct particles) is never evaluated, so no
-    out-of-range particle is asked for.
+    out-of-range particle is asked for.  The terms are summed on integers
+    (:func:`_weighted_sum`).
     """
     n = model.n
     a, b = len(alice_settings), len(bob_settings)
     if not isinstance(model, IndependentPairs):
-        total = ZERO
-        for alice in permutations(range(n), a):
-            alice_spec = [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
-            for bob in permutations(range(n), b):
-                total += marginal_correlator(
-                    model, alice_spec + [(BOB, l, s) for l, s in zip(bob, bob_settings)])
-        return total
+        return _weighted_sum(
+            (1, marginal_correlator(
+                model, [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
+                + [(BOB, l, s) for l, s in zip(bob, bob_settings)]))
+            for alice in permutations(range(n), a) for bob in permutations(range(n), b))
     alice_spec = [(ALICE, u, s) for u, s in enumerate(alice_settings)]
-    total = ZERO
+    terms = []
     for partners in product(range(a + 1), repeat=b):  # a marks an unmatched slot
         matched = [u for u in partners if u < a]
         if len(set(matched)) < len(matched):
@@ -116,8 +115,21 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
             fresh = iter(range(a, a + b))
             bob_spec = [(BOB, u if u < a else next(fresh), s)
                         for u, s in zip(partners, bob_settings)]
-            total += weight * marginal_correlator(model, alice_spec + bob_spec)
-    return total
+            terms.append((weight, marginal_correlator(model, alice_spec + bob_spec)))
+    return _weighted_sum(terms)
+
+
+def _weighted_sum(terms) -> Fraction:
+    """The sum of ``weight * value`` over ``(weight, value)`` terms, on
+    integers: each term's weight times its value's numerator is added to
+    the sum for that denominator, and one Fraction is built at the end.
+    No terms sum to 0."""
+    by_denominator: dict = {}  # denominator -> summed weight * numerator
+    for weight, value in terms:
+        d = value.denominator
+        by_denominator[d] = by_denominator.get(d, 0) + weight * value.numerator
+    scale = math.lcm(*by_denominator)
+    return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
 
 
 def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
@@ -130,21 +142,14 @@ def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
     from :func:`odd_multiplicity_counts`.  A term whose count is 0 is never
     evaluated, so no correlator is asked for more slots than N pairs hold,
     and the empty correlator is 1 without being computed.  The sum runs on
-    integers: each term's count times its correlator's numerator is added
-    to the sum for that denominator, and the moment's one Fraction is
+    integers (:func:`_weighted_sum`), and the moment's one Fraction is
     built at the end.
     """
     counts_a = odd_multiplicity_counts(p, n)
     counts_b = odd_multiplicity_counts(q, n)
-    by_denominator: dict = {}  # denominator -> summed count * numerator
-    for r, count_r in enumerate(counts_a):
-        for s, count_s in enumerate(counts_b):
-            if count_r and count_s:
-                value = ONE if r == s == 0 else correlator(r, s)
-                d = value.denominator
-                by_denominator[d] = by_denominator.get(d, 0) + count_r * count_s * value.numerator
-    scale = math.lcm(*by_denominator)
-    return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
+    return _weighted_sum((count_r * count_s, ONE if r == s == 0 else correlator(r, s))
+                         for r, count_r in enumerate(counts_a)
+                         for s, count_s in enumerate(counts_b) if count_r and count_s)
 
 
 def _moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
@@ -313,23 +318,24 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
 def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
     """Oracle: sum the microscopic joint law under uniform settings.
 
-    Scans the model's nonzero support and deliberately shares no machinery
-    with the convolution of :func:`macro_distribution` or with the
-    effective-distribution and coincidence-expansion routes, so it is the
-    independent check for all of them.  A joint table's scan reads one
-    block it already holds.  A product model streams up to 4^N outcome
-    tuples from one box (``isotropic:1/3``: 7 ms at N = 6, 0.5 s at N = 9
-    on a 2-core Xeon, four times longer per extra pair), so the caller
-    picks the size: ``verify``'s oracle-agreement row runs it on a product
-    model only up to ``VERIFY_EXHAUSTIVE_LIMIT``.  Its callers are
-    that row, :func:`macro_distribution` for models that are not
-    independent pairs, and the tests.
+    Streams the model's nonzero support once and sums its integer weights
+    per (A, B), the sums of each side's outcomes
+    (:func:`~macrobox.ensemble._side_sum_counts`), so no support is
+    listed.  It deliberately shares no machinery with the convolution of
+    :func:`macro_distribution` or with the effective-distribution and
+    coincidence-expansion routes, so it is the independent check for all
+    of them.  A joint table's scan reads one block it already holds.  A
+    product model streams up to 4^N codes from one box (``isotropic:1/3``:
+    6 ms at N = 6, 0.35 s at N = 9 on a 2-core Xeon, four times longer per
+    extra pair), so the caller picks the size: ``verify``'s
+    oracle-agreement row runs it on a product model only up to
+    ``VERIFY_EXHAUSTIVE_LIMIT``.  Its callers are that row,
+    :func:`macro_distribution` for models that are not independent pairs,
+    and the tests.
     """
     _require_settings(model, i, j)
-    n = model.n
-    law = _as_law(*_support_counts(model, SettingAssignment.uniform(n, i, j),
-                                   lambda combined: (sum(combined[:n]), sum(combined[n:]))))
-    return _on_grid(n, i, j, lambda key: law.get(key, ZERO))
+    law = _as_law(*_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j)))
+    return _on_grid(model.n, i, j, lambda key: law.get(key, ZERO))
 
 
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:

@@ -44,8 +44,10 @@ from typing import Mapping, Sequence
 from .boxes import (
     ALICE,
     BOB,
+    MINUS,
     ONE,
     OUTCOMES,
+    PLUS,
     ZERO,
     PairBox,
     as_rational,
@@ -99,14 +101,21 @@ def effective_pair(model: EnsembleModel) -> PairBox:
 
     The result is the single pair of boxes that macroscopic correlation
     measurements cannot distinguish from the full N-pair ensemble.  Each
-    setting pair is the one-slot-per-side symmetrized distribution, so
-    product models go through the matching DP and other models through the
+    setting pair is the one-slot-per-side symmetrized distribution.  A
+    product model takes the integer closed form of :func:`_pair_closed_form`,
+    p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j); the matching DP behind
+    :func:`jpd_averages` is its check.  Other models go through the
     explicit enumeration of particle pairs.
     """
     table = {}
     for i in range(model.s_a):
         for j in range(model.s_b):
-            for ((x,), (y,)), p in _symmetrized_entries(model, (i,), (j,)).items():
+            if isinstance(model, IndependentPairs):
+                row = _pair_closed_form(model.box, model.n, i, j)
+            else:
+                row = {(x, y): p for ((x,), (y,)), p
+                       in _symmetrized_entries(model, (i,), (j,)).items()}
+            for (x, y), p in row.items():
                 table[(i, j, x, y)] = p
     box = PairBox(s_a=model.s_a, s_b=model.s_b, table=table)
     report = validate_pairbox(box)
@@ -304,17 +313,39 @@ def effective_quad(model: EnsembleModel) -> QuadDistribution:
     return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
 
 
+def _scaled_row(box: PairBox, i: int, j: int) -> tuple:
+    """``(L, weights)`` for setting pair (i, j): the lcm L of the row's four
+    cells and ``weights[(x, y)] = L p(x, y | i, j)``, in OUTCOMES order."""
+    cells = {(x, y): box.prob(i, j, x, y) for x in OUTCOMES for y in OUTCOMES}
+    scale = math.lcm(*(p.denominator for p in cells.values()))
+    return scale, {key: p.numerator * (scale // p.denominator) for key, p in cells.items()}
+
+
+def _pair_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
+    """The effective pair's (i, j) row of N independent copies of ``box``:
+    (x, y) -> p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j), in OUTCOMES order.
+
+    One of the N^2 particle pairs is a true pair; the others are two
+    independent particles.  On the row's integers, with P = L p(x, y),
+    A = L p_a(x) and B = L p_b(y) from :func:`_scaled_row`, each cell is the
+    one Fraction (L P + (N-1) A B) / (N L^2).
+    """
+    scale, weights = _scaled_row(box, i, j)
+    alice = {x: weights[(x, PLUS)] + weights[(x, MINUS)] for x in OUTCOMES}
+    bob = {y: weights[(PLUS, y)] + weights[(MINUS, y)] for y in OUTCOMES}
+    return {(x, y): Fraction(scale * w + (n - 1) * alice[x] * bob[y], n * scale * scale)
+            for (x, y), w in weights.items()}
+
+
 def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
     """``(L, P, A, B)`` for setting pair (i, j): the lcm L of the row's four
     cells, and L times the pair correlation <a_i b_j> and the means <a_i>
     and <b_j>, all read from the row itself."""
-    cells = [(x, y, box.prob(i, j, x, y)) for x in OUTCOMES for y in OUTCOMES]
-    scale = math.lcm(*(p.denominator for _, _, p in cells))
-    weights = [(x, y, p.numerator * (scale // p.denominator)) for x, y, p in cells]
+    scale, weights = _scaled_row(box, i, j)
     return (scale,
-            sum(x * y * w for x, y, w in weights),
-            sum(x * w for x, _, w in weights),
-            sum(y * w for _, y, w in weights))
+            sum(x * y * w for (x, y), w in weights.items()),
+            sum(x * w for (x, _), w in weights.items()),
+            sum(y * w for (_, y), w in weights.items()))
 
 
 def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: int,
@@ -433,8 +464,9 @@ class SymmetricJPD:
     def from_json(text: str) -> "SymmetricJPD":
         """Load a JPD from its :meth:`to_json` form: integer schema fields,
         nonnegative and strictly ascending settings per side, ``copies >= 1``,
-        and every event listed once with one outcome per slot and the same
-        value as every other event of its orbit."""
+        every event listed once with one outcome per slot and the same
+        value as every other event of its orbit, and a ``"valid"`` flag that
+        is a JSON bool equal to :attr:`valid` of the entries."""
         try:
             data = json.loads(text)
         except ValueError as exc:
@@ -472,9 +504,18 @@ class SymmetricJPD:
                 if entries[event] != p:
                     raise ValueError(f"event {format_event(*event)} is {entries[event]}, but "
                                      f"{format_event(*key)} in its orbit is {p}")
+            jpd = SymmetricJPD(schema_a, schema_b, orbits)
+            if "valid" not in data:
+                raise ValueError('the "valid" flag is missing')
+            claimed = data["valid"]
+            if type(claimed) is not bool:
+                raise ValueError(f'"valid" must be true or false, got {claimed!r}')
+            if claimed != jpd.valid:
+                raise ValueError(f'"valid" is {json.dumps(claimed)}, but the entries '
+                                 f"make it {json.dumps(jpd.valid)}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed jpd JSON: {exc}") from exc
-        return SymmetricJPD(schema_a, schema_b, orbits)
+        return jpd
 
 
 def _slot_settings(schema: tuple) -> tuple:

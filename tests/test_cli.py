@@ -13,8 +13,10 @@ from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
 from tests.conftest import (
     THREE_FAULT_VIOLATIONS,
+    cross_pair_signalling_table,
     explicit_from_box,
     joint_mixture,
+    mixed_completion_signalling_table,
     mixed_denominator_box,
     signalling_joint_table,
     three_fault_box,
@@ -426,6 +428,31 @@ class TestVerifyOutput:
             "SKIP averages-jpd-validity: construction needs n >= 2\n"
             "SKIP fluctuations-jpd: construction needs n >= 4\n"
             "result: FAIL (7 checks, 2 failed, 3 skipped)\n")
+
+    @pytest.mark.parametrize("table, no_signalling, first_marginal, path_marginal", [
+        (cross_pair_signalling_table(), "('A', 0, 0, 1, (0, 0), (0, 0)): marginal of the "
+         "other particles changes when (A,0) swaps setting 0 -> 1 (residual -1/8)",
+         "(('A', 1, 0), ('B', 1, 0))", "(('B', 1, 0),)"),
+        (mixed_completion_signalling_table(), "('A', 0, 0, 1, (0, 0), (0, 0)): marginal of "
+         "the other particles changes when (A,0) swaps setting 0 -> 1 (residual 1/8)",
+         "(('A', 0, 0), ('B', 0, 0))", "(('B', 0, 0), ('B', 1, 0))"),
+    ], ids=["cross-pair", "mixed-completion"])
+    def test_two_pair_signalling_files_text(self, capsys, tmp_path, table, no_signalling,
+                                            first_marginal, path_marginal):
+        path = write_joint_file(tmp_path / "table.json", table, 2)
+        code, out, err = run_cli(capsys, ["verify", "--box", f"file:{path}"])
+        assert (code, err) == (1, "")
+        signals = ("depends on the completion settings (fill (0,0) vs (1,1)): "
+                   "the model signals")
+        assert out == (
+            "PASS normalization: joint table normalized for every assignment\n"
+            f"FAIL no-signalling: no-signalling at {no_signalling}\n"
+            f"FAIL marginal-identities: marginal over {first_marginal} {signals}\n"
+            f"FAIL path-agreement: marginal over {path_marginal} {signals}\n"
+            f"FAIL oracle-agreement: marginal over {first_marginal} {signals}\n"
+            "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
+            "SKIP fluctuations-jpd: construction needs n >= 4\n"
+            "result: FAIL (7 checks, 4 failed, 1 skipped)\n")
 
     @pytest.mark.parametrize("route, row, n", [
         ("check_no_signalling", "no-signalling", 2),

@@ -34,8 +34,10 @@ from macrobox import (
 )
 from macrobox.ensemble import (
     _as_law,
+    _decoded,
     _marginal_counts,
     _product_marginal_counts,
+    _slot_shift,
     _swap_scan,
 )
 from tests.conftest import (
@@ -53,8 +55,10 @@ F = Fraction
 
 
 def _marginal_by_enumeration(model, slots, fill_a, fill_b):
-    """Marginal law over the support scan under a fixed completion."""
-    return _as_law(*_marginal_counts(model, slots, fill_a, fill_b))
+    """Marginal law over the support scan under a fixed completion, its
+    masked codes decoded into outcome tuples."""
+    shifts = [_slot_shift(model.n, side, particle) for side, particle, _ in slots]
+    return _as_law(*_decoded(*_marginal_counts(model, slots, fill_a, fill_b), shifts))
 
 
 class TestIndependentPairs:
@@ -476,15 +480,19 @@ class TestSupportKernel:
                     assert isinstance(support, Iterator)  # streamed, not listed
                 kernel = [(c, w) for c, w in support]
                 assert all(isinstance(w, int) and w > 0 for _, w in kernel)
+                codes = [c for c, _ in kernel]
+                assert all(isinstance(c, int) for c in codes) and codes == sorted(set(codes))
+                # Bit 2n-1-k of a code is set when slot k's outcome is -1.
                 # Same tuples in the same order: every tuple the kernel skips
                 # has _joint equal to 0.
-                assert [(c, F(w, scale)) for c, w in kernel] == \
-                    list(literal_law(model, settings_, lambda c: c).items())
+                decoded = [(tuple(-1 if c >> (2 * n - 1 - k) & 1 else 1 for k in range(2 * n)),
+                            F(w, scale)) for c, w in kernel]
+                assert decoded == list(literal_law(model, settings_, lambda c: c).items())
         for spec in ([("A", 0, 1)], [("B", n - 1, 1)], [("A", 0, 0), ("B", 0, 1)],
                      [("A", n - 1, 1), ("B", 0, 0)]):
             for fill in ((0, 0), (1, 1)):
-                assert _marginal_by_enumeration(model, tuple(spec), *fill) == \
-                    literal_marginal(model, spec, *fill)
+                assert list(_marginal_by_enumeration(model, tuple(spec), *fill).items()) == \
+                    list(literal_marginal(model, spec, *fill).items())
         report = check_no_signalling(model)
         assert [(v.where, v.residual) for v in report.violations] == \
             literal_swap_violations(model)
@@ -508,6 +516,62 @@ class TestSupportKernel:
         model = explicit_joint(n, 2, 2, table)
         assert not check_no_signalling(model).ok
         self.assert_matches_literal(model)
+
+
+@st.composite
+def shuffled_specs(draw, n):
+    """A nonempty spec over distinct (side, particle) slots in any order, so
+    Bob may come before Alice and particles may descend."""
+    slots = [(side, particle) for side in ("A", "B") for particle in range(n)]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=min(4, 2 * n),
+                           unique=True))
+    return [(side, particle, draw(st.integers(0, 1))) for side, particle in chosen]
+
+
+class TestMarginalOrder:
+    """``marginal`` keys come in the order the literal 4^N loop meets them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3),
+           data=st.data())
+    @example(box=make_pr_box(), n=2, data=None)
+    def test_values_and_key_order_match_the_literal_loop(self, box, n, data):
+        if data is None:
+            # On the PR box the partner of Alice particle 0 fixes the first
+            # support code of each key, so product(OUTCOMES) order over the
+            # spec is not the literal order here.
+            specs = [[("A", 1, 0), ("B", 0, 0)], [("B", 1, 1), ("A", 0, 0)],
+                     [("B", 1, 0), ("A", 1, 1), ("A", 0, 0)]]
+        else:
+            specs = [data.draw(shuffled_specs(n)) for _ in range(3)]
+        for build in (independent_pairs, explicit_from_box):
+            model = build(box, n)
+            for spec in specs:
+                literal = literal_marginal(model, spec, 0, 0)
+                assert list(marginal(model, spec).items()) == list(literal.items())
+
+
+class TestSignallingTablesUnchanged:
+    """The crafted signalling tables raise the same ``SignallingError``, with
+    the same laws in the same key order."""
+
+    @pytest.mark.parametrize("table, n, spec, first, second", [
+        (signalling_joint_table(), 1, [("A", 0, 0)],
+         [((1,), F(1, 2)), ((-1,), F(1, 2))], [((1,), F(1))]),
+        (cross_pair_signalling_table(), 2, [("B", 1, 0)],
+         [((1,), F(1, 2)), ((-1,), F(1, 2))], [((1,), F(1))]),
+        (mixed_completion_signalling_table(), 2, [("A", 0, 0), ("B", 0, 0)],
+         [((x, y), F(1, 4)) for x in OUTCOMES for y in OUTCOMES],
+         [((1, 1), F(1, 2)), ((-1, 1), F(1, 2))]),
+    ])
+    def test_error_text_and_laws(self, table, n, spec, first, second):
+        with pytest.raises(SignallingError) as exc:
+            marginal(explicit_joint(n, 2, 2, table), spec)
+        assert str(exc.value) == (
+            f"marginal over {tuple(spec)} depends on the completion settings "
+            f"(fill (0,0) vs (1,1)): the model signals")
+        assert list(exc.value.first.items()) == first
+        assert list(exc.value.second.items()) == second
 
 
 def marginal_specs(n):
@@ -751,7 +815,9 @@ class TestProductMarginalCounts:
             for fill in self.COMPLETIONS:
                 scale, counts = _product_marginal_counts(model, slots, *fill)
                 assert all(isinstance(c, int) and c > 0 for c in counts.values())
-                assert _as_law(scale, counts) == _marginal_by_enumeration(model, slots, *fill)
+                # Same masked codes, values and key order as the scan.
+                assert list(_as_law(scale, counts).items()) == \
+                    list(_as_law(*_marginal_counts(model, slots, *fill)).items())
 
     @settings(max_examples=10, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))

@@ -43,7 +43,7 @@ from macrobox import (
     pr_quad_correlator,
     pr_quad_values,
 )
-from macrobox import explicit_joint, symmetry
+from macrobox import ensemble, explicit_joint, symmetry
 from macrobox.symmetry import matching_assignment_count, parse_event
 from tests.conftest import (
     cross_pair_signalling_table,
@@ -130,6 +130,18 @@ class TestEffectivePair:
                 mixed = (F(n - 1, n) * box.marginal_a(i, x) * box.marginal_b(j, y)
                          + F(1, n) * box.prob(i, j, x, y))
                 assert eff.prob(i, j, x, y) == mixed
+
+    @settings(max_examples=40, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=6))
+    def test_integer_closed_form_matches_matching_dp(self, box, n):
+        # The product route's integer closed form against the Fraction
+        # matching DP, each on its own model so no memo is shared, and in
+        # the DP's (i, j, x, y) order.
+        eff = effective_pair(independent_pairs(box, n))
+        model = independent_pairs(box, n)
+        expected = {(i, j, x, y): p for i, j in SETTINGS
+                    for ((x,), (y,)), p in symmetry._symmetrized_entries(model, (i,), (j,)).items()}
+        assert list(eff.table.items()) == list(expected.items())
 
     def test_signalling_model_rejected(self, signalling_model):
         with pytest.raises(SignallingError):
@@ -580,6 +592,34 @@ class TestJPDSerialization:
                            match="malformed jpd JSON: .*nonnegative and strictly ascending"):
             SymmetricJPD.from_json(json.dumps(data))
 
+    def test_valid_flag_missing_rejected(self):
+        data = json.loads(self.one_slot_jpd_json())
+        del data["valid"]
+        with pytest.raises(ConstructionError,
+                           match='malformed jpd JSON: the "valid" flag is missing'):
+            SymmetricJPD.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value", ["banana", 1, 0, None, "true"])
+    def test_valid_flag_not_a_bool_rejected(self, value):
+        data = json.loads(self.one_slot_jpd_json())
+        data["valid"] = value
+        with pytest.raises(ConstructionError, match='"valid" must be true or false'):
+            SymmetricJPD.from_json(json.dumps(data))
+
+    def test_valid_flag_must_match_the_entries(self):
+        # The closed form at n = 1 has negative entries, so it is not valid.
+        data = json.loads(pr_averages_jpd_closed_form(1).to_json())
+        assert data["valid"] is False
+        data["valid"] = True
+        with pytest.raises(ConstructionError,
+                           match='"valid" is true, but the entries make it false'):
+            SymmetricJPD.from_json(json.dumps(data))
+        data = json.loads(self.one_slot_jpd_json())
+        data["valid"] = False
+        with pytest.raises(ConstructionError,
+                           match='"valid" is false, but the entries make it true'):
+            SymmetricJPD.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("field, value", [("copies", 1.5), ("copies", True),
                                               ("copies", "1"), ("setting", 0.0)])
     def test_non_integer_schema_rejected(self, field, value):
@@ -626,16 +666,17 @@ class TestSymmetrizedMemo:
     def test_second_quad_does_no_new_work(self, monkeypatch, build):
         calls = []
 
-        def counted(name):
-            original = getattr(symmetry, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("marginal", "_symmetrized_product_entry"):
-            monkeypatch.setattr(symmetry, name, counted(name))
+        # Every marginal, memoised or not, reads its count law.
+        counted(ensemble, "_marginal_count_law")
+        counted(symmetry, "_symmetrized_product_entry")
         model = build(make_isotropic_box(F(1, 3)), 3)
         first = effective_quad(model)
         assert calls
