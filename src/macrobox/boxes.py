@@ -5,15 +5,17 @@ A pair box is a conditional probability table p(x, y | i, j) over two binary
 settings.  Every probability is an int or a `fractions.Fraction`
 (construction rejects anything else), so all identities checked elsewhere
 in the package are exact; floats appear only in the eigenvalue extraction
-of :mod:`macrobox.macro`.  Validation scales the cells by their lcm and
-checks integers.
+of :mod:`macrobox.macro`.  A box also holds its integer form, every cell
+of the settings x outcomes grid scaled by the grid's lcm; validation and
+every product-model kernel read that form, and nothing else rescales the
+cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
@@ -108,40 +110,60 @@ class PairBox:
     """Probability table of one bipartite box.
 
     ``table`` maps (alice_setting, bob_setting, alice_outcome, bob_outcome)
-    to an exact probability, an int (not a bool) or a Fraction.  Each side
-    needs at least one setting, and any other cell value is refused
-    (:class:`ConstructionError` in both cases).  Instances are immutable: the
-    box keeps a read-only view of a private copy of ``table``.  Missing
-    cells are 0.
+    to an exact probability, an int (not a bool) or a Fraction; missing
+    cells are 0.  Construction refuses (:class:`ConstructionError`) a side
+    without settings, fewer cells than setting pairs (checked before the
+    grid is built), a key outside the grid of settings and +1/-1 outcomes,
+    and any other cell value.  The box keeps a read-only view of a private
+    copy of ``table``, and its integer form: ``scale``, the lcm L of the
+    grid's denominators, and ``weights``, a read-only map from every grid
+    key (:meth:`cells` order, zeros included) to L * p.
     """
 
     s_a: int
     s_b: int
     table: Mapping
+    scale: int = field(init=False, repr=False, compare=False)
+    weights: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.s_a < 1 or self.s_b < 1:
+        s_a, s_b = self.s_a, self.s_b
+        if s_a < 1 or s_b < 1:
             raise ConstructionError(
                 f"a pair box needs at least one setting per side, got "
-                f"s_a={self.s_a}, s_b={self.s_b}")
+                f"s_a={s_a}, s_b={s_b}")
         table = dict(self.table)
+        if len(table) < s_a * s_b:
+            raise ConstructionError(
+                f"a pair box with s_a={s_a}, s_b={s_b} needs at least one cell per "
+                f"setting pair ({s_a * s_b}), got {len(table)}")
+        ratios = dict.fromkeys(product(range(s_a), range(s_b), OUTCOMES, OUTCOMES), (0, 1))
         for key, p in table.items():
+            if key not in ratios:
+                raise ConstructionError(
+                    f"pair-box cell {key} is outside s_a={s_a}, s_b={s_b} "
+                    f"and outcomes +1/-1")
             if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
                 raise ConstructionError(
                     f"pair-box cell {key} is {p!r}, not an int or a Fraction")
+            ratios[key] = p.as_integer_ratio()
+        scale = math.lcm(*(d for _, d in ratios.values()))
         object.__setattr__(self, "table", MappingProxyType(table))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", MappingProxyType(
+            {key: n * (scale // d) for key, (n, d) in ratios.items()}))
 
     def prob(self, i: int, j: int, x: int, y: int) -> Fraction:
         self._check_settings(i, j)
         return self.table.get((i, j, x, y), ZERO)
 
-    def marginal_a(self, i: int, x: int, j: int = 0) -> Fraction:
-        """p(x | i), evaluated through Bob setting ``j``."""
-        return sum((self.prob(i, j, x, y) for y in OUTCOMES), ZERO)
+    def marginal_a(self, i: int, x: int) -> Fraction:
+        """p(x | i), evaluated through Bob setting 0."""
+        return sum((self.prob(i, 0, x, y) for y in OUTCOMES), ZERO)
 
-    def marginal_b(self, j: int, y: int, i: int = 0) -> Fraction:
-        """p(y | j), evaluated through Alice setting ``i``."""
-        return sum((self.prob(i, j, x, y) for x in OUTCOMES), ZERO)
+    def marginal_b(self, j: int, y: int) -> Fraction:
+        """p(y | j), evaluated through Alice setting 0."""
+        return sum((self.prob(0, j, x, y) for x in OUTCOMES), ZERO)
 
     def cells(self) -> Iterator[tuple]:
         """All (i, j, x, y, p) cells in canonical order."""
@@ -251,15 +273,11 @@ def validate_pairbox(box: PairBox) -> ValidationReport:
     """Check normalization, nonnegativity and the no-signalling marginals.
 
     Violations are data, not errors: the report lists each broken identity
-    with its indices and exact residual.  The checks run on the cells
-    scaled to integers by their lcm L; a Fraction is built only for a
-    violation's residual and detail.
+    with its indices and exact residual.  The checks run on the box's
+    integer form (``box.weights`` over ``box.scale``); a Fraction is built
+    only for a violation's residual and detail.
     """
-    table = box.table
-    cells = {key: table.get(key, 0) for key in
-             product(range(box.s_a), range(box.s_b), OUTCOMES, OUTCOMES)}
-    scale = math.lcm(*(p.denominator for p in cells.values()))
-    weight = {key: p.numerator * (scale // p.denominator) for key, p in cells.items()}
+    scale, weight = box.scale, box.weights
     violations = []
     for i in range(box.s_a):
         for j in range(box.s_b):
@@ -272,31 +290,24 @@ def validate_pairbox(box: PairBox) -> ValidationReport:
     for key, w in weight.items():
         if w < 0:
             violations.append(Violation(
-                kind="negativity", where=key, residual=cells[key],
-                detail=f"negative probability {cells[key]}"))
-    # Alice's marginal may not depend on Bob's setting, and vice versa.
-    for i in range(box.s_a):
-        for x in OUTCOMES:
-            via = [weight[(i, j, x, PLUS)] + weight[(i, j, x, MINUS)] for j in range(box.s_b)]
-            for j in range(1, box.s_b):
-                if via[j] != via[0]:
-                    reference, other = Fraction(via[0], scale), Fraction(via[j], scale)
+                kind="negativity", where=key, residual=box.table[key],
+                detail=f"negative probability {box.table[key]}"))
+    # Alice's marginal may not depend on Bob's setting, and vice versa:
+    # each side's (setting, outcome) marginal via every setting of the other.
+    alice = {(i, x): [weight[(i, j, x, PLUS)] + weight[(i, j, x, MINUS)] for j in range(box.s_b)]
+             for i in range(box.s_a) for x in OUTCOMES}
+    bob = {(j, y): [weight[(i, j, PLUS, y)] + weight[(i, j, MINUS, y)] for i in range(box.s_a)]
+           for j in range(box.s_b) for y in OUTCOMES}
+    for side, (outcome, own, other), marginals in ((ALICE, "xij", alice), (BOB, "yji", bob)):
+        for (s, o), via in marginals.items():
+            for t in range(1, len(via)):
+                if via[t] != via[0]:
+                    reference, changed = Fraction(via[0], scale), Fraction(via[t], scale)
                     violations.append(Violation(
-                        kind="no-signalling", where=(ALICE, i, x, 0, j),
-                        residual=other - reference,
-                        detail=f"p(x={outcome_symbol(x)}|i={i}) is {reference} via j=0 "
-                               f"but {other} via j={j}"))
-    for j in range(box.s_b):
-        for y in OUTCOMES:
-            via = [weight[(i, j, PLUS, y)] + weight[(i, j, MINUS, y)] for i in range(box.s_a)]
-            for i in range(1, box.s_a):
-                if via[i] != via[0]:
-                    reference, other = Fraction(via[0], scale), Fraction(via[i], scale)
-                    violations.append(Violation(
-                        kind="no-signalling", where=(BOB, j, y, 0, i),
-                        residual=other - reference,
-                        detail=f"p(y={outcome_symbol(y)}|j={j}) is {reference} via i=0 "
-                               f"but {other} via i={i}"))
+                        kind="no-signalling", where=(side, s, o, 0, t),
+                        residual=changed - reference,
+                        detail=f"p({outcome}={outcome_symbol(o)}|{own}={s}) is {reference} "
+                               f"via {other}=0 but {changed} via {other}={t}"))
     return ValidationReport(violations=tuple(violations))
 
 

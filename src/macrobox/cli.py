@@ -451,8 +451,9 @@ def _verify_no_signalling(model: EnsembleModel) -> tuple:
 def _verify_marginal_identities(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_pair`.  Check: the one-slot-per-side
     marginals of :func:`jpd_averages`.  For a product model the two routes
-    are independent: the integer closed form over the box's rows against
-    the Fraction matching DP behind the JPD.  For a joint table both are
+    are independent, down to their input: the integer closed form over
+    ``box.weights`` against the Fraction matching DP behind the JPD, which
+    reads the box's Fraction cells.  For a joint table both are
     the generic enumeration over the model's memoised marginals, with one
     slot per side for the pair and one slot per setting per side for the
     JPD.  Needs the averages construction."""
@@ -471,8 +472,8 @@ def _verify_path_agreement(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_correlator` behind the averages, second
     moments and correlations.  Check: the distinct-tuple sums, which each
     routine compares itself, raising on a disagreement.  For a product
-    model the two are independent (the integer closed form over
-    ``box.table`` against the matching sum over the scaled rows); for a
+    model the two are independent algorithms over one input (the closed
+    form against the matching sum, both over ``box.weights``); for a
     joint table both read the same memoised marginals, so the row checks
     only the two summations."""
     for i in range(model.s_a):

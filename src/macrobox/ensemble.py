@@ -11,17 +11,18 @@ keeps one private memo of the laws derived from it (see
 :meth:`EnsembleModel._memoized`); marginals are stored as count laws.
 
 Laws are integer counts over a common denominator until they are handed
-out.  A product model's marginals are products of its box's integer rows;
-an explicit table's marginals and swap check scan the blocks it holds
-through the model's ``_support`` kernel.  The kernel names each joint
-outcome by one integer code, a bit per slot, so a scan keys its counts by
-the code masked to the slots it keeps (:func:`_support_counts`), and only a
-law that is handed out or reported is decoded into outcome tuples.  An
-explicit table is checked on integers from the
-JSON loader on: the loader checks each entry's integer lists once, and
-construction checks each block once, by its numerators and lcm (see
-:class:`ExplicitJoint`).  A product model's kernel streams
-up to 4^N codes from one box; in the library only the brute-force
+out.  A product model reads its box's integer form (``PairBox.scale`` and
+``PairBox.weights``, computed once when the box is built) and keeps no
+scaled copy of it: its marginals are products of those integer cells.
+Each model's ``_support`` kernel names every joint outcome by one integer
+code, a bit per slot, so a scan keys its counts by the code masked to the
+slots it keeps (:func:`_support_counts`), and only a law that is handed
+out or reported is decoded into outcome tuples.  An explicit table's
+marginals and swap check scan the blocks it holds.  It is checked on
+integers from the JSON loader on: the loader checks each entry's integer
+lists once, and construction checks each block once, by its numerators
+and lcm (see :class:`ExplicitJoint`).  A product model's kernel streams up
+to 4^N codes from one box; in the library only the brute-force
 distribution of :mod:`macrobox.macro` reads it, and that function states
 the cost and leaves the size to its caller.
 """
@@ -192,39 +193,18 @@ class IndependentPairs(EnsembleModel):
             p *= cell
         return p
 
-    def _scaled_rows(self) -> tuple:
-        """``(L, rows)`` with ``L`` the lcm of the box's denominators.
-
-        ``rows[(i, j)]`` maps each Alice outcome ``x`` with a nonzero cell to
-        ``(bob outcomes, integer weights L * p(x, y | i, j))``, both in
-        OUTCOMES order.
-        """
-        table = self.box.table
-        scale = lcm(*(p.denominator for p in table.values()))
-        rows = {}
-        for i in range(self.s_a):
-            for j in range(self.s_b):
-                by_x = {}
-                for x in OUTCOMES:
-                    cells = [(y, p) for y in OUTCOMES
-                             if (p := table.get((i, j, x, y), ZERO)) != 0]
-                    if cells:
-                        by_x[x] = (tuple(y for y, _ in cells),
-                                   tuple(p.numerator * (scale // p.denominator)
-                                         for _, p in cells))
-                rows[(i, j)] = by_x
-        return scale, rows
-
     def _support(self, settings: SettingAssignment) -> tuple:
-        scale, rows = self._memoized(("support-rows",), self._scaled_rows)
-        n = self.n
-        # Per pair, its Alice outcomes in OUTCOMES order, each as (Alice's
-        # code bit, Bob's code bits, weights), the bits already shifted.
-        per_pair = [tuple(((x < 0) << _slot_shift(n, ALICE, k),
-                           tuple((y < 0) << _slot_shift(n, BOB, k) for y in ys), ws)
-                          for x, (ys, ws) in rows[cell].items())
-                    for k, cell in enumerate(zip(settings.alice, settings.bob))]
-        return scale ** n, self._support_leaves(per_pair)
+        n, weights = self.n, self.box.weights
+        # Per pair, each Alice outcome with a nonzero cell, in OUTCOMES order,
+        # as (Alice's code bit, Bob's code bits, weights), bits already shifted.
+        per_pair = []
+        for k, (i, j) in enumerate(zip(settings.alice, settings.bob)):
+            rows = [[y for y in OUTCOMES if weights[(i, j, x, y)]] for x in OUTCOMES]
+            per_pair.append([((x < 0) << _slot_shift(n, ALICE, k),
+                              tuple((y < 0) << _slot_shift(n, BOB, k) for y in ys),
+                              tuple(weights[(i, j, x, y)] for y in ys))
+                             for x, ys in zip(OUTCOMES, rows) if ys])
+        return self.box.scale ** n, self._support_leaves(per_pair)
 
     @staticmethod
     def _support_leaves(per_pair: list) -> Iterable:
@@ -555,7 +535,7 @@ def _marginal_counts(model: EnsembleModel, slots: tuple,
 def _product_marginal_counts(model: IndependentPairs, slots: tuple,
                              fill_a: int, fill_b: int) -> tuple:
     """``(D, counts)`` of a product model's marginal: one integer box factor
-    per involved pair, over the memoised rows of :meth:`IndependentPairs._scaled_rows`.
+    per involved pair, read from ``box.weights`` with its zero cells skipped.
 
     A particle whose partner slot is not listed is summed out through the
     completion setting ``fill_a``/``fill_b`` on the opposite side, which is
@@ -565,8 +545,7 @@ def _product_marginal_counts(model: IndependentPairs, slots: tuple,
     and in the same order: that of their first support code, which takes
     each involved pair's first nonzero cell with the key's outcomes.
     """
-    scale, rows = model._memoized(("support-rows",), model._scaled_rows)
-    n = model.n
+    n, weights = model.n, model.box.weights
     per_pair: dict = {}
     for side, particle, setting in slots:
         per_pair.setdefault(particle, {})[side] = setting
@@ -574,17 +553,20 @@ def _product_marginal_counts(model: IndependentPairs, slots: tuple,
     for particle, sides in per_pair.items():
         shift_a, shift_b = _slot_shift(n, ALICE, particle), _slot_shift(n, BOB, particle)
         mask = (ALICE in sides) << shift_a | (BOB in sides) << shift_b
+        i, j = sides.get(ALICE, fill_a), sides.get(BOB, fill_b)
         options: dict = {}
-        # Rows list x, then y, in OUTCOMES order, so a masked code first
-        # meets its smallest support code.
-        for x, (ys, ws) in rows[(sides.get(ALICE, fill_a), sides.get(BOB, fill_b))].items():
-            for y, w in zip(ys, ws):
-                code = (x < 0) << shift_a | (y < 0) << shift_b
-                key = code & mask
-                if key in options:
-                    options[key][2] += w
-                else:
-                    options[key] = [code, key, w]
+        # x, then y, in OUTCOMES order, so a masked code first meets its
+        # smallest support code.
+        for x, y in product(OUTCOMES, OUTCOMES):
+            w = weights[(i, j, x, y)]
+            if not w:
+                continue
+            code = (x < 0) << shift_a | (y < 0) << shift_b
+            key = code & mask
+            if key in options:
+                options[key][2] += w
+            else:
+                options[key] = [code, key, w]
         factors.append(options.values())
     laws = []  # (first support code, masked code, weight)
     for combo in product(*factors):
@@ -592,7 +574,7 @@ def _product_marginal_counts(model: IndependentPairs, slots: tuple,
         for code, bits, w in combo:
             first, key, weight = first | code, key | bits, weight * w
         laws.append((first, key, weight))
-    return scale ** len(factors), {key: weight for _, key, weight in sorted(laws)}
+    return model.box.scale ** len(factors), {key: weight for _, key, weight in sorted(laws)}
 
 
 def marginal(model: EnsembleModel, spec: Sequence) -> dict:

@@ -162,8 +162,8 @@ def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fra
     """<A_i^p B_j^q> by :func:`_moment`, checked against the same expansion
     over the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided by
     (N)_r (N)_s.  The check runs first.  On a pair box the two are
-    independent: the closed form reads ``box.table`` through
-    ``_correlator_row``, the matching sum the scaled rows through
+    independent algorithms over one input, ``box.weights``: the closed
+    form through ``_correlator_row``, the matching sum through
     ``_product_marginal_counts``.
     """
     _require_settings(model, i, j)
@@ -285,24 +285,22 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     """Exact law of (A_i, B_j): the primary route.
 
     For independent pairs, (A_i, B_j) is a sum of N iid copies of the
-    box's (x, y) law at (i, j).  The four cells are scaled to integers by
-    their lcm L and that 4-point step is convolved N times over the running
-    sums, O(N^3) big-integer operations, with one Fraction(count, L^N) per
-    grid point (``isotropic:1/3``: 0.6 s at N = 100, 5 s at N = 200 in one
-    process on a 2-core Xeon).  Time grows faster than N^3 because the
-    counts gain digits with every step.  This reads only the box, never
-    the model's support kernel or memo, so
-    :func:`macro_distribution_bruteforce` stays an independent check.
+    box's (x, y) law at (i, j): the row's nonzero ``box.weights`` over
+    L = ``box.scale``, convolved N times over the running sums, O(N^3)
+    big-integer operations, with one Fraction(count, L^N) per grid point
+    (``isotropic:1/3``: 0.6 s at N = 100, 5 s at N = 200 in one process on
+    a 2-core Xeon).  Time grows faster than N^3 because the counts gain
+    digits with every step.  This reads only the box, never the model's
+    support kernel or memo; :func:`macro_distribution_bruteforce`, its
+    check, enumerates a support built from the same integer form.
     Other models go to the brute force, which reads one block the joint
     table holds.
     """
     if not isinstance(model, IndependentPairs):
         return macro_distribution_bruteforce(model, i, j)
     _require_settings(model, i, j)
-    n = model.n
-    cells = [(x, y, model.box.prob(i, j, x, y)) for x in OUTCOMES for y in OUTCOMES]
-    scale = math.lcm(*(p.denominator for _, _, p in cells))
-    step = [(x, y, p.numerator * (scale // p.denominator)) for x, y, p in cells if p]
+    n, weights = model.n, model.box.weights
+    step = [(x, y, w) for x in OUTCOMES for y in OUTCOMES if (w := weights[(i, j, x, y)])]
     counts = {(0, 0): 1}
     for _ in range(n):
         advanced: dict = {}
@@ -311,7 +309,7 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
                 key = (x_sum + x, y_sum + y)
                 advanced[key] = advanced.get(key, 0) + count * weight
         counts = advanced
-    denominator = scale ** n
+    denominator = model.box.scale ** n
     return _on_grid(n, i, j, lambda key: Fraction(counts.get(key, 0), denominator))
 
 

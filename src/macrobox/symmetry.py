@@ -313,39 +313,30 @@ def effective_quad(model: EnsembleModel) -> QuadDistribution:
     return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
 
 
-def _scaled_row(box: PairBox, i: int, j: int) -> tuple:
-    """``(L, weights)`` for setting pair (i, j): the lcm L of the row's four
-    cells and ``weights[(x, y)] = L p(x, y | i, j)``, in OUTCOMES order."""
-    cells = {(x, y): box.prob(i, j, x, y) for x in OUTCOMES for y in OUTCOMES}
-    scale = math.lcm(*(p.denominator for p in cells.values()))
-    return scale, {key: p.numerator * (scale // p.denominator) for key, p in cells.items()}
-
-
 def _pair_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
     """The effective pair's (i, j) row of N independent copies of ``box``:
     (x, y) -> p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j), in OUTCOMES order.
 
     One of the N^2 particle pairs is a true pair; the others are two
-    independent particles.  On the row's integers, with P = L p(x, y),
-    A = L p_a(x) and B = L p_b(y) from :func:`_scaled_row`, each cell is the
-    one Fraction (L P + (N-1) A B) / (N L^2).
+    independent particles.  On the box's integer form, with L = box.scale,
+    P = L p(x, y), A = L p_a(x) and B = L p_b(y) read from ``box.weights``,
+    each cell is the one Fraction (L P + (N-1) A B) / (N L^2).
     """
-    scale, weights = _scaled_row(box, i, j)
-    alice = {x: weights[(x, PLUS)] + weights[(x, MINUS)] for x in OUTCOMES}
-    bob = {y: weights[(PLUS, y)] + weights[(MINUS, y)] for y in OUTCOMES}
+    scale, weights = box.scale, box.weights
+    row = {(x, y): weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES}
+    alice = {x: row[(x, PLUS)] + row[(x, MINUS)] for x in OUTCOMES}
+    bob = {y: row[(PLUS, y)] + row[(MINUS, y)] for y in OUTCOMES}
     return {(x, y): Fraction(scale * w + (n - 1) * alice[x] * bob[y], n * scale * scale)
-            for (x, y), w in weights.items()}
+            for (x, y), w in row.items()}
 
 
 def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
-    """``(L, P, A, B)`` for setting pair (i, j): the lcm L of the row's four
-    cells, and L times the pair correlation <a_i b_j> and the means <a_i>
-    and <b_j>, all read from the row itself."""
-    scale, weights = _scaled_row(box, i, j)
-    return (scale,
-            sum(x * y * w for (x, y), w in weights.items()),
-            sum(x * w for (x, _), w in weights.items()),
-            sum(y * w for (_, y), w in weights.items()))
+    """``(P, A, B)`` for setting pair (i, j): ``box.scale`` times <a_i b_j>,
+    <a_i> and <b_j>, read from the row's ``box.weights``.  A setting out of
+    range raises :class:`DomainError`, as ``box.prob`` does."""
+    box._check_settings(i, j)
+    pp, pm, mp, mm = [box.weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES]
+    return pp - pm - mp + mm, pp + pm - mp - mm, pp - pm + mp - mm
 
 
 def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: int,
@@ -358,15 +349,14 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     empty product is 1.
 
     A product model sums over matchings in closed form on integers.  With
-    r = alice_count, s = bob_count and the row integers (L, P, A, B) of
-    :func:`_correlator_row`, memoised per model, the value is the one
-    Fraction sum_m ways_m P^m L^m A^(r-m) B^(s-m) / (L^(r+s) (N)_r (N)_s),
-    with ways_m = C(r, m) C(s, m) m! (N)_(r+s-m) the assignments with m
-    matched slots.  The row is read from ``box.table``, not from the
-    support kernel's rows, so the brute-force distribution stays an
-    independent check.  Any other model takes :func:`_symmetrized_correlator`,
-    the signed sum of the memoised symmetrised entries that the effective
-    pair and quad share.
+    r = alice_count, s = bob_count, L = ``box.scale`` and the row integers
+    (P, A, B) of :func:`_correlator_row`, the value is the one Fraction
+    sum_m ways_m P^m L^m A^(r-m) B^(s-m) / (L^(r+s) (N)_r (N)_s), with
+    ways_m = C(r, m) C(s, m) m! (N)_(r+s-m) the assignments with m matched
+    slots.  Its check, the distinct-tuple sums of :mod:`macrobox.macro`,
+    is an independent algorithm over the same ``box.weights``.  Any other
+    model takes :func:`_symmetrized_correlator`, the signed sum of the
+    memoised symmetrised entries that the effective pair and quad share.
     """
     n = model.n
     if not (0 <= alice_count <= n):
@@ -376,9 +366,8 @@ def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: 
     if alice_count == 0 and bob_count == 0:
         return ONE
     if isinstance(model, IndependentPairs):
-        scale, pair, mean_a, mean_b = model._memoized(
-            ("correlator-row", alice_setting, bob_setting),
-            lambda: _correlator_row(model.box, alice_setting, bob_setting))
+        scale = model.box.scale
+        pair, mean_a, mean_b = _correlator_row(model.box, alice_setting, bob_setting)
         total = 0
         for matched in range(min(alice_count, bob_count) + 1):
             ways = (math.comb(alice_count, matched) * math.comb(bob_count, matched)

@@ -1,5 +1,6 @@
 """Single-pair box construction, validation, correlators and serialization."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,13 @@ from macrobox import (
     rational_to_str,
     validate_pairbox,
 )
-from tests.conftest import THREE_FAULT_VIOLATIONS, no_signalling_boxes, three_fault_box
+from tests.conftest import (
+    THREE_FAULT_VIOLATIONS,
+    mixed_denominator_box,
+    no_signalling_boxes,
+    no_signalling_vertices,
+    three_fault_box,
+)
 
 F = Fraction
 
@@ -189,12 +196,77 @@ class TestValidation:
         with pytest.raises(ConstructionError, match="not an int or a Fraction"):
             PairBox(s_a=2, s_b=2, table=table)
 
+    @pytest.mark.parametrize("extra", [
+        {(7, 7, 7, 7): F(1, 3), (0, 0, 2, 1): F(1, 5)}, {(2, 0, 1, 1): 0},
+        {(0, -1, 1, 1): 0}, {(0, 0, 1, 0): 0}, {(0, 0, 1): 0}, {"cell": 0},
+    ])
+    def test_rejects_cells_outside_the_grid(self, extra):
+        # Such cells would never be read, so the box would validate as the
+        # PR box while holding data no kernel sees.
+        with pytest.raises(ConstructionError, match="outside s_a=2, s_b=2"):
+            PairBox(s_a=2, s_b=2, table=dict(make_pr_box().table) | extra)
+
+    def test_rejects_fewer_cells_than_setting_pairs(self):
+        # A setting pair without a listed cell cannot sum to 1; the check
+        # runs before the s_a x s_b grid is built.
+        with pytest.raises(ConstructionError, match=r"one cell per setting pair \(90000\), got 0"):
+            PairBox(s_a=300, s_b=300, table={})
+        one_each = {(i, j, 1, 1): 1 for i in range(3) for j in range(2)}
+        with pytest.raises(ConstructionError, match=r"\(6\), got 5"):
+            PairBox(s_a=3, s_b=2, table=dict(list(one_each.items())[:5]))
+        assert validate_pairbox(PairBox(s_a=3, s_b=2, table=one_each)).ok
+
     def test_chsh_needs_two_settings(self):
         pr = make_pr_box()
         stripped = PairBox(s_a=1, s_b=2, table={
             k: v for k, v in pr.table.items() if k[0] == 0})
         with pytest.raises(DomainError):
             chsh_value(stripped)
+
+
+def int_cell_box():
+    """The all-(+,+) deterministic box with int cells."""
+    return PairBox(s_a=2, s_b=2, table={(i, j, x, y): int(x == y == 1)
+                                        for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)})
+
+
+def omitted_zero_box():
+    """The PR box with its zero cells left out."""
+    return PairBox(s_a=2, s_b=2, table={k: p for k, p in make_pr_box().table.items() if p})
+
+
+class TestIntegerForm:
+    """``scale`` and ``weights`` against the Fraction cells they derive from."""
+
+    @given(box=st.one_of(no_signalling_boxes(), st.sampled_from(
+        no_signalling_vertices() + [int_cell_box(), omitted_zero_box(),
+                                    mixed_denominator_box(), three_fault_box()])))
+    def test_weights_are_the_grid_scaled_by_its_lcm(self, box):
+        grid = list(product(range(box.s_a), range(box.s_b), OUTCOMES, OUTCOMES))
+        assert list(box.weights) == grid
+        assert box.scale == math.lcm(*(box.prob(*key).denominator for key in grid))
+        for key, weight in box.weights.items():
+            assert type(weight) is int
+            assert weight == box.prob(*key) * box.scale
+        with pytest.raises(TypeError):
+            box.weights[grid[0]] = 0
+
+    def test_one_row_box(self):
+        box = PairBox(s_a=1, s_b=3, table={(0, j, 1, -1): F(1, j + 2) for j in range(3)}
+                      | {(0, j, -1, 1): F(j + 1, j + 2) for j in range(3)})
+        assert box.scale == 12
+        assert [box.weights[(0, j, 1, -1)] for j in range(3)] == [6, 4, 3]
+        assert sum(box.weights.values()) == 3 * box.scale
+
+    def test_is_derived_not_set(self):
+        with pytest.raises(TypeError):
+            PairBox(s_a=2, s_b=2, table=make_pr_box().table, scale=1)
+        with pytest.raises(TypeError):
+            PairBox(s_a=2, s_b=2, table=make_pr_box().table, weights={})
+        assert "weights" not in repr(make_pr_box())
+
+    def test_omitted_zero_cells_read_as_zero_weights(self):
+        assert omitted_zero_box().weights == make_pr_box().weights
 
 
 class TestSerialization:

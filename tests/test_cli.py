@@ -614,6 +614,18 @@ class TestFileBoxes:
         assert out == ""
         assert "at least one setting per side" in err and "Traceback" not in err
 
+    def test_pair_box_file_with_fewer_cells_than_setting_pairs(self, capsys, tmp_path):
+        # A few bytes that would otherwise ask for a 360000-cell grid and print it.
+        path = tmp_path / "many-settings.json"
+        path.write_text('{"s_a": 300, "s_b": 300, "table": []}')
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at least one cell per setting pair (90000), got 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field, value", [
         ("s_a", "2"), ("s_b", 2.0), ("i", True), ("j", 0.0), ("x", 1.9), ("y", "-1"),
     ])

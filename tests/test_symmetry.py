@@ -249,6 +249,13 @@ class TestEffectiveCorrelator:
         assert effective_correlator(model, 0, 0, 2, 0) == 0
         assert effective_correlator(model, 1, 0, 0, 2) == 0
 
+    def test_out_of_range_setting_raises(self):
+        model = independent_pairs(make_pr_box(), 2)
+        with pytest.raises(DomainError, match="bob setting 2 out of range"):
+            effective_correlator(model, 0, 2, 1, 1)
+        with pytest.raises(DomainError, match="alice setting -1 out of range"):
+            effective_correlator(model, -1, 0, 1, 0)
+
     def test_rejects_oversized_tuples(self):
         model = independent_pairs(make_pr_box(), 2)
         with pytest.raises(DomainError):
