@@ -522,16 +522,19 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
 
 
 def _verify_averages_validity(model: EnsembleModel) -> tuple:
-    """Primary: :func:`jpd_averages`, or below its construction the PR box's
-    :func:`pr_averages_jpd_closed_form`.  Check: :func:`jpd_validity`,
+    """Primary: :func:`jpd_averages`, or below its construction, for a box
+    whose integer form (``scale`` and ``weights``) is the PR box's, however
+    its file spells the zero cells, :func:`pr_averages_jpd_closed_form`.
+    Check: :func:`jpd_validity`,
     every entry nonnegative and the sum 1.  At and above the bound every
     entry is an average of products of nonnegative marginals, so there the
     check catches implementation faults only."""
     try:
         _require_construction(model)
     except _Skip:
+        pr = make_pr_box()
         if not (isinstance(model, IndependentPairs)
-                and model.box.table == make_pr_box().table):
+                and (model.box.scale, model.box.weights) == (pr.scale, pr.weights)):
             raise
         verdict = jpd_validity(pr_averages_jpd_closed_form(model.n))
         return (_validity_failure(verdict, f"closed form at n={model.n}: "),

@@ -17,11 +17,13 @@ scaled copy of it: its marginals are products of those integer cells.
 Each model's ``_support`` kernel names every joint outcome by one integer
 code, a bit per slot, so a scan keys its counts by the code masked to the
 slots it keeps (:func:`_support_counts`), and only a law that is handed
-out or reported is decoded into outcome tuples.  An explicit table's
-marginals and swap check scan the blocks it holds.  It is checked on
-integers from the JSON loader on: the loader checks each entry's integer
-lists once, and construction checks each block once, by its numerators
-and lcm (see :class:`ExplicitJoint`).  A product model's kernel streams up
+out or reported is decoded into outcome tuples.  An explicit table's one
+stored form is its integer blocks, each a scale and its sorted (code,
+count) support, built once at load in a single checked walk over the
+entries (:func:`_joint_blocks`), from JSON entries with no Fraction per
+entry; its marginals and swap check read those blocks, and its Fraction
+``table`` is decoded from them block by block when it is read (see
+:class:`ExplicitJoint`).  A product model's kernel streams up
 to 4^N codes from one box; in the library only the brute-force
 distribution of :mod:`macrobox.macro` reads it, and that function states
 the cost and leaves the size to its caller.
@@ -30,12 +32,13 @@ the cost and leaves the size to its caller.
 from __future__ import annotations
 
 import json
+import marshal
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .boxes import (
     ALICE,
@@ -228,76 +231,46 @@ class ExplicitJoint(EnsembleModel):
     ``n`` in-range settings per side, every outcome must be +1 or -1, and
     each setting assignment must be nonnegative and normalized.
 
-    The check is one pass over each block's entries, on integers
-    (:func:`_check_block`): the numerators are summed per denominator and
-    the total is compared with the block's lcm.  Two outcome keys that
-    name one outcome tuple store the last value, and that block is checked
-    again on what it stores.  A bad setting key or outcome raises
-    where it is met, in table order; the other faults (an outcome tuple of
-    the wrong length, a negative numerator, a wrong total) are held per
-    block, and the first failing setting assignment in ``product`` order
-    is reported, a missing block as summing to 0.  The model holds
-    read-only views of private copies of ``table`` and its blocks, so its
-    memoised laws cannot go stale, plus each block's lcm from that check,
-    which scales the block when :meth:`_support` first reads it, and the
-    support code of each outcome tuple the table names, computed once per
-    distinct outcome key.
-    No-signalling is not enforced: signalling tables are constructible on
-    purpose and flagged later by :func:`check_no_signalling` or by marginal
-    completion checks.
+    The table's one stored form is its integer blocks, built at
+    construction in one walk over the entries (:func:`_joint_blocks`):
+    per setting assignment a scale ``D`` (the lcm of the block's
+    denominators), the integer count ``D * p`` of each stored outcome,
+    and the sorted nonzero support that :meth:`_support` returns.  Two
+    outcome keys that name one outcome tuple store the last value.  A bad
+    setting key or outcome raises where it is met, in table order; the
+    other faults (an outcome tuple of the wrong length, a negative
+    probability, a wrong total) are held per block, and the first failing
+    setting assignment in ``product`` order is reported, a missing block
+    as summing to 0.  :func:`explicit_joint_from_json` builds the same
+    blocks straight from the JSON entries, with no Fraction per entry, and
+    passes them as ``table``; construction keeps such checked blocks as
+    they are.
+
+    ``table`` is a read-only view of the blocks as Fractions, each block
+    decoded on its first read; its blocks are read-only too, so the
+    model's memoised laws cannot go stale.  Models compare equal when
+    their blocks do, which is when their tables do.  No-signalling is not
+    enforced: signalling tables are constructible on purpose and flagged
+    later by :func:`check_no_signalling` or by marginal completion checks.
     """
 
     n: int
     s_a: int
     s_b: int
-    table: Mapping
+    table: Mapping = field(compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    _scales: Mapping = field(init=False, repr=False, compare=False)
-    _codes: Mapping = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(init=False, repr=False)
+    _supports: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, s_a, s_b = self.n, self.s_a, self.s_b
-        if n < 1:
-            raise DomainError(f"need at least one pair, got n={n}")
-        if s_a < 1 or s_b < 1:
-            raise DomainError("each side needs at least one setting")
-        if not self.table:
-            raise ConstructionError("empty joint table")
-        normalized = {}
-        scales = {}
-        faults = {}  # setting key -> its first failed entry or sum check, or None
-        outcome_keys: dict = {}  # outcome key -> ((alice, bob) tuples, lengths are n, code)
-        for key, block in self.table.items():
-            sa, sb = tuple(key[0]), tuple(key[1])
-            if len(sa) != n or len(sb) != n:
-                raise ConstructionError(
-                    f"setting key {sa};{sb} does not list n={n} settings per side")
-            if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
-                raise ConstructionError(
-                    f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}")
-            entries, fault, scale = _check_block(n, sa, sb, block.items(), outcome_keys)
-            if len(entries) != len(block):
-                # Two outcome keys name one outcome tuple and only the last
-                # value is stored, so the stored entries are checked again.
-                entries, fault, scale = _check_block(n, sa, sb, entries.items(), outcome_keys)
-            normalized[(sa, sb)] = MappingProxyType(entries)
-            faults[(sa, sb)] = fault
-            scales[(sa, sb)] = scale
-        # Keys are in range, so a missing block shows in the count.  The
-        # first failing assignment is reported in product order.
-        if len(normalized) != (s_a * s_b) ** n or any(faults.values()):
-            for sa in product(range(s_a), repeat=n):
-                for sb in product(range(s_b), repeat=n):
-                    fault = faults.get(
-                        (sa, sb),
-                        f"outcomes for setting assignment {sa};{sb} sum to 0, not 1")
-                    if fault is not None:
-                        raise ConstructionError(fault)
-        object.__setattr__(self, "table", MappingProxyType(normalized))
-        object.__setattr__(self, "_scales", MappingProxyType(scales))
-        object.__setattr__(self, "_codes", MappingProxyType(
-            {outcomes: code for outcomes, fits, code in outcome_keys.values() if fits}))
+        n, s_a, s_b, table = self.n, self.s_a, self.s_b, self.table
+        if not (isinstance(table, _JointTable) and table.shape == (n, s_a, s_b)):
+            _check_shape(n, s_a, s_b, table)
+            table = _joint_blocks(n, s_a, s_b, _table_runs(table), grouped=True)
+        object.__setattr__(self, "table", MappingProxyType(table))
+        object.__setattr__(self, "_blocks", table.blocks)
+        object.__setattr__(self, "_supports", table.supports)
 
     def _joint(self, settings: SettingAssignment,
                outcomes: OutcomeAssignment) -> Fraction:
@@ -305,64 +278,292 @@ class ExplicitJoint(EnsembleModel):
             (outcomes.alice, outcomes.bob), ZERO)
 
     def _support(self, settings: SettingAssignment) -> tuple:
-        key = (settings.alice, settings.bob)
-        scale, codes = self._scales[key], self._codes
-        return self._memoized(("support", key), lambda: (scale, tuple(sorted(
-            (codes[outcomes], p.numerator * (scale // p.denominator))
-            for outcomes, p in self.table[key].items() if p != 0))))
+        return self._supports[(settings.alice, settings.bob)]
 
 
-def _check_block(n: int, sa: tuple, sb: tuple, items: Iterable,
-                 outcome_keys: dict) -> tuple:
-    """``(entries, fault, scale)`` of one joint-table block's
-    ``(outcome key, p)`` items, checked in one pass.
+class _JointTable(Mapping):
+    """The checked integer blocks of a joint table, read as the table.
 
-    A bad outcome raises where it is met.  ``fault`` is the message of the
-    first entry with an outcome tuple of the wrong length or a negative
-    numerator, else of a total other than 1, else None; the total is the
-    numerators summed per denominator and rescaled to their lcm ``scale``.
-    ``outcome_keys`` caches each outcome key's normalised tuples, whether
-    they list ``n`` outcomes per side, and then their support code, across
-    blocks.
+    ``blocks`` maps each setting key, in first-seen order, to ``(D,
+    counts)``: ``counts`` maps the support code of each stored outcome,
+    in stored order and zeros included, to ``D * p``.  ``supports`` maps
+    it to ``(D, pairs)``, the sorted nonzero ``(code, count)`` pairs.  As
+    a mapping it is the Fraction table, each block decoded into a
+    read-only ``{(alice outcomes, bob outcomes): p}`` on its first read.
     """
-    entries = {}
-    sums: dict = {}  # denominator -> sum of its numerators
-    fault = None
-    for ok, p in items:
-        checked = outcome_keys.get(ok)
-        if checked is None:
-            oa, ob = tuple(ok[0]), tuple(ok[1])
-            if any(v not in OUTCOMES for v in oa + ob):
-                raise ConstructionError(
-                    f"outcomes must be +1 or -1, got {oa};{ob} at settings {sa};{sb}")
-            fits = len(oa) == n == len(ob)
-            checked = outcome_keys[ok] = ((oa, ob), fits,
-                                          _outcome_code(n, oa, ob) if fits else None)
-        outcomes, fits, _ = checked
-        entries[outcomes] = p = as_rational(p)
-        numerator, denominator = p.numerator, p.denominator
-        if fault is None:
-            if not fits:
-                fault = f"outcome tuple length mismatch at settings {sa};{sb}"
-            elif numerator < 0:
-                fault = (f"negative probability {p} at settings {sa};{sb}, "
-                         f"outcomes {outcomes[0]};{outcomes[1]}")
-        sums[denominator] = sums.get(denominator, 0) + numerator
-    scale = lcm(*sums)
-    if fault is None:
-        total = sum(count * (scale // d) for d, count in sums.items())
-        if total != scale:
-            fault = (f"outcomes for setting assignment {sa};{sb} sum to "
-                     f"{Fraction(total, scale)}, not 1")
-    return entries, fault, scale
+
+    def __init__(self, shape: tuple, blocks: dict, supports: dict) -> None:
+        self.shape, self.blocks, self.supports = shape, blocks, supports
+        self._decoded: dict = {}
+
+    def __getitem__(self, key) -> Mapping:
+        block = self._decoded.get(key)
+        if block is None:
+            scale, counts = self.blocks[key]
+            n = self.shape[0]
+            block = self._decoded[key] = MappingProxyType({
+                _outcomes_of(n, code): Fraction(count, scale)
+                for code, count in counts.items()})
+        return block
+
+    def __contains__(self, key) -> bool:
+        return key in self.blocks
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
-def _outcome_code(n: int, alice: tuple, bob: tuple) -> int:
+#: The code of an outcome key naming an outcome other than +1/-1.  A key
+#: of the wrong length is its own code, so it stays apart in its block.
+_NOT_AN_OUTCOME = -1
+
+
+def _check_shape(n: int, s_a: int, s_b: int, table: Mapping) -> None:
+    if n < 1:
+        raise DomainError(f"need at least one pair, got n={n}")
+    if s_a < 1 or s_b < 1:
+        raise DomainError("each side needs at least one setting")
+    if not table:
+        raise ConstructionError("empty joint table")
+
+
+def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable,
+                  grouped: bool) -> _JointTable:
+    """The checked :class:`_JointTable` of ``runs``, in one walk over the
+    entries.
+
+    ``runs`` yields ``(setting key, entries)`` with each entry an
+    ``(outcome key, value)`` pair; keys are pairs of tuples.  Each block
+    keeps integer counts over a running scale, the lcm of the
+    denominators met so far, and each distinct outcome key is checked and
+    coded once (:func:`_outcome_code`).
+
+    ``grouped`` runs come from a table, one run per block, in the
+    caller's order, and their values are rationals
+    (:func:`~macrobox.boxes.as_rational`): the shape was checked before
+    the walk, a bad setting key, outcome or value raises where it is met,
+    a repeated outcome keeps its last value and a repeated setting key
+    its last block.  Other runs are JSON entries in file order, their
+    values checked ``(numerator, denominator)`` pairs: repeats are
+    summed, and bad keys and outcomes are raised after the walk, so a
+    malformed entry met later still wins, then the shape check, then the
+    first block (in first-seen order) with a bad key or outcome.  Either
+    way the held faults follow (:func:`_checked_blocks`).
+    """
+    blocks: dict = {}  # setting key -> [scale, counts, key as last spelled], or None
+    codes: dict = {}   # outcome key -> support code
+    faults: dict = {}  # setting key -> its first bad key or outcome (JSON runs)
+    misfits = set()    # setting keys of blocks with an outcome of the wrong length
+
+    def fail(key: tuple, message: str) -> None:
+        if grouped:
+            raise ConstructionError(message)
+        faults.setdefault(key, message)
+
+    for key, run in runs:
+        if grouped or key not in blocks:
+            message = _setting_key_fault(n, s_a, s_b, key)
+            if message is not None:
+                fail(key, message)
+            blocks[key] = None if message is not None else [1, {}, key]
+            misfits.discard(key)
+        block = blocks[key]
+        if block is None:
+            continue
+        scale, counts, _ = block
+        for outcomes, value in run:
+            code = codes.get(outcomes)
+            if code is None:
+                code = codes[outcomes] = _outcome_code(n, outcomes)
+            if type(code) is not int:
+                misfits.add(key)
+            elif code < 0:
+                fail(key, f"outcomes must be +1 or -1, got {outcomes[0]};{outcomes[1]} "
+                          f"at settings {key[0]};{key[1]}")
+                continue
+            numerator, denominator = (as_rational(value).as_integer_ratio() if grouped
+                                      else value)
+            if scale % denominator:  # raise the scale to the lcm, counts with it
+                factor = denominator // gcd(scale, denominator)
+                scale *= factor
+                for c in counts:
+                    counts[c] *= factor
+            count = numerator * (scale // denominator)
+            counts[code] = count if grouped else counts.get(code, 0) + count
+        block[0] = scale
+    if not grouped:
+        _check_shape(n, s_a, s_b, blocks)
+        if faults:
+            raise ConstructionError(next(faults[key] for key in blocks if key in faults))
+    return _checked_blocks(n, s_a, s_b, blocks, codes, misfits)
+
+
+def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
+                    misfits: set) -> _JointTable:
+    """The held faults of :func:`_joint_blocks`'s walked ``blocks``: per
+    block, the first stored entry of the wrong length or with a negative
+    value (:func:`_entry_fault`), else a total other than 1; the first
+    failing setting assignment in ``product`` order raises, a missing
+    block as summing to 0.
+
+    Each block's scale is reduced to the lcm of its stored values'
+    denominators, and its nonzero counts are sorted by code into its
+    support.  A block that no assignment reaches (a setting that is in
+    range but not an integer) is kept as it is.
+    """
+    held = {}
+    reduced = {}
+    supports = {}
+    for key, (scale, counts, spelled) in blocks.items():
+        values = counts.values()
+        low = min(values, default=0)
+        if key in misfits or low < 0:
+            held[key] = _entry_fault(spelled, scale, counts, codes)
+        elif sum(values) != scale:
+            held[key] = (f"outcomes for setting assignment {spelled[0]};{spelled[1]} "
+                         f"sum to {Fraction(sum(values), scale)}, not 1")
+        common = gcd(scale, *values)
+        if common > 1:
+            scale //= common
+            counts = {code: count // common for code, count in counts.items()}
+        reduced[key] = (scale, counts)
+        if key not in misfits:
+            pairs = counts.items() if low > 0 else (item for item in counts.items() if item[1])
+            supports[key] = (scale, tuple(sorted(pairs)))
+    # Keys are in range, so a missing block shows in the count.
+    if held or len(blocks) != (s_a * s_b) ** n:
+        for sa in product(range(s_a), repeat=n):
+            for sb in product(range(s_b), repeat=n):
+                if (sa, sb) not in blocks:
+                    raise ConstructionError(
+                        f"outcomes for setting assignment {sa};{sb} sum to 0, not 1")
+                if (sa, sb) in held:
+                    raise ConstructionError(held[(sa, sb)])
+    return _JointTable((n, s_a, s_b), reduced, supports)
+
+
+def _setting_key_fault(n: int, s_a: int, s_b: int, key: tuple) -> str | None:
+    sa, sb = key
+    if len(sa) != n or len(sb) != n:
+        return f"setting key {sa};{sb} does not list n={n} settings per side"
+    if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
+        return f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}"
+    return None
+
+
+def _entry_fault(key: tuple, scale: int, counts: dict, codes: dict) -> str:
+    """The message of a block's first stored entry that has an outcome
+    tuple of the wrong length or a negative value."""
+    spelled = {code: outcomes for outcomes, code in codes.items()}
+    for code, count in counts.items():
+        if type(code) is not int:
+            return f"outcome tuple length mismatch at settings {key[0]};{key[1]}"
+        if count < 0:
+            alice, bob = spelled[code]
+            return (f"negative probability {Fraction(count, scale)} at settings "
+                    f"{key[0]};{key[1]}, outcomes {alice};{bob}")
+    raise AssertionError("a block held as faulty has no faulty entry")
+
+
+def _outcome_code(n: int, outcomes: tuple):
     """The support code of one joint outcome of ``n`` pairs (see
-    :meth:`EnsembleModel._support`)."""
+    :meth:`EnsembleModel._support`); :data:`_NOT_AN_OUTCOME` if it names an
+    outcome other than +1/-1, else ``outcomes`` itself if it does not list
+    ``n`` outcomes per side."""
+    alice, bob = outcomes
+    if any(o not in OUTCOMES for o in alice + bob):
+        return _NOT_AN_OUTCOME
+    if len(alice) != n or len(bob) != n:
+        return outcomes
     return sum(1 << _slot_shift(n, side, particle)
-               for side, outcomes in ((ALICE, alice), (BOB, bob))
-               for particle, o in enumerate(outcomes) if o < 0)
+               for side, side_outcomes in ((ALICE, alice), (BOB, bob))
+               for particle, o in enumerate(side_outcomes) if o < 0)
+
+
+def _outcomes_of(n: int, code) -> tuple:
+    """The (alice outcomes, bob outcomes) of a support code; an outcome key
+    of the wrong length is its own code."""
+    if type(code) is not int:
+        return code
+    slots = tuple(MINUS if code >> (2 * n - 1 - k) & 1 else PLUS for k in range(2 * n))
+    return slots[:n], slots[n:]
+
+
+def _table_runs(table: Mapping) -> Iterable:
+    """The runs of :func:`_joint_blocks` of a table of blocks: one per
+    block, its entries read as it is walked."""
+    for key, block in table.items():
+        yield (tuple(key[0]), tuple(key[1])), _block_entries(block)
+
+
+def _block_entries(block: Mapping) -> Iterable:
+    for outcomes, p in block.items():
+        yield (tuple(outcomes[0]), tuple(outcomes[1])), p
+
+
+def _json_runs(entries: list) -> Iterable:
+    """The runs of :func:`_joint_blocks` of JSON entries: one per stretch
+    of entries with one setting key, checked as they are met.
+
+    An entry must hold its four lists of integers, by the rule of
+    :func:`~macrobox.boxes.json_int` (no bools, no floats), and a rational
+    ``p`` (:func:`~macrobox.boxes.as_rational`): an int, or a "p/q" text,
+    each distinct text parsed once.
+    """
+    settings_seen: dict = {}
+    outcomes_seen: dict = {}
+    ratios: dict = {}
+    run_key, run = None, []
+    for entry in entries:
+        try:
+            key = _int_tuples((entry["settings_a"], entry["settings_b"]), settings_seen)
+            outcomes = _int_tuples((entry["outcomes_a"], entry["outcomes_b"]),
+                                   outcomes_seen)
+            raw = entry["p"]
+            ratio = ratios.get(raw) if type(raw) is str else None
+            if ratio is None:
+                ratio = (raw, 1) if type(raw) is int else as_rational(raw).as_integer_ratio()
+                if type(raw) is str:
+                    ratios[raw] = ratio
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConstructionError(f"malformed joint-table entry {entry!r}") from exc
+        if key is not run_key:
+            if run:
+                yield run_key, run
+            run_key, run = key, []
+        run.append((outcomes, ratio))
+    if run:
+        yield run_key, run
+
+
+def _int_tuples(lists: tuple, seen: dict) -> tuple:
+    """``lists`` as a tuple of tuples of integers; :class:`TypeError` if any
+    value is not an int (:func:`~macrobox.boxes.json_int`).
+
+    ``seen`` holds the lists already checked, keyed by their marshal
+    bytes: marshal writes an int, a bool and a float with different type
+    codes, so one lookup checks the types, where equal tuples would not
+    tell ``True`` or ``1.0`` from ``1``.  Lists marshal cannot write are
+    checked without the cache.
+    """
+    try:
+        mark = marshal.dumps(lists, 2)
+    except ValueError:
+        mark = None
+    tuples = seen.get(mark)
+    if tuples is None:
+        tuples = tuple(map(tuple, lists))
+        if not all(type(v) is int for values in tuples for v in values):
+            raise TypeError("settings and outcomes must be integers")
+        if mark is not None:
+            seen[mark] = tuples
+    return tuples
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -389,10 +590,11 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     """Build a joint table from the parsed JSON object of
     :func:`explicit_joint_from_json`.
 
-    Each entry's four lists must hold integers only, by the rule of
-    :func:`~macrobox.boxes.json_int` (no bools, no floats), checked once per
-    entry.  Repeated entries are summed, and each distinct "p/q" text is
-    parsed once.
+    The entries are walked once, straight into the model's integer blocks
+    (:func:`_json_runs` into :func:`_joint_blocks`): no Fraction table is
+    built.  Repeated entries are summed.  A malformed entry is reported
+    before any other fault; the others are reported as construction
+    reports them (see :class:`ExplicitJoint`).
     """
     try:
         n = json_int(data["n"])
@@ -401,29 +603,8 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
         entries = list(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
-    table: dict = {}
-    parsed: dict = {}  # "p/q" text -> Fraction; tables repeat few distinct values
-    for entry in entries:
-        try:
-            sa = tuple(entry["settings_a"])
-            sb = tuple(entry["settings_b"])
-            oa = tuple(entry["outcomes_a"])
-            ob = tuple(entry["outcomes_b"])
-            if not all(type(v) is int for v in sa + sb + oa + ob):
-                raise TypeError("settings and outcomes must be integers")
-            raw = entry["p"]
-            if isinstance(raw, str):
-                p = parsed.get(raw)
-                if p is None:
-                    p = parsed[raw] = as_rational(raw)
-            else:
-                p = as_rational(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConstructionError(f"malformed joint-table entry {entry!r}") from exc
-        block = table.setdefault((sa, sb), {})
-        key = (oa, ob)
-        block[key] = block[key] + p if key in block else p
-    return explicit_joint(n, s_a, s_b, table)
+    return explicit_joint(n, s_a, s_b,
+                          _joint_blocks(n, s_a, s_b, _json_runs(entries), grouped=False))
 
 
 def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:

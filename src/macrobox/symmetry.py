@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, groupby, permutations, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -242,6 +242,18 @@ def _orbit_key(settings: tuple, outcomes: tuple) -> tuple:
     return tuple(-o for _, o in sorted(zip(settings, [-o for o in outcomes])))
 
 
+def _orbit_members(settings: tuple, key: tuple) -> list:
+    """Every outcome tuple whose :func:`_orbit_key` under ``settings`` is
+    ``key``: each same-setting run's -1s placed in every set of its slots."""
+    runs = []
+    for _, run in groupby(zip(settings, key), key=lambda slot: slot[0]):
+        outcomes = [o for _, o in run]
+        size = len(outcomes)
+        runs.append([tuple(MINUS if k in minus else PLUS for k in range(size))
+                     for minus in combinations(range(size), outcomes.count(MINUS))])
+    return [sum(parts, ()) for parts in product(*runs)]
+
+
 def _side_orbits(settings: tuple) -> dict:
     """Every orbit key of one side's outcome tuples, as dict keys."""
     return dict.fromkeys(_orbit_key(settings, outcomes)
@@ -427,7 +439,18 @@ class SymmetricJPD:
         return sum((p for _, _, p in self.items()), ZERO)
 
     def negative_entries(self) -> tuple:
-        return tuple(item for item in self.items() if item[2] < 0)
+        """(alice outcomes, bob outcomes, value) of every event with a
+        negative value, in canonical order.  Only the negative orbits are
+        expanded, so a valid JPD answers without expanding any."""
+        negative = [(key, p) for key, p in self.orbits.items() if p < 0]
+        if not negative:
+            return ()
+        a_settings, b_settings = _slot_settings(self.schema_a), _slot_settings(self.schema_b)
+        events = [(a_out, b_out, p) for (a_key, b_key), p in negative
+                  for a_out in _orbit_members(a_settings, a_key)
+                  for b_out in _orbit_members(b_settings, b_key)]
+        # product(OUTCOMES, ...) order: +1 before -1, slot by slot.
+        return tuple(sorted(events, key=lambda e: [o < 0 for o in e[0] + e[1]]))
 
     def items(self):
         """(alice outcomes, bob outcomes, probability) for every event, in

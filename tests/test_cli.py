@@ -354,6 +354,17 @@ class TestVerifyOutput:
             "SKIP fluctuations-jpd: construction needs n >= 4\n"
             "result: FAIL (7 checks, 1 failed, 2 skipped)\n")
 
+    def test_pr_box_file_of_its_nonzero_cells(self, capsys, tmp_path):
+        # The file omits the eight zero cells, so its table differs from the
+        # PR box's while its integer form does not.
+        cells = [[i, j, x, y, str(p)] for (i, j, x, y), p in make_pr_box().table.items() if p]
+        assert len(cells) == 8
+        path = tmp_path / "pr-nonzero.json"
+        path.write_text(json.dumps({"s_a": 2, "s_b": 2, "table": cells}))
+        expected = run_cli(capsys, ["verify", "--box", "pr", "--n", "1"])
+        assert run_cli(capsys, ["verify", "--box", f"file:{path}", "--n", "1"]) == expected
+        assert expected[0] == 1
+
     def test_pr_above_exhaustive_limit_text(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--box", "pr", "--n", "7"])
         assert (code, err) == (0, "")

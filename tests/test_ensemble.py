@@ -646,11 +646,11 @@ class TestMemo:
         assert warm == fresh and repr(warm) == repr(fresh)
         assert "_memo" not in repr(explicit_from_box(make_pr_box(), 1))
 
-    def test_support_blocks_share_the_memo(self):
+    def test_support_blocks_are_held_from_construction(self):
         model = explicit_from_box(make_pr_box(), 1)
         settings_ = SettingAssignment((0,), (1,))
         assert model._support(settings_) is model._support(settings_)
-        assert set(model._memo) == {("support", ((0,), (1,)))}
+        assert model._memo == {}
 
 
 class TestFrozenTables:

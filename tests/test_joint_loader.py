@@ -1,0 +1,400 @@
+"""The joint-table loaders: every error text, and a fuzz of the JSON loader.
+
+The pinned messages are the loaders' established reports, one case per
+fault kind and per rule of precedence, for JSON entries and for tables of
+Fraction blocks alike.
+"""
+
+import copy
+import json
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macrobox import (
+    ConstructionError,
+    DomainError,
+    OUTCOMES,
+    SettingAssignment,
+    check_no_signalling,
+    explicit_joint,
+    explicit_joint_from_json,
+    macro_distribution_bruteforce,
+    marginal,
+)
+from macrobox import ensemble
+from macrobox.ensemble import explicit_joint_from_data
+from tests.conftest import explicit_from_box, mixed_denominator_box
+
+F = Fraction
+HALF = "1/2"
+
+
+def pr_entries():
+    """The one-pair PR box as JSON entries, block by block."""
+    return [{"settings_a": [i], "settings_b": [j], "outcomes_a": [x], "outcomes_b": [y],
+             "p": HALF}
+            for i, j in product((0, 1), repeat=2)
+            for x, y in product(OUTCOMES, repeat=2) if (x * y == -1) == (i * j == 1)]
+
+
+def pr_data(**header):
+    return {"n": 1, "s_a": 2, "s_b": 2, "entries": pr_entries()} | header
+
+
+def pr_table():
+    """The one-pair PR box as a table of Fraction blocks."""
+    table = {}
+    for e in pr_entries():
+        block = table.setdefault((tuple(e["settings_a"]), tuple(e["settings_b"])), {})
+        block[(tuple(e["outcomes_a"]), tuple(e["outcomes_b"]))] = F(e["p"])
+    return table
+
+
+def edited(data, *edits):
+    """A deep copy of ``data`` with each ``(entry index, field, value)``
+    set; a value of ``None`` deletes the field."""
+    data = copy.deepcopy(data)
+    for index, name, value in edits:
+        if value is None:
+            del data["entries"][index][name]
+        else:
+            data["entries"][index][name] = value
+    return data
+
+
+def without_block(data, i, j):
+    data = copy.deepcopy(data)
+    data["entries"] = [e for e in data["entries"]
+                       if (e["settings_a"], e["settings_b"]) != ([i], [j])]
+    return data
+
+
+def moved(data, source, target):
+    """``data`` with entry ``source`` moved to position ``target``."""
+    data = copy.deepcopy(data)
+    data["entries"].insert(target, data["entries"].pop(source))
+    return data
+
+
+def table_with(*blocks):
+    """:func:`pr_table` with each ``(setting key, block)`` replaced, a
+    block of ``None`` deleted."""
+    table = pr_table()
+    for key, block in blocks:
+        if block is None:
+            del table[key]
+        else:
+            table[key] = block
+    return table
+
+
+# Entries 0-1 are block (0,);(0,), 2-3 (0,);(1,), 4-5 (1,);(0,), 6-7 (1,);(1,).
+JSON_CASES = [
+    ("entry-not-an-object", lambda: pr_data(entries=[5] + pr_entries()),
+     ConstructionError, "malformed joint-table entry 5"),
+    ("entry-without-p", lambda: edited(pr_data(), (3, "p", None)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [1], "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1]}"),
+    ("list-not-a-list", lambda: edited(pr_data(), (1, "settings_b", 0)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': 0, "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1], 'p': '1/2'}"),
+    ("bool-in-a-list", lambda: edited(pr_data(), (2, "outcomes_a", [True])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [1], "
+                        "'outcomes_a': [True], 'outcomes_b': [1], 'p': '1/2'}"),
+    ("float-in-a-list", lambda: edited(pr_data(), (5, "settings_a", [1.0])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [1.0], 'settings_b': [0], "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1], 'p': '1/2'}"),
+    ("p-bool", lambda: edited(pr_data(), (0, "p", True)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [0], "
+                        "'outcomes_a': [1], 'outcomes_b': [1], 'p': True}"),
+    ("p-float", lambda: edited(pr_data(), (0, "p", 0.5)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [0], "
+                        "'outcomes_a': [1], 'outcomes_b': [1], 'p': 0.5}"),
+    ("p-zero-denominator", lambda: edited(pr_data(), (0, "p", "1/0")),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [0], "
+                        "'outcomes_a': [1], 'outcomes_b': [1], 'p': '1/0'}"),
+    ("p-junk", lambda: edited(pr_data(), (0, "p", "half")),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [0], "
+                        "'outcomes_a': [1], 'outcomes_b': [1], 'p': 'half'}"),
+    ("header-without-n", lambda: {"s_a": 2, "s_b": 2, "entries": []},
+     ConstructionError, "malformed joint-table JSON: 'n'"),
+    ("header-bool-n", lambda: pr_data(n=True),
+     ConstructionError, "malformed joint-table JSON: not an integer: True"),
+    ("entries-not-a-list", lambda: pr_data(entries=5),
+     ConstructionError, "malformed joint-table JSON: 'int' object is not iterable"),
+    ("no-pairs", lambda: pr_data(n=0), DomainError, "need at least one pair, got n=0"),
+    ("no-settings", lambda: pr_data(s_b=0), DomainError, "each side needs at least one setting"),
+    ("no-entries", lambda: pr_data(entries=[]), ConstructionError, "empty joint table"),
+    ("setting-key-length", lambda: edited(pr_data(), (4, "settings_a", [1, 0])),
+     ConstructionError, "setting key (1, 0);(0,) does not list n=1 settings per side"),
+    ("setting-out-of-range", lambda: edited(pr_data(), (6, "settings_b", [2])),
+     ConstructionError, "setting key (1,);(2,) has a setting outside s_a=2, s_b=2"),
+    ("outcome-zero", lambda: edited(pr_data(), (1, "outcomes_b", [0])),
+     ConstructionError, "outcomes must be +1 or -1, got (-1,);(0,) at settings (0,);(0,)"),
+    ("outcome-two", lambda: edited(pr_data(), (7, "outcomes_a", [2])),
+     ConstructionError, "outcomes must be +1 or -1, got (2,);(1,) at settings (1,);(1,)"),
+    ("outcome-tuple-length", lambda: edited(pr_data(), (3, "outcomes_a", [-1, 1])),
+     ConstructionError, "outcome tuple length mismatch at settings (0,);(1,)"),
+    ("negative", lambda: edited(pr_data(), (4, "p", "3/2"), (5, "p", "-1/2")),
+     ConstructionError, "negative probability -1/2 at settings (1,);(0,), outcomes (-1,);(-1,)"),
+    ("total", lambda: edited(pr_data(), (6, "p", "1/4")),
+     ConstructionError, "outcomes for setting assignment (1,);(1,) sum to 3/4, not 1"),
+    ("missing-block", lambda: without_block(pr_data(), 1, 0),
+     ConstructionError, "outcomes for setting assignment (1,);(0,) sum to 0, not 1"),
+    ("repeat-summed-to-a-wrong-total", lambda: pr_data(entries=pr_entries() + pr_entries()[:1]),
+     ConstructionError, "outcomes for setting assignment (0,);(0,) sum to 3/2, not 1"),
+    # Precedence: a malformed entry first, then the shape, then bad keys and
+    # outcomes by the block first met, then the held faults in product order.
+    ("malformed-after-a-bad-outcome",
+     lambda: edited(pr_data(), (0, "outcomes_a", [2]), (7, "p", 0.5)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [1], 'settings_b': [1], "
+                        "'outcomes_a': [-1], 'outcomes_b': [1], 'p': 0.5}"),
+    ("malformed-before-the-shape", lambda: edited(pr_data(n=0), (7, "p", True)),
+     ConstructionError, "malformed joint-table entry {'settings_a': [1], 'settings_b': [1], "
+                        "'outcomes_a': [-1], 'outcomes_b': [1], 'p': True}"),
+    ("shape-before-a-bad-outcome", lambda: edited(pr_data(s_a=0), (0, "outcomes_a", [2])),
+     DomainError, "each side needs at least one setting"),
+    ("bad-outcome-of-the-first-block-before-a-bad-key",
+     lambda: edited(pr_data(s_a=1), (0, "outcomes_a", [2])),
+     ConstructionError, "outcomes must be +1 or -1, got (2,);(1,) at settings (0,);(0,)"),
+    ("block-met-first-wins",
+     lambda: moved(edited(pr_data(), (1, "outcomes_b", [2]), (6, "settings_b", [5])), 6, 1),
+     ConstructionError, "outcomes must be +1 or -1, got (-1,);(2,) at settings (0,);(0,)"),
+    ("bad-outcome-before-held-faults",
+     lambda: edited(pr_data(), (0, "p", "-1/2"), (7, "outcomes_b", [0])),
+     ConstructionError, "outcomes must be +1 or -1, got (-1,);(0,) at settings (1,);(1,)"),
+    ("held-faults-in-product-order",
+     lambda: edited(moved(pr_data(), 7, 0), (0, "p", "-1/2"), (3, "p", "1/4")),
+     ConstructionError, "outcomes for setting assignment (0,);(1,) sum to 3/4, not 1"),
+    ("first-faulty-entry-of-a-block",
+     lambda: edited(pr_data(), (2, "p", "-1/2"), (3, "outcomes_a", [-1, -1])),
+     ConstructionError, "negative probability -1/2 at settings (0,);(1,), outcomes (1,);(1,)"),
+    ("missing-block-in-product-order",
+     lambda: edited(without_block(pr_data(), 0, 1), (5, "p", "1/4")),
+     ConstructionError, "outcomes for setting assignment (0,);(1,) sum to 0, not 1"),
+]
+
+TABLE_CASES = [
+    ("empty", lambda: {}, ConstructionError, "empty joint table"),
+    ("setting-key-length", lambda: table_with((((0, 0), (0,)), {((1, 1), (1,)): F(1)})),
+     ConstructionError, "setting key (0, 0);(0,) does not list n=1 settings per side"),
+    ("setting-out-of-range", lambda: table_with((((0,), (-1,)), {((1,), (1,)): F(1)})),
+     ConstructionError, "setting key (0,);(-1,) has a setting outside s_a=2, s_b=2"),
+    ("outcome-two", lambda: table_with((((1,), (0,)), {((2,), (1,)): F(1)})),
+     ConstructionError, "outcomes must be +1 or -1, got (2,);(1,) at settings (1,);(0,)"),
+    ("not-a-rational", lambda: table_with((((1,), (0,)), {((1,), (1,)): "half"})),
+     DomainError, "not a rational: 'half'"),
+    ("outcome-tuple-length", lambda: table_with((((0,), (1,)), {((1,), (1, 1)): F(1)})),
+     ConstructionError, "outcome tuple length mismatch at settings (0,);(1,)"),
+    ("negative", lambda: table_with((((1,), (1,)), {((1,), (-1,)): F(3, 2),
+                                                    ((-1,), (1,)): F(-1, 2)})),
+     ConstructionError, "negative probability -1/2 at settings (1,);(1,), outcomes (-1,);(1,)"),
+    ("total", lambda: table_with((((0,), (0,)), {((1,), (1,)): F(1, 3)})),
+     ConstructionError, "outcomes for setting assignment (0,);(0,) sum to 1/3, not 1"),
+    ("missing-block", lambda: table_with((((1,), (1,)), None)),
+     ConstructionError, "outcomes for setting assignment (1,);(1,) sum to 0, not 1"),
+    # Table order for what raises where it is met, product order after.
+    ("bad-key-in-table-order", lambda: table_with((((0,), (0,)), {((1,), (2,)): F(1)}),
+                                                  (((3,), (0,)), {})),
+     ConstructionError, "outcomes must be +1 or -1, got (1,);(2,) at settings (0,);(0,)"),
+    ("bad-outcome-before-its-value", lambda: table_with((((0,), (1,)), {((0,), (1,)): "half"})),
+     ConstructionError, "outcomes must be +1 or -1, got (0,);(1,) at settings (0,);(1,)"),
+    ("last-value-wins", lambda: table_with((((0,), (0,)), {((1,), (1,)): F(-1, 2),
+                                                          (range(1, 2), (1,)): F(1, 4),
+                                                          ((-1,), (-1,)): F(1, 2)})),
+     ConstructionError, "outcomes for setting assignment (0,);(0,) sum to 3/4, not 1"),
+]
+
+
+@pytest.mark.parametrize("build, error, message",
+                         [case[1:] for case in JSON_CASES], ids=[case[0] for case in JSON_CASES])
+def test_json_loader_error_text(build, error, message):
+    data = build()
+    with pytest.raises(error) as info:
+        explicit_joint_from_data(data)
+    assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(error) as info:
+        explicit_joint_from_json(json.dumps(data))
+    assert str(info.value) == message
+
+
+def test_invalid_json_text():
+    with pytest.raises(ConstructionError) as info:
+        explicit_joint_from_json('{"n": 1,')
+    assert str(info.value) == ("invalid joint-table JSON: Expecting property name enclosed "
+                               "in double quotes: line 1 column 9 (char 8)")
+
+
+@pytest.mark.parametrize("build, error, message",
+                         [case[1:] for case in TABLE_CASES], ids=[case[0] for case in TABLE_CASES])
+def test_table_error_text(build, error, message):
+    with pytest.raises(error) as info:
+        explicit_joint(1, 2, 2, build())
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_one_walk_parses_each_distinct_text_once_and_decodes_nothing(monkeypatch):
+    source = explicit_from_box(mixed_denominator_box(), 2)
+    data = {"n": 2, "s_a": 2, "s_b": 2, "entries": [
+        {"settings_a": list(sa), "settings_b": list(sb), "outcomes_a": list(oa),
+         "outcomes_b": list(ob), "p": f"{p.numerator}/{p.denominator}"}
+        for (sa, sb), block in source.table.items() for (oa, ob), p in block.items()]}
+    parsed = []
+    as_rational = ensemble.as_rational
+    monkeypatch.setattr(ensemble, "as_rational", lambda value: parsed.append(value)
+                        or as_rational(value))
+
+    def decoded(*args):
+        raise AssertionError("a scan decoded the Fraction table")
+
+    monkeypatch.setattr(ensemble, "_outcomes_of", decoded)
+    model = explicit_joint_from_data(data)
+    assert sorted(parsed) == sorted({entry["p"] for entry in data["entries"]})
+    assert check_no_signalling(model).ok
+    assert marginal(model, [("A", 0, 1), ("B", 1, 0)])
+    assert macro_distribution_bruteforce(model, 1, 0).total() == 1
+    monkeypatch.undo()
+    assert model == source and model.table == source.table
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: valid tables, then faults of every kind the loader checks
+# ---------------------------------------------------------------------------
+
+LISTS = ("settings_a", "settings_b", "outcomes_a", "outcomes_b")
+
+
+@st.composite
+def valid_tables(draw):
+    """JSON data of a normalized, nonnegative joint table, zeros sometimes
+    listed, entries sometimes shuffled."""
+    n = draw(st.integers(1, 2))
+    s_a, s_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = []
+    for sa in product(range(s_a), repeat=n):
+        for sb in product(range(s_b), repeat=n):
+            cells = list(product(product(OUTCOMES, repeat=n), repeat=2))
+            weights = draw(st.lists(st.integers(0, 3), min_size=len(cells),
+                                    max_size=len(cells)).filter(any))
+            for (oa, ob), w in zip(cells, weights):
+                if w or draw(st.booleans()):
+                    p = F(w, sum(weights))
+                    entries.append({"settings_a": list(sa), "settings_b": list(sb),
+                                    "outcomes_a": list(oa), "outcomes_b": list(ob),
+                                    "p": f"{p.numerator}/{p.denominator}"})
+    if draw(st.booleans()):
+        entries = draw(st.permutations(entries))
+    return {"n": n, "s_a": s_a, "s_b": s_b, "entries": entries}
+
+
+@st.composite
+def mutated_tables(draw):
+    data = copy.deepcopy(draw(valid_tables()))
+    entries = data["entries"]
+    for _ in range(draw(st.integers(0, 3))):
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        name = draw(st.sampled_from(LISTS))
+        kind = draw(st.sampled_from(
+            ["list-type", "p", "setting", "outcome", "length", "drop-block", "negative",
+             "split", "repeat", "total"]))
+        if kind == "list-type":
+            entry[name] = entry[name] + [draw(st.sampled_from([True, False, 1.0, -1.0, 0.5]))]
+            entry[name] = entry[name][1:]
+        elif kind == "p":
+            entry["p"] = draw(st.sampled_from([True, False, 0.5, 1.0, "1/0", "half", None]))
+        elif kind == "setting":
+            entry[draw(st.sampled_from(LISTS[:2]))][0] = draw(st.sampled_from([2, -1]))
+        elif kind == "outcome":
+            entry[draw(st.sampled_from(LISTS[2:]))][0] = draw(st.sampled_from([0, 2]))
+        elif kind == "length":
+            entry[name] = entry[name] + [1] if draw(st.booleans()) else entry[name][1:]
+        elif kind == "drop-block":
+            key = (entry["settings_a"], entry["settings_b"])
+            entries[:] = [e for e in entries if (e["settings_a"], e["settings_b"]) != key]
+            if not entries:
+                break
+        elif kind in ("negative", "split", "repeat", "total") and isinstance(entry["p"], str):
+            try:
+                p = F(entry["p"])
+            except (ValueError, ZeroDivisionError):
+                continue
+            if kind == "negative":
+                entry["p"] = str(-p - 1)
+                twin = copy.deepcopy(entry)
+                twin["p"] = str(2 * p + 1)
+                twin["outcomes_a"] = [-o for o in twin["outcomes_a"]]
+                entries.append(twin)
+            elif kind == "split":
+                part = F(draw(st.integers(-2, 3)), 4) * p
+                twin = copy.deepcopy(entry)
+                entry["p"], twin["p"] = str(part), str(p - part)
+                entries.insert(draw(st.integers(0, len(entries))), twin)
+            elif kind == "repeat":
+                entries.insert(draw(st.integers(0, len(entries))), copy.deepcopy(entry))
+            else:
+                entry["p"] = str(p + F(1, 7))
+    return data
+
+
+def reference(data):
+    """The summed Fraction table of valid JSON data, checked by the rules
+    of the format from scratch, or None for data that must be refused."""
+    n, s_a, s_b = data["n"], data["s_a"], data["s_b"]
+    table = {}
+    for entry in data["entries"]:
+        lists = [entry[name] for name in LISTS]
+        if not all(type(v) is int for values in lists for v in values):
+            return None
+        raw = entry["p"]
+        if type(raw) is not str:
+            return None
+        try:
+            p = F(raw)
+        except (ValueError, ZeroDivisionError):
+            return None
+        sa, sb, oa, ob = map(tuple, lists)
+        if not all(len(t) == n for t in (sa, sb, oa, ob)):
+            return None
+        if not (all(0 <= i < s_a for i in sa) and all(0 <= j < s_b for j in sb)
+                and all(o in OUTCOMES for o in oa + ob)):
+            return None
+        block = table.setdefault((sa, sb), {})
+        block[(oa, ob)] = block.get((oa, ob), 0) + p
+    for key in product(product(range(s_a), repeat=n), product(range(s_b), repeat=n)):
+        block = table.get(key, {})
+        if sum(block.values()) != 1 or any(p < 0 for p in block.values()):
+            return None
+    return table
+
+
+def reference_support(n, block):
+    """``(D, sorted (code, D p))`` of one block, codes spelled out bit by bit."""
+    scale = lcm(*(p.denominator for p in block.values()))
+    pairs = []
+    for (oa, ob), p in block.items():
+        if p:
+            code = int("".join("1" if o < 0 else "0" for o in oa + ob), 2)
+            pairs.append((code, p.numerator * (scale // p.denominator)))
+    return scale, tuple(sorted(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_tables())
+def test_fuzzed_json_loads_exactly_or_is_refused(data):
+    expected = reference(data)
+    try:
+        model = explicit_joint_from_data(data)
+    except ConstructionError:
+        assert expected is None
+        return
+    assert expected is not None
+    assert model.table == expected
+    assert list(model.table) == list(expected)
+    for (sa, sb), block in expected.items():
+        assert model.table[(sa, sb)] == block
+        assert model._support(SettingAssignment(sa, sb)) == reference_support(model.n, block)

@@ -490,6 +490,24 @@ class TestJPDMarginalAndValidity:
         assert verdict.total == 1
         assert not verdict.negatives
 
+    @settings(max_examples=40, deadline=None)
+    @given(copies_a=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           copies_b=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           data=st.data())
+    def test_negative_entries_match_the_event_filter(self, copies_a, copies_b, data):
+        schema_a, schema_b = tuple(enumerate(copies_a)), tuple(enumerate(copies_b))
+        a_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_a))
+        b_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_b))
+        orbits = {(a_key, b_key): F(data.draw(st.integers(-2, 3)), 7)
+                  for a_key in a_orbits for b_key in b_orbits}
+        jpd = SymmetricJPD(schema_a, schema_b, orbits)
+        assert jpd.negative_entries() == tuple(item for item in jpd.items() if item[2] < 0)
+
+    def test_valid_jpd_expands_no_orbit(self, monkeypatch):
+        jpd = jpd_fluctuations(independent_pairs(make_isotropic_box(F(1, 2)), 4))
+        monkeypatch.setattr(symmetry, "_expand", None)
+        assert jpd.valid and jpd.negative_entries() == ()
+
 
 class TestJPDSerialization:
     def test_round_trip_bytes(self):
