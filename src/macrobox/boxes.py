@@ -198,8 +198,8 @@ class PairBox:
     def from_data(data) -> "PairBox":
         """Build a box from the parsed JSON object of :meth:`from_json`.
 
-        Each row is ``[i, j, x, y, p]`` with integer in-range settings,
-        integer +1/-1 outcomes and a cell not listed before.
+        Each row is ``[i, j, x, y, p]`` with integer fields and a cell not
+        listed before; the constructor refuses a cell outside the grid.
         """
         try:
             s_a, s_b = json_int(data["s_a"]), json_int(data["s_b"])
@@ -208,17 +208,10 @@ class PairBox:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed pair-box JSON: {exc}") from exc
         table = {}
-        for (i, j, x, y), p in rows:
-            if not (0 <= i < s_a and 0 <= j < s_b):
-                raise ConstructionError(
-                    f"pair-box row {[i, j, x, y]} has a setting outside "
-                    f"s_a={s_a}, s_b={s_b}")
-            if x not in OUTCOMES or y not in OUTCOMES:
-                raise ConstructionError(
-                    f"pair-box row {[i, j, x, y]} has an outcome other than +1 or -1")
-            if (i, j, x, y) in table:
-                raise ConstructionError(f"pair-box row {[i, j, x, y]} is listed twice")
-            table[(i, j, x, y)] = p
+        for key, p in rows:
+            if key in table:
+                raise ConstructionError(f"pair-box row {list(key)} is listed twice")
+            table[key] = p
         return PairBox(s_a=s_a, s_b=s_b, table=table)
 
 

@@ -544,8 +544,10 @@ def _verify_averages_validity(model: EnsembleModel) -> tuple:
 
 def _verify_fluctuations(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_fluctuations`.  Checks: :func:`jpd_validity`, then
-    its two-slots-per-side marginals against :func:`effective_quad`.  Needs
-    the two-copies construction, whose entries are nonnegative by
+    its two-slots-per-side marginals against :func:`effective_quad`: on a
+    pair box the matching DP against the quad's integer closed form, two
+    independent routes; on a joint table two sums of the same marginals.
+    Needs the two-copies construction, whose entries are nonnegative by
     construction, so the validity check catches implementation faults only."""
     _require_construction(model, copies=2)
     passed = "valid and reproduces the two-pair effective distribution"

@@ -452,7 +452,7 @@ def _setting_key_fault(n: int, s_a: int, s_b: int, key: tuple) -> str | None:
     sa, sb = key
     if len(sa) != n or len(sb) != n:
         return f"setting key {sa};{sb} does not list n={n} settings per side"
-    if any(not 0 <= i < s_a for i in sa) or any(not 0 <= j < s_b for j in sb):
+    if any(type(s) is not int or not 0 <= s < m for ss, m in ((sa, s_a), (sb, s_b)) for s in ss):
         return f"setting key {sa};{sb} has a setting outside s_a={s_a}, s_b={s_b}"
     return None
 
@@ -615,11 +615,11 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
         side, particle, setting = entry
         if side not in (ALICE, BOB):
             raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
-        if not (0 <= particle < model.n):
+        if type(particle) is not int or not (0 <= particle < model.n):
             raise DomainError(
                 f"particle index {particle} out of range for n={model.n}")
         limit = model.s_a if side == ALICE else model.s_b
-        if not (0 <= setting < limit):
+        if type(setting) is not int or not (0 <= setting < limit):
             raise DomainError(f"setting {setting} out of range for side {side}")
         if (side, particle) in seen:
             raise DomainError(f"particle ({side}, {particle}) listed twice")

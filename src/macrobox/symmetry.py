@@ -13,12 +13,12 @@ matchings between Alice slots and Bob slots: an injective assignment of
 slots to particles is determined, up to counting, by which Alice slot lands
 on the same pair as which Bob slot.  The number of assignments realizing a
 matching of size m is (N)_(a+b-m), with a and b the slot counts per side
-and (N)_k = math.perm(N, k): a + b - m distinct particles in order.  A
-small subset DP sums the matchings exactly, and the microscopic moment
-sums of :mod:`macrobox.macro` weight their matchings by the same count.
-Every other model goes through the explicit enumeration of ordered index
-tuples through model marginals; tests run it on product models wrapped as
-explicit tables as the oracle for the DP.
+and (N)_k = math.perm(N, k), as in the moment sums of :mod:`macrobox.macro`.
+The effective pair and quad and the slot correlators write the sum out as
+integer closed forms over the box's weights; a small subset DP sums the
+JPDs' matchings exactly and is the closed forms' check.  Every other model
+goes through the explicit enumeration of ordered index tuples through
+model marginals, the DP's oracle on product models wrapped as tables.
 
 A symmetrized value depends only on how many of each outcome every (side,
 setting) block of slots holds, so each distribution is a read-only map from
@@ -254,6 +254,12 @@ def _orbit_members(settings: tuple, key: tuple) -> list:
     return [sum(parts, ()) for parts in product(*runs)]
 
 
+def _orbit_size(settings: tuple, key: tuple) -> int:
+    """How many members :func:`_orbit_members` lists: C(run length, -1s) per run."""
+    minus = [s for s, o in zip(settings, key) if o == MINUS]
+    return math.prod(math.comb(settings.count(s), minus.count(s)) for s in set(minus))
+
+
 def _side_orbits(settings: tuple) -> dict:
     """Every orbit key of one side's outcome tuples, as dict keys."""
     return dict.fromkeys(_orbit_key(settings, outcomes)
@@ -312,17 +318,31 @@ def _symmetrized_product_entries(model: IndependentPairs,
 
 
 def effective_quad(model: EnsembleModel) -> QuadDistribution:
-    """Symmetrized two-pair distribution per setting pair (needs N >= 2)."""
+    """Symmetrized two-pair distribution per setting pair (needs N >= 2): the
+    integer :func:`_quad_closed_form` for a product model, checked by the DP
+    behind :func:`jpd_fluctuations`; the memoised enumeration otherwise."""
     if model.n < 2:
         raise DomainError(
             f"the two-pair effective distribution needs at least 2 pairs, got n={model.n}")
     table = {}
     for i in range(model.s_a):
         for j in range(model.s_b):
-            orbits = _symmetrized_entries(model, (i, i), (j, j))
-            for (x, xp), (y, yp), p in _expand((i, i), (j, j), orbits):
-                table[(i, j, x, xp, y, yp)] = p
+            if isinstance(model, IndependentPairs):
+                row = _quad_closed_form(model.box, model.n, i, j)
+            else:
+                orbits = _symmetrized_entries(model, (i, i), (j, j))
+                row = {a_out + b_out: p for a_out, b_out, p in _expand((i, i), (j, j), orbits)}
+            table.update({(i, j) + key: p for key, p in row.items()})
     return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
+
+
+def _integer_row(box: PairBox, i: int, j: int) -> tuple:
+    """``(L, P, A, B)`` at (i, j): L = ``box.scale``, P the map (x, y) -> L p(x, y)
+    of ``box.weights`` in OUTCOMES order, A and B its marginals x, y -> L p."""
+    row = {(x, y): box.weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES}
+    alice = {x: row[(x, PLUS)] + row[(x, MINUS)] for x in OUTCOMES}
+    bob = {y: row[(PLUS, y)] + row[(MINUS, y)] for y in OUTCOMES}
+    return box.scale, row, alice, bob
 
 
 def _pair_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
@@ -330,16 +350,28 @@ def _pair_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
     (x, y) -> p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j), in OUTCOMES order.
 
     One of the N^2 particle pairs is a true pair; the others are two
-    independent particles.  On the box's integer form, with L = box.scale,
-    P = L p(x, y), A = L p_a(x) and B = L p_b(y) read from ``box.weights``,
-    each cell is the one Fraction (L P + (N-1) A B) / (N L^2).
-    """
-    scale, weights = box.scale, box.weights
-    row = {(x, y): weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES}
-    alice = {x: row[(x, PLUS)] + row[(x, MINUS)] for x in OUTCOMES}
-    bob = {y: row[(PLUS, y)] + row[(MINUS, y)] for y in OUTCOMES}
+    independent particles.  On the row of :func:`_integer_row`, each cell
+    is the one Fraction (L P + (N-1) A B) / (N L^2)."""
+    scale, row, alice, bob = _integer_row(box, i, j)
     return {(x, y): Fraction(scale * w + (n - 1) * alice[x] * bob[y], n * scale * scale)
             for (x, y), w in row.items()}
+
+
+def _quad_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
+    """The effective quad's (i, j) row of N independent copies of ``box``,
+    (x, x', y, y') -> value in OUTCOMES order: the matching DP's 0, 1 and 2
+    matched-pair terms on :func:`_integer_row`, each the one Fraction [(N)_4
+    A_x A_x' B_y B_y' + (N)_3 L (P_xy A_x' B_y' + P_xy' A_x' B_y + P_x'y A_x
+    B_y' + P_x'y' A_x B_y) + (N)_2 L^2 (P_xy P_x'y' + P_xy' P_x'y)] / ((N)_2^2 L^4)."""
+    scale, p, a, b = _integer_row(box, i, j)
+    n2, n3, n4 = (math.perm(n, k) for k in (2, 3, 4))
+    norm = n2 * n2 * scale ** 4
+    return {(x, xp, y, yp): Fraction(
+                n4 * a[x] * a[xp] * b[y] * b[yp]
+                + n3 * scale * (p[x, y] * a[xp] * b[yp] + p[x, yp] * a[xp] * b[y]
+                                + p[xp, y] * a[x] * b[yp] + p[xp, yp] * a[x] * b[y])
+                + n2 * scale * scale * (p[x, y] * p[xp, yp] + p[x, yp] * p[xp, y]), norm)
+            for x, xp, y, yp in product(OUTCOMES, repeat=4)}
 
 
 def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
@@ -436,7 +468,10 @@ class SymmetricJPD:
         return {(a_out, b_out): p for a_out, b_out, p in self.items()}
 
     def total(self) -> Fraction:
-        return sum((p for _, _, p in self.items()), ZERO)
+        """The sum over every event: each orbit's value times its size."""
+        a_settings, b_settings = _slot_settings(self.schema_a), _slot_settings(self.schema_b)
+        return sum((_orbit_size(a_settings, a_key) * _orbit_size(b_settings, b_key) * p
+                    for (a_key, b_key), p in self.orbits.items()), ZERO)
 
     def negative_entries(self) -> tuple:
         """(alice outcomes, bob outcomes, value) of every event with a

@@ -299,7 +299,7 @@ class TestFromDataRows:
     @pytest.mark.parametrize("row", [[2, 0, 1, 1, "1/2"], [0, -1, 1, 1, "1/2"],
                                      [0, 0, 2, 1, "1/3"], [0, 0, 1, 0, "1/3"]])
     def test_rejects_out_of_range_rows(self, row):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match=r"pair-box cell .* is outside s_a=2, s_b=2"):
             PairBox.from_data({"s_a": 2, "s_b": 2, "table": pr_rows() + [row]})
 
     def test_rejects_duplicate_row(self):

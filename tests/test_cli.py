@@ -611,7 +611,11 @@ class TestFileBoxes:
             main(["box", "--box", f"file:{path}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "pair-box row" in err and "Traceback" not in err
+        # One message per fault: the box's grid check, or the loader's repeat check.
+        cell = tuple(row[:4])
+        expected = (f"pair-box row {row[:4]} is listed twice" if cell in make_pr_box().table
+                    else f"pair-box cell {cell} is outside s_a=2, s_b=2")
+        assert expected in err and "Traceback" not in err
 
     @pytest.mark.parametrize("s_a, s_b", [(0, 0), (-1, 0), (2, 0)])
     @pytest.mark.parametrize("argv", [["box"], ["verify", "--n", "2"]])

@@ -300,6 +300,14 @@ class TestMarginal:
         with pytest.raises(DomainError):
             marginal(model, [("A", 2, 0)])
 
+    @pytest.mark.parametrize("build", [independent_pairs, explicit_from_box])
+    @pytest.mark.parametrize("slot", [("A", 0, 0.5), ("B", 1, True), ("A", 0.5, 0),
+                                      ("B", False, 1)])
+    def test_rejects_non_integer_particle_or_setting(self, build, slot):
+        # A float or a bool is no index, as in boxes.json_int.
+        with pytest.raises(DomainError, match="out of range"):
+            marginal(build(make_pr_box(), 2), [slot])
+
     def test_enumeration_agrees_with_product_path(self):
         box = make_isotropic_box(F(3, 5))
         model = independent_pairs(box, 2)

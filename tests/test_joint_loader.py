@@ -185,6 +185,9 @@ TABLE_CASES = [
      ConstructionError, "setting key (0, 0);(0,) does not list n=1 settings per side"),
     ("setting-out-of-range", lambda: table_with((((0,), (-1,)), {((1,), (1,)): F(1)})),
      ConstructionError, "setting key (0,);(-1,) has a setting outside s_a=2, s_b=2"),
+    # No setting assignment reaches this block, so only the key check can refuse it.
+    ("setting-not-an-integer", lambda: table_with((((0,), (0.5,)), {((1,), (1,)): F(1)})),
+     ConstructionError, "setting key (0,);(0.5,) has a setting outside s_a=2, s_b=2"),
     ("outcome-two", lambda: table_with((((1,), (0,)), {((2,), (1,)): F(1)})),
      ConstructionError, "outcomes must be +1 or -1, got (2,);(1,) at settings (1,);(0,)"),
     ("not-a-rational", lambda: table_with((((1,), (0,)), {((1,), (1,)): "half"})),

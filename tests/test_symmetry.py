@@ -221,6 +221,19 @@ class TestEffectiveQuad:
         wrapped = effective_quad(explicit_from_box(box, 2))
         assert direct.table == wrapped.table
 
+    @settings(max_examples=40, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=2, max_value=8))
+    def test_integer_closed_form_matches_matching_dp(self, box, n):
+        # The product route's integer closed form against the Fraction
+        # matching DP, each on its own model so no memo is shared, and in
+        # the DP's (i, j, x, x', y, y') order.
+        quad = effective_quad(independent_pairs(box, n))
+        model = independent_pairs(box, n)
+        expected = {(i, j) + a_out + b_out: p for i, j in SETTINGS
+                    for a_out, b_out, p in symmetry._expand(
+                        (i, i), (j, j), symmetry._symmetrized_entries(model, (i, i), (j, j)))}
+        assert list(quad.table.items()) == list(expected.items())
+
     def test_quad_pair_marginal_is_effective_pair(self):
         model = independent_pairs(make_pr_box(), 4)
         quad = effective_quad(model)
@@ -463,6 +476,19 @@ class TestGeneralJPD:
             jpd_general(independent_pairs(make_pr_box(), 4), 0)
 
 
+@st.composite
+def signed_jpds(draw):
+    """A JPD of one or two settings per side, 1-3 copies each, and a signed
+    value of denominator 1-9 per orbit."""
+    copies = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+    schema_a, schema_b = tuple(enumerate(draw(copies))), tuple(enumerate(draw(copies)))
+    a_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_a))
+    b_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_b))
+    return SymmetricJPD(schema_a, schema_b, {
+        (a_key, b_key): F(draw(st.integers(-2, 3)), draw(st.integers(1, 9)))
+        for a_key in a_orbits for b_key in b_orbits})
+
+
 class TestJPDMarginalAndValidity:
     def test_full_slot_marginal_is_identity(self):
         jpd = jpd_averages(independent_pairs(make_pr_box(), 2))
@@ -491,22 +517,20 @@ class TestJPDMarginalAndValidity:
         assert not verdict.negatives
 
     @settings(max_examples=40, deadline=None)
-    @given(copies_a=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-           copies_b=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-           data=st.data())
-    def test_negative_entries_match_the_event_filter(self, copies_a, copies_b, data):
-        schema_a, schema_b = tuple(enumerate(copies_a)), tuple(enumerate(copies_b))
-        a_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_a))
-        b_orbits = symmetry._side_orbits(symmetry._slot_settings(schema_b))
-        orbits = {(a_key, b_key): F(data.draw(st.integers(-2, 3)), 7)
-                  for a_key in a_orbits for b_key in b_orbits}
-        jpd = SymmetricJPD(schema_a, schema_b, orbits)
+    @given(jpd=signed_jpds())
+    def test_negative_entries_match_the_event_filter(self, jpd):
         assert jpd.negative_entries() == tuple(item for item in jpd.items() if item[2] < 0)
 
     def test_valid_jpd_expands_no_orbit(self, monkeypatch):
         jpd = jpd_fluctuations(independent_pairs(make_isotropic_box(F(1, 2)), 4))
         monkeypatch.setattr(symmetry, "_expand", None)
         assert jpd.valid and jpd.negative_entries() == ()
+        assert str(jpd_validity(jpd)) == "valid"
+
+    @settings(max_examples=40, deadline=None)
+    @given(jpd=signed_jpds())
+    def test_total_is_the_event_sum(self, jpd):
+        assert jpd.total() == sum((p for _, _, p in jpd.items()), F(0))
 
 
 class TestJPDSerialization:
@@ -687,8 +711,10 @@ class TestSymmetrizedMemo:
             symmetric_laws(warm)
             assert symmetric_laws(warm) == symmetric_laws(build(box, n))
 
-    @pytest.mark.parametrize("build", [independent_pairs, explicit_from_box])
-    def test_second_quad_does_no_new_work(self, monkeypatch, build):
+    @staticmethod
+    def count_dp_and_marginals(monkeypatch) -> list:
+        """Record each call of the matching DP and of the count law that
+        every marginal, memoised or not, reads."""
         calls = []
 
         def counted(module, name):
@@ -699,14 +725,25 @@ class TestSymmetrizedMemo:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        # Every marginal, memoised or not, reads its count law.
         counted(ensemble, "_marginal_count_law")
         counted(symmetry, "_symmetrized_product_entry")
+        return calls
+
+    # A pair box's quad takes the closed form, with no memo; see the next test.
+    @pytest.mark.parametrize("build", [explicit_from_box])
+    def test_second_quad_does_no_new_work(self, monkeypatch, build):
+        calls = self.count_dp_and_marginals(monkeypatch)
         model = build(make_isotropic_box(F(1, 3)), 3)
         first = effective_quad(model)
         assert calls
         calls.clear()
         assert effective_quad(model) == first
+        assert calls == []
+
+    def test_pair_box_quad_runs_neither_dp_nor_marginals(self, monkeypatch):
+        calls = self.count_dp_and_marginals(monkeypatch)
+        model = independent_pairs(make_isotropic_box(F(1, 3)), 3)
+        assert effective_quad(model) == effective_quad(model)
         assert calls == []
 
     def test_returned_tables_are_read_only(self):
