@@ -117,14 +117,16 @@ class PairBox:
     and any other cell value.  The box keeps a read-only view of a private
     copy of ``table``, and its integer form: ``scale``, the lcm L of the
     grid's denominators, and ``weights``, a read-only map from every grid
-    key (:meth:`cells` order, zeros included) to L * p.
+    key (:meth:`cells` order, zeros included) to L * p.  Boxes compare by
+    that form, so a table that leaves its zero cells out equals the one
+    that lists them, as its :meth:`to_json` round trip does.
     """
 
     s_a: int
     s_b: int
-    table: Mapping
-    scale: int = field(init=False, repr=False, compare=False)
-    weights: Mapping = field(init=False, repr=False, compare=False)
+    table: Mapping = field(compare=False)
+    scale: int = field(init=False, repr=False)
+    weights: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s_a, s_b = self.s_a, self.s_b
@@ -154,7 +156,7 @@ class PairBox:
             {key: n * (scale // d) for key, (n, d) in ratios.items()}))
 
     def prob(self, i: int, j: int, x: int, y: int) -> Fraction:
-        self._check_settings(i, j)
+        check_settings(self.s_a, self.s_b, i, j)
         return self.table.get((i, j, x, y), ZERO)
 
     def marginal_a(self, i: int, x: int) -> Fraction:
@@ -172,12 +174,6 @@ class PairBox:
                 for x in OUTCOMES:
                     for y in OUTCOMES:
                         yield i, j, x, y, self.prob(i, j, x, y)
-
-    def _check_settings(self, i: int, j: int) -> None:
-        if not (0 <= i < self.s_a):
-            raise DomainError(f"alice setting {i} out of range (s_a={self.s_a})")
-        if not (0 <= j < self.s_b):
-            raise DomainError(f"bob setting {j} out of range (s_b={self.s_b})")
 
     def to_json(self) -> str:
         rows = [
@@ -213,6 +209,16 @@ class PairBox:
                 raise ConstructionError(f"pair-box row {list(key)} is listed twice")
             table[key] = p
         return PairBox(s_a=s_a, s_b=s_b, table=table)
+
+
+def check_settings(s_a: int, s_b: int, i: int, j: int) -> None:
+    """Refuse, with :class:`DomainError`, an Alice setting ``i`` outside
+    range(s_a) or a Bob setting ``j`` outside range(s_b), and any setting
+    that is not an int: a float, or a bool, which would read as 0 or 1."""
+    if type(i) is not int or not (0 <= i < s_a):
+        raise DomainError(f"alice setting {i!r} out of range (s_a={s_a})")
+    if type(j) is not int or not (0 <= j < s_b):
+        raise DomainError(f"bob setting {j!r} out of range (s_b={s_b})")
 
 
 def canonical_json(obj) -> str:

@@ -472,10 +472,12 @@ def _verify_path_agreement(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_correlator` behind the averages, second
     moments and correlations.  Check: the distinct-tuple sums, which each
     routine compares itself, raising on a disagreement.  For a product
-    model the two are independent algorithms over one input (the closed
-    form against the matching sum, both over ``box.weights``); for a
-    joint table both read the same memoised marginals, so the row checks
-    only the two summations."""
+    model the two are independent algorithms over one input,
+    ``box.weights``: the closed form counts the matchings and reads the
+    (i, j) row's (P, A, B), while the matching sum visits each matching
+    and multiplies signed row sums, an unmatched slot's from row (i, 0)
+    or (0, j).  For a joint table both read the same memoised marginals,
+    so the row checks only the two summations."""
     for i in range(model.s_a):
         macro_average(model, ALICE, i)
         macro_local_second_moment(model, ALICE, i)

@@ -8,9 +8,11 @@ correlators of :func:`effective_correlator`, an integer closed form for a
 pair box and the signed sums of the symmetrised entries for a joint
 table.  The averages, correlations and second moments are checked against
 the same expansion over the distinct-tuple sums of
-:func:`_distinct_tuple_sum`; general k-th moments are checked by
-``verify``'s oracle row.  The expansion sums integer numerators per
-denominator and builds one Fraction per moment.  Also here: the exact
+:func:`_distinct_tuple_sum`: for a pair box one term per partial matching,
+a product of signed row sums of ``box.weights``, and for a joint table the
+literal loop over its marginal correlators.  General k-th moments are
+checked by ``verify``'s oracle row.  The expansion sums integer numerators
+per denominator and builds one Fraction per moment.  Also here: the exact
 distribution of the collective sums (an integer convolution for
 independent pairs, checked against a brute-force enumeration oracle); the
 conditional variance of the summed incompatible Bob observables under a
@@ -33,7 +35,9 @@ from .boxes import (
     ONE,
     OUTCOMES,
     ZERO,
+    PairBox,
     canonical_json,
+    check_settings,
     rational_to_str,
 )
 from .ensemble import (
@@ -72,29 +76,32 @@ def odd_multiplicity_counts(length: int, symbols: int) -> list:
     return [state.get(r, 0) for r in range(length + 1)]
 
 
-def _require_settings(model: EnsembleModel, i: int, j: int) -> None:
-    if not (0 <= i < model.s_a):
-        raise DomainError(f"alice setting {i} out of range (s_a={model.s_a})")
-    if not (0 <= j < model.s_b):
-        raise DomainError(f"bob setting {j} out of range (s_b={model.s_b})")
+def _signed_row_sum(box: PairBox, i: int, j: int, alice: int, bob: int) -> int:
+    """sum x^alice y^bob w(i, j, x, y) over the (i, j) row of ``box.weights``:
+    L = ``box.scale`` times <a_i b_j> at (1, 1), <a_i> at (1, 0) and <b_j>
+    at (0, 1), the other side's outcome summed out at its setting in the
+    row.  Callers check the settings."""
+    return sum(x ** alice * y ** bob * box.weights[(i, j, x, y)]
+               for x in OUTCOMES for y in OUTCOMES)
 
 
 def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
                         bob_settings: tuple) -> Fraction:
-    """Sum of :func:`marginal_correlator` over ordered tuples of distinct
+    """Sum of the outcome-product correlator over ordered tuples of distinct
     Alice particles carrying ``alice_settings`` and distinct Bob particles
-    carrying ``bob_settings``.
+    carrying ``bob_settings``.  Callers check the settings.
 
-    A joint table gets the literal loop, one term per index tuple.  For a
-    product model a term depends only on which Bob slot shares its pair
-    with which Alice slot, so the sum visits each partial matching of Bob
-    slots onto Alice slots once: Alice slot u sits on particle u, a matched
-    Bob slot on its partner's particle, and the unmatched Bob slots on
-    fresh particles a, a+1, ....  Each term is weighted by
+    A joint table gets the literal loop, one :func:`marginal_correlator`
+    term per index tuple.  For a product model a term depends only on which
+    Bob slot shares its pair with which Alice slot, so the sum visits each
+    partial matching of Bob slots onto Alice slots once, weighted by
     :func:`matching_assignment_count`; a term of weight 0 (too few pairs
-    for that many distinct particles) is never evaluated, so no
-    out-of-range particle is asked for.  The terms are summed on integers
-    (:func:`_weighted_sum`).
+    for that many distinct particles) is never evaluated.  A term is the
+    product of one :func:`_signed_row_sum` per involved pair: row (i, j)
+    for a matched pair, row (i, 0) for an Alice-only slot and row (0, j)
+    for a Bob-only slot.  With L = ``box.scale``, a term over m matched
+    pairs is scaled by L^m onto the common L^(a+b), and one Fraction is
+    built.
     """
     n = model.n
     a, b = len(alice_settings), len(bob_settings)
@@ -104,19 +111,21 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
                 model, [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
                 + [(BOB, l, s) for l, s in zip(bob, bob_settings)]))
             for alice in permutations(range(n), a) for bob in permutations(range(n), b))
-    alice_spec = [(ALICE, u, s) for u, s in enumerate(alice_settings)]
-    terms = []
+    box = model.box
+    alice_only = [_signed_row_sum(box, i, 0, 1, 0) for i in alice_settings]
+    bob_only = [_signed_row_sum(box, 0, j, 0, 1) for j in bob_settings]
+    total = 0
     for partners in product(range(a + 1), repeat=b):  # a marks an unmatched slot
         matched = [u for u in partners if u < a]
         if len(set(matched)) < len(matched):
             continue
-        weight = matching_assignment_count(n, len(matched), a, b)
-        if weight:
-            fresh = iter(range(a, a + b))
-            bob_spec = [(BOB, u if u < a else next(fresh), s)
-                        for u, s in zip(partners, bob_settings)]
-            terms.append((weight, marginal_correlator(model, alice_spec + bob_spec)))
-    return _weighted_sum(terms)
+        term = matching_assignment_count(n, len(matched), a, b) * box.scale ** len(matched)
+        if term:
+            total += term * math.prod(
+                [w for u, w in enumerate(alice_only) if u not in matched]
+                + [_signed_row_sum(box, alice_settings[u], j, 1, 1) if u < a else bob_only[v]
+                   for v, (u, j) in enumerate(zip(partners, bob_settings))])
+    return Fraction(total, box.scale ** (a + b))
 
 
 def _weighted_sum(terms) -> Fraction:
@@ -162,11 +171,13 @@ def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fra
     """<A_i^p B_j^q> by :func:`_moment`, checked against the same expansion
     over the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided by
     (N)_r (N)_s.  The check runs first.  On a pair box the two are
-    independent algorithms over one input, ``box.weights``: the closed
-    form through ``_correlator_row``, the matching sum through
-    ``_product_marginal_counts``.
+    independent algorithms over one input, ``box.weights``.  The closed
+    form counts the matchings of m pairs as C(r, m) C(s, m) m! and reads
+    only the (i, j) row's (P, A, B) through ``_correlator_row``.  The
+    matching sum visits the matchings one by one and reads an unmatched
+    slot's own row, (i, 0) or (0, j), through :func:`_signed_row_sum`.
     """
-    _require_settings(model, i, j)
+    check_settings(model.s_a, model.s_b, i, j)
     n = model.n
     micro = _expansion(n, p, q, lambda r, s: _distinct_tuple_sum(
         model, (i,) * r, (j,) * s) / (math.perm(n, r) * math.perm(n, s)))
@@ -298,7 +309,7 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     """
     if not isinstance(model, IndependentPairs):
         return macro_distribution_bruteforce(model, i, j)
-    _require_settings(model, i, j)
+    check_settings(model.s_a, model.s_b, i, j)
     n, weights = model.n, model.box.weights
     step = [(x, y, w) for x in OUTCOMES for y in OUTCOMES if (w := weights[(i, j, x, y)])]
     counts = {(0, 0): 1}
@@ -331,14 +342,14 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
     :func:`macro_distribution` for models that are not independent pairs,
     and the tests.
     """
-    _require_settings(model, i, j)
+    check_settings(model.s_a, model.s_b, i, j)
     law = _as_law(*_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j)))
     return _on_grid(model.n, i, j, lambda key: law.get(key, ZERO))
 
 
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:
     """<(A_i B_j)^order> by :func:`_moment`."""
-    _require_settings(model, i, j)
+    check_settings(model.s_a, model.s_b, i, j)
     if order < 0:
         raise DomainError(f"moment order must be nonnegative, got {order}")
     return _moment(model, i, j, order, order)
@@ -360,7 +371,7 @@ def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> F
     box = model.box
     if box.s_b < 2:
         raise DomainError("the summed Bob observable needs Bob settings 0 and 1")
-    _require_settings(model, alice_setting, 0)
+    check_settings(model.s_a, model.s_b, alice_setting, 0)
     mean = ZERO
     mean_square = ZERO
     for x in OUTCOMES:
@@ -461,9 +472,13 @@ def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
 
     Needs N >= 4 because <A0 A1> and <B0 B1> are defined by the fluctuations
     JPD: N^2 times the correlator of its setting-0 and setting-1 slots on one
-    side.  That marginal is the symmetrized two-slot distribution, so each
-    entry is the :func:`_symmetrized_correlator` of those two slots alone,
-    without building the JPD's 2^8 entries.
+    side, a marginal of the symmetrized two-slot distribution.  Two such
+    slots sit on distinct particles, so for independent pairs the correlator
+    factorises: <A0 A1> = N^2 A_0 A_1 / L^2, with A_i = sum x w(i, 0, x, y)
+    the :func:`_signed_row_sum` of Alice's row and L = ``box.scale``, and
+    <B0 B1> likewise from Bob's rows.  Any other model takes the
+    :func:`_symmetrized_correlator` of the two slots, without building the
+    JPD's 2^8 entries; on a pair box that sum is the tests' check.
     """
     if model.s_a != 2 or model.s_b != 2:
         raise DomainError("the correlation matrix is defined for 2 settings per side")
@@ -475,8 +490,15 @@ def gisin_matrix(model: EnsembleModel) -> GisinMatrix:
     second_b = [macro_local_second_moment(model, BOB, s) for s in (0, 1)]
     cross = {(i, j): macro_correlation(model, i, j)
              for i in (0, 1) for j in (0, 1)}
-    a0a1 = n * n * _symmetrized_correlator(model, (0, 1), ())
-    b0b1 = n * n * _symmetrized_correlator(model, (), (0, 1))
+    if isinstance(model, IndependentPairs):
+        box = model.box
+        alice = [_signed_row_sum(box, i, 0, 1, 0) for i in (0, 1)]
+        bob = [_signed_row_sum(box, 0, j, 0, 1) for j in (0, 1)]
+        a0a1 = Fraction(n * n * alice[0] * alice[1], box.scale ** 2)
+        b0b1 = Fraction(n * n * bob[0] * bob[1], box.scale ** 2)
+    else:
+        a0a1 = n * n * _symmetrized_correlator(model, (0, 1), ())
+        b0b1 = n * n * _symmetrized_correlator(model, (), (0, 1))
     rows = (
         (second_a[0], a0a1, cross[(0, 0)], cross[(0, 1)]),
         (a0a1, second_a[1], cross[(1, 0)], cross[(1, 1)]),

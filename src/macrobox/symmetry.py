@@ -52,6 +52,7 @@ from .boxes import (
     PairBox,
     as_rational,
     canonical_json,
+    check_settings,
     json_int,
     outcome_from_symbol,
     outcome_symbol,
@@ -378,7 +379,7 @@ def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
     """``(P, A, B)`` for setting pair (i, j): ``box.scale`` times <a_i b_j>,
     <a_i> and <b_j>, read from the row's ``box.weights``.  A setting out of
     range raises :class:`DomainError`, as ``box.prob`` does."""
-    box._check_settings(i, j)
+    check_settings(box.s_a, box.s_b, i, j)
     pp, pm, mp, mm = [box.weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES]
     return pp - pm - mp + mm, pp + pm - mp - mm, pp - pm + mp - mm
 

@@ -1,11 +1,12 @@
 """Single-pair box construction, validation, correlators and serialization."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrobox import (
@@ -65,6 +66,20 @@ class TestPrBox:
 
     def test_validates_clean(self):
         assert validate_pairbox(make_pr_box()).ok
+
+    @pytest.mark.parametrize("setting", [0.5, 1.0, True, False, "0", None])
+    def test_refuses_non_int_settings(self, setting):
+        # A float inside the range, or a bool, would read a cell as 0 or
+        # as the setting it compares equal to.
+        pr = make_pr_box()
+        with pytest.raises(DomainError, match=re.escape(f"alice setting {setting!r}")):
+            pr.prob(setting, 0, 1, 1)
+        with pytest.raises(DomainError, match=re.escape(f"bob setting {setting!r}")):
+            pr.prob(0, setting, 1, 1)
+        with pytest.raises(DomainError):
+            pr.marginal_a(setting, 1)
+        with pytest.raises(DomainError):
+            pr.marginal_b(setting, 1)
 
     def test_chsh_is_four(self):
         pr = make_pr_box()
@@ -312,6 +327,128 @@ class TestFromDataRows:
         assert box == make_pr_box()
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=12)
+CELL_FIELDS = st.one_of(st.sampled_from([0, 1, -1, 2]), JSON_VALUES)
+CELL_VALUES = st.one_of(
+    st.sampled_from(["1/2", "1/4", "3/4", "0", "1", "-1/4", " 1/2", "2/4", "1/0", "half"]),
+    st.integers(-1, 1), JSON_VALUES)
+
+
+@st.composite
+def pair_box_json(draw):
+    """Parsed JSON: now and then an arbitrary value, otherwise the rows of
+    a random box (no-signalling or not), in any order, with up to three
+    mutations: a field or a header value replaced by another value, a row
+    dropped, repeated or cut short, or a top-level key removed."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        box = draw(no_signalling_boxes())
+    else:
+        s_a, s_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        table = {}
+        for i, j in product(range(s_a), range(s_b)):
+            weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+            for (x, y), w in zip(product(OUTCOMES, OUTCOMES), weights):
+                table[(i, j, x, y)] = F(w, sum(weights))
+        box = PairBox(s_a=s_a, s_b=s_b, table=table)
+    rows = [[i, j, x, y, rational_to_str(p)] for i, j, x, y, p in box.cells()
+            if p or draw(st.booleans())]
+    data = {"s_a": box.s_a, "s_b": box.s_b, "table": draw(st.permutations(rows))}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field", "header", "drop", "repeat", "cut", "key"]))
+        rows = data.get("table")
+        if kind in ("field", "drop", "repeat", "cut") and isinstance(rows, list) and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if kind == "field" and isinstance(rows[k], list) and rows[k]:
+                field = draw(st.integers(0, len(rows[k]) - 1))
+                rows[k][field] = draw(CELL_VALUES if field == 4 else CELL_FIELDS)
+            elif kind == "drop":
+                del rows[k]
+            elif kind == "repeat":
+                rows.append(rows[k])
+            elif kind == "cut" and isinstance(rows[k], list):
+                rows[k] = rows[k][:-1]
+        elif kind == "header" and data:
+            data[draw(st.sampled_from(sorted(data)))] = draw(
+                st.one_of(st.integers(-1, 3), JSON_VALUES))
+        elif kind == "key" and data:
+            del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+def reference_pair_box(data):
+    """The Fraction table of pair-box JSON, read by the rules of the format
+    from scratch, or None for data that must be refused."""
+    if not isinstance(data, dict) or not {"s_a", "s_b", "table"} <= data.keys():
+        return None
+    s_a, s_b, rows = data["s_a"], data["s_b"], data["table"]
+    if type(s_a) is not int or type(s_b) is not int or min(s_a, s_b) < 1:
+        return None
+    if not isinstance(rows, list) or len(rows) < s_a * s_b:
+        return None
+    table = {}
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 5:
+            return None
+        *key, raw = row
+        key = tuple(key)
+        if not all(type(v) is int for v in key) or key in table:
+            return None
+        if not (key[0] in range(s_a) and key[1] in range(s_b) and set(key[2:]) <= {1, -1}):
+            return None
+        if type(raw) is int:
+            table[key] = F(raw)
+        elif type(raw) is str:
+            try:
+                table[key] = F(raw)
+            except (ValueError, ZeroDivisionError):
+                return None
+        else:
+            return None
+    return table
+
+
+def reference_valid(s_a, s_b, table):
+    """Normalised, nonnegative and no-signalling, checked cell by cell."""
+    def p(i, j, x, y):
+        return table.get((i, j, x, y), F(0))
+
+    if any(v < 0 for v in table.values()):
+        return False
+    for i, j in product(range(s_a), range(s_b)):
+        if sum(p(i, j, x, y) for x in OUTCOMES for y in OUTCOMES) != 1:
+            return False
+    alice = {(i, x): {sum(p(i, j, x, y) for y in OUTCOMES) for j in range(s_b)}
+             for i in range(s_a) for x in OUTCOMES}
+    bob = {(j, y): {sum(p(i, j, x, y) for x in OUTCOMES) for i in range(s_a)}
+           for j in range(s_b) for y in OUTCOMES}
+    return all(len(via) == 1 for via in list(alice.values()) + list(bob.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=pair_box_json())
+def test_fuzzed_pair_box_json_loads_exactly_or_is_refused(data):
+    """Any parsed JSON either loads into the box its rows spell, whose
+    validation verdict matches a cell-by-cell check, or is refused with
+    ConstructionError, never a raw TypeError, KeyError or ValueError."""
+    expected = reference_pair_box(data)
+    try:
+        box = PairBox.from_data(data)
+    except ConstructionError:
+        assert expected is None
+        return
+    assert expected is not None
+    assert dict(box.table) == expected
+    assert validate_pairbox(box).ok == reference_valid(box.s_a, box.s_b, expected)
+    assert PairBox.from_json(box.to_json()) == box
+
+
 class TestFrozenTable:
     def test_item_assignment_raises(self):
         box = make_pr_box()
@@ -338,3 +475,12 @@ class TestFrozenTable:
         assert make_pr_box() == make_pr_box()
         assert make_pr_box().table == make_pr_box().table
         assert make_pr_box() != make_isotropic_box(F(1, 2))
+
+    def test_omitted_zero_cells_compare_equal(self):
+        # Equality reads the complete integer grid, so a box that leaves
+        # its zero cells out equals its to_json round trip, which lists them.
+        box = omitted_zero_box()
+        assert box.table != make_pr_box().table
+        assert box == make_pr_box() == PairBox.from_json(box.to_json())
+        assert box != PairBox(s_a=2, s_b=2, table=dict(box.table) | {(0, 0, 1, -1): F(0, 1),
+                                                                       (0, 0, 1, 1): F(1, 3)})

@@ -38,6 +38,7 @@ from macrobox import (
 )
 from macrobox import macro
 from macrobox.macro import _distinct_tuple_sum
+from macrobox.symmetry import _symmetrized_correlator
 from tests.conftest import (
     all_deterministic_boxes,
     explicit_from_box,
@@ -131,7 +132,7 @@ def _slot_shapes(i, j):
     """(alice settings, bob settings) per slot: the four moment routes'
     shapes at (i, j), plus mixed-setting and three-slot shapes."""
     return [((i,), ()), ((), (j,)), ((i,), (j,)), ((i, i), ()), ((), (j, j)),
-            ((i, i), (j, j)), ((0, 1), (1, 0)), ((0, 1, 0), (1,))]
+            ((i, i), (j, j)), ((0, 1), (1, 0)), ((0, 1, 0), (1,)), ((0, 1), (1, 0, 1))]
 
 
 class TestDistinctTupleSum:
@@ -155,17 +156,22 @@ class TestDistinctTupleSum:
     def test_no_signalling_boxes(self, box):
         self._assert_branches_agree(box)
 
-    def test_product_average_queries_one_marginal(self, monkeypatch):
-        specs = []
-        real = macro.marginal_correlator
+    def test_mixed_denominator_box(self):
+        self._assert_branches_agree(mixed_denominator_box())
 
-        def counting(model, spec, *args, **kwargs):
-            specs.append(list(spec))
-            return real(model, spec, *args, **kwargs)
+    def test_pair_box_reads_only_box_rows(self, monkeypatch):
+        """The pair-box branch sums signed rows of ``box.weights``: it asks
+        for no marginal correlator and builds no marginal count law."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a marginal was computed")
 
-        monkeypatch.setattr("macrobox.macro.marginal_correlator", counting)
-        assert macro_average(independent_pairs(make_pr_box(), 9), ALICE, 0) == 0
-        assert specs == [[(ALICE, 0, 0)]]
+        monkeypatch.setattr("macrobox.macro.marginal_correlator", refuse)
+        monkeypatch.setattr("macrobox.ensemble._product_marginal_counts", refuse)
+        model = independent_pairs(make_pr_box(), 9)
+        assert macro_average(model, ALICE, 0) == 0
+        # Only the two full matchings survive the uniform marginals; each
+        # pairs <a0 b1> = 1 with <a1 b1> = -1 over (9)_2 assignments.
+        assert _distinct_tuple_sum(model, (0, 1), (1, 1)) == -2 * math.perm(9, 2)
 
     def test_average_checks_effective_route(self, monkeypatch):
         """Every checked moment compares its distinct-tuple sums with the
@@ -322,6 +328,20 @@ class TestConvolutionDistribution:
     def test_rejects_bad_settings(self):
         with pytest.raises(DomainError):
             macro_distribution(independent_pairs(make_pr_box(), 2), 2, 0)
+
+    @pytest.mark.parametrize("model", [independent_pairs(make_pr_box(), 2),
+                                       explicit_from_box(make_pr_box(), 1)])
+    def test_rejects_non_int_settings(self, model):
+        # 0.5 lies inside range(2) and True equals 1; both are refused at
+        # the entry point, before any table is read.
+        for call in (lambda: macro_distribution(model, 0.5, 0),
+                     lambda: macro_distribution_bruteforce(model, 0, 0.5),
+                     lambda: macro_correlation(model, 0.5, 0),
+                     lambda: macro_average(model, BOB, 0.5),
+                     lambda: macro_moment_general(model, True, 0, 1),
+                     lambda: macro_moment_general(model, 0, False, 2)):
+            with pytest.raises(DomainError, match="setting (0.5|True|False) out of range"):
+                call()
 
 
 class TestOddMultiplicityCounts:
@@ -515,6 +535,17 @@ class TestGisinMatrix:
     @given(box=no_signalling_boxes(), n=st.integers(min_value=4, max_value=6))
     def test_same_side_entries_are_jpd_marginals(self, box, n):
         self.assert_same_side_entries_are_jpd_marginals(independent_pairs(box, n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(min_value=4, max_value=9))
+    def test_pair_box_same_side_entries_match_matching_dp(self, box, n):
+        # The factorised row sums of a pair box against the Fraction
+        # matching DP's two-slot correlator, each on its own model.
+        matrix = gisin_matrix(independent_pairs(box, n))
+        for entry, slots in ((matrix.entries[0][1], ((0, 1), ())),
+                             (matrix.entries[2][3], ((), (0, 1)))):
+            model = independent_pairs(box, n)
+            assert entry == n * n * _symmetrized_correlator(model, *slots)
 
     def test_joint_table_same_side_entries_are_jpd_marginals(self):
         # Shared randomness over all four pairs: with weight 1/3 every pair

@@ -268,6 +268,10 @@ class TestEffectiveCorrelator:
             effective_correlator(model, 0, 2, 1, 1)
         with pytest.raises(DomainError, match="alice setting -1 out of range"):
             effective_correlator(model, -1, 0, 1, 0)
+        with pytest.raises(DomainError, match="alice setting 0.5 out of range"):
+            effective_correlator(model, 0.5, 0, 1, 1)
+        with pytest.raises(DomainError, match="bob setting True out of range"):
+            effective_correlator(model, 0, True, 1, 1)
 
     def test_rejects_oversized_tuples(self):
         model = independent_pairs(make_pr_box(), 2)
