@@ -39,11 +39,14 @@ ONE = Fraction(1)
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions to an exact Fraction."""
+    """Coerce ints, "p/q" or plain decimal strings and Fractions to an exact
+    Fraction; a decimal exponent ("1e-1000000") is refused, not expanded."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise DomainError("booleans are not probabilities")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise DomainError(f"not a rational: {value!r} has a decimal exponent")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)
@@ -264,8 +267,10 @@ def make_deterministic_box(x0: int, x1: int, y0: int, y1: int) -> PairBox:
 
 
 def pair_correlation(box: PairBox, i: int, j: int) -> Fraction:
-    """<a_i b_j> = sum_{x,y} x*y*p(x, y | i, j)."""
-    return sum((x * y * box.prob(i, j, x, y) for x in OUTCOMES for y in OUTCOMES), ZERO)
+    """<a_i b_j> = sum_{x,y} x*y*p(x, y | i, j), summed on ``box.weights``."""
+    check_settings(box.s_a, box.s_b, i, j)
+    return Fraction(sum(x * y * box.weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES),
+                    box.scale)
 
 
 def validate_pairbox(box: PairBox) -> ValidationReport:

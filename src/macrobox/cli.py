@@ -450,13 +450,12 @@ def _verify_no_signalling(model: EnsembleModel) -> tuple:
 
 def _verify_marginal_identities(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_pair`.  Check: the one-slot-per-side
-    marginals of :func:`jpd_averages`.  For a product model the two routes
-    are independent, down to their input: the integer closed form over
-    ``box.weights`` against the Fraction matching DP behind the JPD, which
-    reads the box's Fraction cells.  For a joint table both are
-    the generic enumeration over the model's memoised marginals, with one
-    slot per side for the pair and one slot per setting per side for the
-    JPD.  Needs the averages construction."""
+    marginals of :func:`jpd_averages`.  On a pair box the two routes are
+    independent down to their input: the inversion of the slot correlators
+    over ``box.weights`` against the Fraction matching DP behind the JPD,
+    which reads the box's Fraction cells.  On a joint table both are the
+    generic enumeration over the model's memoised marginals.  Needs the
+    averages construction."""
     _require_construction(model)
     jpd = jpd_averages(model)
     pair = effective_pair(model)
@@ -547,8 +546,8 @@ def _verify_averages_validity(model: EnsembleModel) -> tuple:
 def _verify_fluctuations(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_fluctuations`.  Checks: :func:`jpd_validity`, then
     its two-slots-per-side marginals against :func:`effective_quad`: on a
-    pair box the matching DP against the quad's integer closed form, two
-    independent routes; on a joint table two sums of the same marginals.
+    pair box the matching DP against the inversion of the slot correlators,
+    two independent routes; on a joint table two sums of the same marginals.
     Needs the two-copies construction, whose entries are nonnegative by
     construction, so the validity check catches implementation faults only."""
     _require_construction(model, copies=2)

@@ -350,8 +350,8 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:
     """<(A_i B_j)^order> by :func:`_moment`."""
     check_settings(model.s_a, model.s_b, i, j)
-    if order < 0:
-        raise DomainError(f"moment order must be nonnegative, got {order}")
+    if type(order) is not int or order < 0:
+        raise DomainError(f"moment order must be a nonnegative int, got {order!r}")
     return _moment(model, i, j, order, order)
 
 

@@ -14,11 +14,11 @@ slots to particles is determined, up to counting, by which Alice slot lands
 on the same pair as which Bob slot.  The number of assignments realizing a
 matching of size m is (N)_(a+b-m), with a and b the slot counts per side
 and (N)_k = math.perm(N, k), as in the moment sums of :mod:`macrobox.macro`.
-The effective pair and quad and the slot correlators write the sum out as
-integer closed forms over the box's weights; a small subset DP sums the
-JPDs' matchings exactly and is the closed forms' check.  Every other model
-goes through the explicit enumeration of ordered index tuples through
-model marginals, the DP's oracle on product models wrapped as tables.
+The slot correlators E(r, s) write the sum out as one integer closed form;
+the effective pair and quad are its Walsh inversion (:func:`_inverted_row`),
+and a small subset DP, which sums the JPDs' matchings exactly, checks them.
+Every other model goes through the explicit enumeration of ordered index
+tuples through model marginals, the DP's oracle on product models as tables.
 
 A symmetrized value depends only on how many of each outcome every (side,
 setting) block of slots holds, so each distribution is a read-only map from
@@ -33,8 +33,10 @@ alongside the enumerators and cross-checked against them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
@@ -102,23 +104,12 @@ def effective_pair(model: EnsembleModel) -> PairBox:
 
     The result is the single pair of boxes that macroscopic correlation
     measurements cannot distinguish from the full N-pair ensemble.  Each
-    setting pair is the one-slot-per-side symmetrized distribution.  A
-    product model takes the integer closed form of :func:`_pair_closed_form`,
-    p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j); the matching DP behind
-    :func:`jpd_averages` is its check.  Other models go through the
-    explicit enumeration of particle pairs.
+    setting pair is the one-slot-per-side law of :func:`_effective_table`.
+    On a product model it is the inversion of the slot correlators,
+    p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j), and the matching DP behind
+    :func:`jpd_averages` is its check.
     """
-    table = {}
-    for i in range(model.s_a):
-        for j in range(model.s_b):
-            if isinstance(model, IndependentPairs):
-                row = _pair_closed_form(model.box, model.n, i, j)
-            else:
-                row = {(x, y): p for ((x,), (y,)), p
-                       in _symmetrized_entries(model, (i,), (j,)).items()}
-            for (x, y), p in row.items():
-                table[(i, j, x, y)] = p
-    box = PairBox(s_a=model.s_a, s_b=model.s_b, table=table)
+    box = PairBox(s_a=model.s_a, s_b=model.s_b, table=_effective_table(model, 1))
     report = validate_pairbox(box)
     if not report.ok:
         raise SignallingError(
@@ -319,60 +310,65 @@ def _symmetrized_product_entries(model: IndependentPairs,
 
 
 def effective_quad(model: EnsembleModel) -> QuadDistribution:
-    """Symmetrized two-pair distribution per setting pair (needs N >= 2): the
-    integer :func:`_quad_closed_form` for a product model, checked by the DP
-    behind :func:`jpd_fluctuations`; the memoised enumeration otherwise."""
+    """Symmetrized two-pair law per setting pair (needs N >= 2), by
+    :func:`_effective_table`.  On a product model it is the inversion of the
+    slot correlators, and the DP behind :func:`jpd_fluctuations` checks it."""
     if model.n < 2:
         raise DomainError(
             f"the two-pair effective distribution needs at least 2 pairs, got n={model.n}")
+    return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=_effective_table(model, 2))
+
+
+def _effective_table(model: EnsembleModel, slots: int) -> dict:
+    """(i, j) + event -> value of the symmetrized law with ``slots`` slots
+    per side, at setting i for Alice and j for Bob, in OUTCOMES order.  Each
+    row's orbits come from :func:`_inverted_row` on a product model and from
+    :func:`_symmetrized_entries` otherwise."""
     table = {}
     for i in range(model.s_a):
         for j in range(model.s_b):
-            if isinstance(model, IndependentPairs):
-                row = _quad_closed_form(model.box, model.n, i, j)
-            else:
-                orbits = _symmetrized_entries(model, (i, i), (j, j))
-                row = {a_out + b_out: p for a_out, b_out, p in _expand((i, i), (j, j), orbits)}
-            table.update({(i, j) + key: p for key, p in row.items()})
-    return QuadDistribution(s_a=model.s_a, s_b=model.s_b, table=table)
+            orbits = (_inverted_row(model.box, model.n, i, j, slots)
+                      if isinstance(model, IndependentPairs)
+                      else _symmetrized_entries(model, (i,) * slots, (j,) * slots))
+            table.update({(i, j) + event: orbits[key] for event, key in _run_events(slots)})
+    return table
 
 
-def _integer_row(box: PairBox, i: int, j: int) -> tuple:
-    """``(L, P, A, B)`` at (i, j): L = ``box.scale``, P the map (x, y) -> L p(x, y)
-    of ``box.weights`` in OUTCOMES order, A and B its marginals x, y -> L p."""
-    row = {(x, y): box.weights[(i, j, x, y)] for x in OUTCOMES for y in OUTCOMES}
-    alice = {x: row[(x, PLUS)] + row[(x, MINUS)] for x in OUTCOMES}
-    bob = {y: row[(PLUS, y)] + row[(MINUS, y)] for y in OUTCOMES}
-    return box.scale, row, alice, bob
+@functools.cache
+def _run_events(slots: int) -> tuple:
+    """(event, orbit key pair) for every event of ``slots`` same-setting
+    slots per side, in OUTCOMES order: :func:`_expand` for any one setting."""
+    run = (0,) * slots
+    orbits = {key: key for key in product(_side_orbits(run), repeat=2)}
+    return tuple((a_out + b_out, key) for a_out, b_out, key in _expand(run, run, orbits))
 
 
-def _pair_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
-    """The effective pair's (i, j) row of N independent copies of ``box``:
-    (x, y) -> p(x,y|i,j)/N + (1 - 1/N) p_a(x|i) p_b(y|j), in OUTCOMES order.
+@functools.cache
+def _walsh_signs(slots: int) -> tuple:
+    """(orbit key pair, e_r(k) e_s(l) for r, s <= ``slots`` row-major) per
+    orbit of k Alice and l Bob -1s, e_r(k) = sum_t (-1)^t C(k, t) C(slots-k, r-t)
+    the r-th elementary symmetric sum of ``slots`` outcomes, k of them -1."""
+    e = {key: [sum((-1) ** t * math.comb(key.count(MINUS), t) * math.comb(key.count(PLUS), r - t)
+                   for t in range(r + 1)) for r in range(slots + 1)]
+         for key in _side_orbits((0,) * slots)}
+    return tuple(((a, b), tuple(x * y for x in e[a] for y in e[b])) for a in e for b in e)
 
-    One of the N^2 particle pairs is a true pair; the others are two
-    independent particles.  On the row of :func:`_integer_row`, each cell
-    is the one Fraction (L P + (N-1) A B) / (N L^2)."""
-    scale, row, alice, bob = _integer_row(box, i, j)
-    return {(x, y): Fraction(scale * w + (n - 1) * alice[x] * bob[y], n * scale * scale)
-            for (x, y), w in row.items()}
 
-
-def _quad_closed_form(box: PairBox, n: int, i: int, j: int) -> dict:
-    """The effective quad's (i, j) row of N independent copies of ``box``,
-    (x, x', y, y') -> value in OUTCOMES order: the matching DP's 0, 1 and 2
-    matched-pair terms on :func:`_integer_row`, each the one Fraction [(N)_4
-    A_x A_x' B_y B_y' + (N)_3 L (P_xy A_x' B_y' + P_xy' A_x' B_y + P_x'y A_x
-    B_y' + P_x'y' A_x B_y) + (N)_2 L^2 (P_xy P_x'y' + P_xy' P_x'y)] / ((N)_2^2 L^4)."""
-    scale, p, a, b = _integer_row(box, i, j)
-    n2, n3, n4 = (math.perm(n, k) for k in (2, 3, 4))
-    norm = n2 * n2 * scale ** 4
-    return {(x, xp, y, yp): Fraction(
-                n4 * a[x] * a[xp] * b[y] * b[yp]
-                + n3 * scale * (p[x, y] * a[xp] * b[yp] + p[x, yp] * a[xp] * b[y]
-                                + p[xp, y] * a[x] * b[yp] + p[xp, yp] * a[x] * b[y])
-                + n2 * scale * scale * (p[x, y] * p[xp, yp] + p[x, yp] * p[xp, y]), norm)
-            for x, xp, y, yp in product(OUTCOMES, repeat=4)}
+def _inverted_row(box: PairBox, n: int, i: int, j: int, slots: int) -> dict:
+    """Orbit -> value of the (i, j) row of N copies of ``box`` with p = q =
+    ``slots`` slots per side, by Walsh inversion of the slot correlators E:
+    2^-(p+q) sum_{r<=p, s<=q} e_r(k) e_s(l) E(r, s) (:func:`_walsh_signs`).
+    Each :func:`_correlator_count` is lifted to D = L^(p+q) (N)_p (N)_q by
+    L^(p+q-r-s) (N-r)_(p-r) (N-s)_(q-s): one Fraction over 2^(p+q) D."""
+    scale = box.scale
+    row = _correlator_row(box, i, j)
+    ranks = range(slots + 1)
+    lift = [scale ** (slots - r) * math.perm(n - r, slots - r) for r in ranks]
+    lifted = [lift[r] * lift[s] * _correlator_count(n, scale, row, r, s)
+              for r in ranks for s in ranks]
+    norm = (2 ** slots * lift[0]) ** 2
+    return {key: Fraction(sum(map(operator.mul, signs, lifted)), norm)
+            for key, signs in _walsh_signs(slots)}
 
 
 def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
@@ -384,46 +380,47 @@ def _correlator_row(box: PairBox, i: int, j: int) -> tuple:
     return pp - pm - mp + mm, pp + pm - mp - mm, pp - pm + mp - mm
 
 
+def _correlator_count(n: int, scale: int, row: tuple, r: int, s: int) -> int:
+    """L^(r+s) (N)_r (N)_s E(r, s) from the integers (P, A, B) of
+    :func:`_correlator_row`, L = ``scale``: the sum over m matched slots of
+    (r)_m C(s, m) (N)_(r+s-m) P^m L^m A^(r-m) B^(s-m), the assignments that
+    match m slots times their weight."""
+    pair, mean_a, mean_b = row
+    total = 0
+    for m in range(min(r, s) + 1):
+        total += (math.perm(r, m) * math.comb(s, m) * math.perm(n, r + s - m)
+                  * (pair * scale) ** m * mean_a ** (r - m) * mean_b ** (s - m))
+    return total
+
+
 def effective_correlator(model: EnsembleModel, alice_setting: int, bob_setting: int,
                          alice_count: int, bob_count: int) -> Fraction:
     """Average product correlator over ordered distinct-particle tuples.
 
     Averages <prod of alice_count outcomes at alice_setting times prod of
     bob_count outcomes at bob_setting> over all ordered tuples of pairwise
-    distinct particles on each side.  Zero slot counts are allowed; the
-    empty product is 1.
+    distinct particles on each side.  The counts r = alice_count and
+    s = bob_count must be ints, and zero is allowed; the empty product is 1.
 
-    A product model sums over matchings in closed form on integers.  With
-    r = alice_count, s = bob_count, L = ``box.scale`` and the row integers
-    (P, A, B) of :func:`_correlator_row`, the value is the one Fraction
-    sum_m ways_m P^m L^m A^(r-m) B^(s-m) / (L^(r+s) (N)_r (N)_s), with
-    ways_m = C(r, m) C(s, m) m! (N)_(r+s-m) the assignments with m matched
-    slots.  Its check, the distinct-tuple sums of :mod:`macrobox.macro`,
-    is an independent algorithm over the same ``box.weights``.  Any other
-    model takes :func:`_symmetrized_correlator`, the signed sum of the
-    memoised symmetrised entries that the effective pair and quad share.
+    A product model divides :func:`_correlator_count`, which the inversion
+    behind the effective pair and quad reads too, by L^(r+s) (N)_r (N)_s.
+    Its check, the distinct-tuple sums of :mod:`macrobox.macro`, is an
+    independent algorithm over the same ``box.weights``.  Any other model
+    takes :func:`_symmetrized_correlator`, the signed sum of the memoised
+    symmetrised entries.
     """
     n = model.n
-    if not (0 <= alice_count <= n):
-        raise DomainError(f"alice slot count {alice_count} exceeds n={n}")
-    if not (0 <= bob_count <= n):
-        raise DomainError(f"bob slot count {bob_count} exceeds n={n}")
+    if type(alice_count) is not int or not (0 <= alice_count <= n):
+        raise DomainError(f"alice slot count {alice_count!r} is not an int in 0..n={n}")
+    if type(bob_count) is not int or not (0 <= bob_count <= n):
+        raise DomainError(f"bob slot count {bob_count!r} is not an int in 0..n={n}")
     if alice_count == 0 and bob_count == 0:
         return ONE
     if isinstance(model, IndependentPairs):
-        scale = model.box.scale
-        pair, mean_a, mean_b = _correlator_row(model.box, alice_setting, bob_setting)
-        total = 0
-        for matched in range(min(alice_count, bob_count) + 1):
-            ways = (math.comb(alice_count, matched) * math.comb(bob_count, matched)
-                    * math.factorial(matched)
-                    * matching_assignment_count(n, matched, alice_count, bob_count))
-            if ways == 0:
-                continue
-            total += (ways * (pair * scale) ** matched
-                      * mean_a ** (alice_count - matched)
-                      * mean_b ** (bob_count - matched))
-        return Fraction(total, scale ** (alice_count + bob_count)
+        box = model.box
+        count = _correlator_count(n, box.scale, _correlator_row(box, alice_setting, bob_setting),
+                                  alice_count, bob_count)
+        return Fraction(count, box.scale ** (alice_count + bob_count)
                         * math.perm(n, alice_count) * math.perm(n, bob_count))
     return _symmetrized_correlator(model, (alice_setting,) * alice_count,
                                    (bob_setting,) * bob_count)
@@ -578,8 +575,8 @@ def jpd_general(model: EnsembleModel, copies: int) -> SymmetricJPD:
     particle.  Entries are the permutation-symmetrized multi-slot marginals
     with weight 1 / ((N)_(copies*s_a) (N)_(copies*s_b)), one per orbit.
     """
-    if copies < 1:
-        raise DomainError(f"need at least one slot copy, got copies={copies}")
+    if type(copies) is not int or copies < 1:
+        raise DomainError(f"need an int number of slot copies >= 1, got copies={copies!r}")
     n = model.n
     need_a = copies * model.s_a
     need_b = copies * model.s_b

@@ -266,6 +266,15 @@ class TestIntegerForm:
         with pytest.raises(TypeError):
             box.weights[grid[0]] = 0
 
+    @given(box=st.one_of(no_signalling_boxes(), st.sampled_from(
+        [int_cell_box(), omitted_zero_box(), mixed_denominator_box(), three_fault_box()])))
+    def test_pair_correlation_is_the_fraction_cell_sum(self, box):
+        for i, j in product(range(box.s_a), range(box.s_b)):
+            expected = sum(x * y * box.prob(i, j, x, y) for x in OUTCOMES for y in OUTCOMES)
+            assert pair_correlation(box, i, j) == expected
+        with pytest.raises(DomainError, match="alice setting 0.5 out of range"):
+            pair_correlation(box, 0.5, 0)
+
     def test_one_row_box(self):
         box = PairBox(s_a=1, s_b=3, table={(0, j, 1, -1): F(1, j + 2) for j in range(3)}
                       | {(0, j, -1, 1): F(j + 1, j + 2) for j in range(3)})
@@ -294,6 +303,16 @@ class TestSerialization:
         with pytest.raises(DomainError):
             as_rational("nope")
 
+    @pytest.mark.parametrize("text", ["1e-1000000", "1E3", "2.5e0", "1/1e2"])
+    def test_decimal_exponent_refused(self, text):
+        with pytest.raises(DomainError, match="has a decimal exponent"):
+            as_rational(text)
+
+    def test_plain_decimals_and_ratios_load(self):
+        assert as_rational("0.25") == F(1, 4)
+        assert as_rational("-3/6") == F(-1, 2)
+        assert as_rational(7) == 7
+
     def test_pair_box_round_trip(self):
         pr = make_pr_box()
         text = pr.to_json()
@@ -321,6 +340,12 @@ class TestFromDataRows:
         rows = pr_rows()
         with pytest.raises(ConstructionError, match="listed twice"):
             PairBox.from_data({"s_a": 2, "s_b": 2, "table": rows + [rows[0]]})
+
+    def test_rejects_decimal_exponent_cell(self):
+        rows = pr_rows()
+        rows[0][4] = "1e-1000000"
+        with pytest.raises(ConstructionError, match="has a decimal exponent"):
+            PairBox.from_data({"s_a": 2, "s_b": 2, "table": rows})
 
     def test_accepts_complete_table(self):
         box = PairBox.from_data({"s_a": 2, "s_b": 2, "table": pr_rows()})

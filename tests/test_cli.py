@@ -81,6 +81,28 @@ class TestParsing:
             parse_args(["box", "--box", "isotropic:one-half"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def usage_error(capsys, argv) -> str:
+        """Run ``main``; it must exit 2 before printing a report, and its
+        stderr is returned."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        return captured.err
+
+    def test_decimal_exponent_spec_is_usage_error(self, capsys):
+        err = self.usage_error(capsys, ["box", "--box", "isotropic:1e-1000000"])
+        assert "malformed isotropic box spec 'isotropic:1e-1000000'" in err
+
+    def test_decimal_exponent_cell_in_file_is_usage_error(self, capsys, tmp_path):
+        data = json.loads(make_pr_box().to_json())
+        data["table"][0][4] = "1e-1000000"
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        err = self.usage_error(capsys, ["box", "--box", f"file:{path}"])
+        assert "has a decimal exponent" in err
+
     def test_missing_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["box", "--box", "file:/does/not/exist.json"])

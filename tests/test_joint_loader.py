@@ -226,6 +226,12 @@ def test_json_loader_error_text(build, error, message):
     assert str(info.value) == message
 
 
+def test_decimal_exponent_value_refused():
+    with pytest.raises(ConstructionError, match="malformed joint-table entry") as info:
+        explicit_joint_from_data(edited(pr_data(), (3, "p", "1e-1000000")))
+    assert "has a decimal exponent" in str(info.value.__cause__)
+
+
 def test_invalid_json_text():
     with pytest.raises(ConstructionError) as info:
         explicit_joint_from_json('{"n": 1,')

@@ -387,6 +387,11 @@ class TestGeneralMoments:
     def test_zeroth_moment(self):
         assert macro_moment_general(independent_pairs(make_pr_box(), 2), 0, 0, 0) == 1
 
+    @pytest.mark.parametrize("order", [1.5, 2.0, True])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(DomainError, match="nonnegative int, got"):
+            macro_moment_general(independent_pairs(make_pr_box(), 2), 0, 0, order)
+
     @pytest.mark.parametrize("box_name,box", [
         ("pr", make_pr_box()),
         ("noise", make_isotropic_box(0)),

@@ -133,10 +133,10 @@ class TestEffectivePair:
 
     @settings(max_examples=40, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=6))
-    def test_integer_closed_form_matches_matching_dp(self, box, n):
-        # The product route's integer closed form against the Fraction
-        # matching DP, each on its own model so no memo is shared, and in
-        # the DP's (i, j, x, y) order.
+    def test_correlator_inversion_matches_matching_dp(self, box, n):
+        # The product route, the inversion of the slot correlators, against
+        # the Fraction matching DP, each on its own model so no memo is
+        # shared, and in the DP's (i, j, x, y) order.
         eff = effective_pair(independent_pairs(box, n))
         model = independent_pairs(box, n)
         expected = {(i, j, x, y): p for i, j in SETTINGS
@@ -223,10 +223,10 @@ class TestEffectiveQuad:
 
     @settings(max_examples=40, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=2, max_value=8))
-    def test_integer_closed_form_matches_matching_dp(self, box, n):
-        # The product route's integer closed form against the Fraction
-        # matching DP, each on its own model so no memo is shared, and in
-        # the DP's (i, j, x, x', y, y') order.
+    def test_correlator_inversion_matches_matching_dp(self, box, n):
+        # The product route, the inversion of the slot correlators, against
+        # the Fraction matching DP, each on its own model so no memo is
+        # shared, and in the DP's (i, j, x, x', y, y') order.
         quad = effective_quad(independent_pairs(box, n))
         model = independent_pairs(box, n)
         expected = {(i, j) + a_out + b_out: p for i, j in SETTINGS
@@ -308,6 +308,46 @@ class TestEffectiveCorrelator:
         model = independent_pairs(make_deterministic_box(1, 1, 1, 1), 4)
         for r, s in ((1, 1), (2, 2), (3, 1)):
             assert effective_correlator(model, 0, 0, r, s) == 1
+
+    @pytest.mark.parametrize("r, s", [(1.5, 0), (True, 1), (0, 1.0), (1, False)])
+    def test_slot_counts_must_be_ints(self, r, s):
+        model = independent_pairs(make_pr_box(), 3)
+        with pytest.raises(DomainError, match="slot count .* is not an int"):
+            effective_correlator(model, 0, 0, r, s)
+
+
+def inverted_correlators(model, i, j, slots):
+    """The law of ``slots`` Alice slots at setting i and ``slots`` Bob slots
+    at j, event -> value, from :func:`effective_correlator` alone: the
+    average of prod (1 + x a)/2 over the slots expands into one correlator
+    per subset of slots, signed by the subset's outcomes."""
+    subsets = list(product((0, 1), repeat=slots))
+    law = {}
+    for a_out, b_out in product(product(OUTCOMES, repeat=slots), repeat=2):
+        total = F(0)
+        for a_set, b_set in product(subsets, repeat=2):
+            sign = math.prod(x for x, u in zip(a_out + b_out, a_set + b_set) if u)
+            total += sign * effective_correlator(model, i, j, sum(a_set), sum(b_set))
+        law[a_out + b_out] = total / 4 ** slots
+    return law
+
+
+@settings(max_examples=30, deadline=None)
+@given(box=no_signalling_boxes(), other=no_signalling_boxes(),
+       weight=st.integers(0, 4).map(lambda k: F(k, 4)), n=st.integers(1, 3),
+       joint=st.booleans())
+def test_correlators_invert_to_effective_pair_and_quad(box, other, weight, n, joint):
+    # On a joint table every route here is the generic enumeration, so the
+    # inversion identity is checked where no closed form runs.
+    model = joint_mixture(box, other, weight, n) if joint else independent_pairs(box, n)
+    pair = effective_pair(model)
+    quad = effective_quad(model) if n >= 2 else None
+    for i, j in SETTINGS:
+        for (x, y), p in inverted_correlators(model, i, j, 1).items():
+            assert pair.prob(i, j, x, y) == p
+        if quad is not None:
+            for event, p in inverted_correlators(model, i, j, 2).items():
+                assert quad.prob(i, j, *event) == p
 
 
 class TestAveragesJPD:
@@ -474,6 +514,11 @@ class TestGeneralJPD:
             jpd, [("A", 0, 0), ("A", 0, 1), ("B", 0, 0), ("B", 0, 1)])
         for (x, xp, y, yp), p in dist.items():
             assert p == quad.prob(0, 0, x, xp, y, yp)
+
+    @pytest.mark.parametrize("copies", [1.5, True])
+    def test_rejects_non_int_copies(self, copies):
+        with pytest.raises(DomainError, match="int number of slot copies"):
+            jpd_general(independent_pairs(make_pr_box(), 4), copies)
 
     def test_rejects_zero_copies(self):
         with pytest.raises(DomainError):
@@ -645,6 +690,12 @@ class TestJPDSerialization:
                            match="malformed jpd JSON: .*nonnegative and strictly ascending"):
             SymmetricJPD.from_json(json.dumps(data))
 
+    def test_decimal_exponent_value_rejected(self):
+        data = json.loads(self.one_slot_jpd_json())
+        data["entries"][0]["p"] = "1e-1000000"
+        with pytest.raises(ConstructionError, match="has a decimal exponent"):
+            SymmetricJPD.from_json(json.dumps(data))
+
     def test_valid_flag_missing_rejected(self):
         data = json.loads(self.one_slot_jpd_json())
         del data["valid"]
@@ -733,7 +784,7 @@ class TestSymmetrizedMemo:
         counted(symmetry, "_symmetrized_product_entry")
         return calls
 
-    # A pair box's quad takes the closed form, with no memo; see the next test.
+    # A pair box's quad inverts its slot correlators, with no memo; see the next test.
     @pytest.mark.parametrize("build", [explicit_from_box])
     def test_second_quad_does_no_new_work(self, monkeypatch, build):
         calls = self.count_dp_and_marginals(monkeypatch)
@@ -744,9 +795,11 @@ class TestSymmetrizedMemo:
         assert effective_quad(model) == first
         assert calls == []
 
-    def test_pair_box_quad_runs_neither_dp_nor_marginals(self, monkeypatch):
+    def test_pair_box_pair_and_quad_run_neither_dp_nor_marginals(self, monkeypatch):
+        # The matching DP stays an independent check of both.
         calls = self.count_dp_and_marginals(monkeypatch)
         model = independent_pairs(make_isotropic_box(F(1, 3)), 3)
+        assert effective_pair(model) == effective_pair(model)
         assert effective_quad(model) == effective_quad(model)
         assert calls == []
 
