@@ -55,6 +55,16 @@ def as_rational(value: RationalLike) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
+def parse_json(text: str, what: str):
+    """``json.loads(text)``, with every way it can refuse the text, a number
+    too long to convert and nesting too deep to decode included, raised as
+    :class:`ConstructionError` "invalid ``what`` JSON"."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConstructionError(f"invalid {what} JSON: {exc}") from exc
+
+
 def json_int(value) -> int:
     """``value`` if it is an integer but not a bool; :class:`TypeError`
     otherwise, where ``int()`` would truncate a float or coerce a string."""
@@ -187,11 +197,7 @@ class PairBox:
 
     @staticmethod
     def from_json(text: str) -> "PairBox":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConstructionError(f"invalid pair-box JSON: {exc}") from exc
-        return PairBox.from_data(data)
+        return PairBox.from_data(parse_json(text, "pair-box"))
 
     @staticmethod
     def from_data(data) -> "PairBox":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .boxes import (
     make_pr_box,
     outcome_from_symbol,
     pair_correlation,
+    parse_json,
     rational_to_str,
     validate_pairbox,
 )
@@ -57,6 +57,7 @@ from .macro import (
 )
 from .symmetry import (
     SymmetricJPD,
+    effective_correlator,
     effective_pair,
     effective_quad,
     format_event,
@@ -112,10 +113,7 @@ def _load_box_spec(spec: str, parser: argparse.ArgumentParser):
         except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read box file {path}: {getattr(exc, 'strerror', None) or exc}")
         try:
-            data = json.loads(text)
-        except ValueError as exc:
-            parser.error(f"box file {path} is not valid JSON: {exc}")
-        try:
+            data = parse_json(text, "box")
             if isinstance(data, dict) and "entries" in data:
                 return None, explicit_joint_from_data(data)
             return PairBox.from_data(data), None
@@ -279,32 +277,22 @@ def run_effective(config: RunConfig) -> str:
         lines = _render_pair_box(box, payload, f"effective pair distribution (n={model.n})")
         return "\n".join(lines) + "\n"
     quad = effective_quad(model)
+    blocks = [(i, j, [(format_event((x, xp), (y, yp)),
+                       rational_to_str(quad.prob(i, j, x, xp, y, yp)))
+                      for x, xp, y, yp in product(OUTCOMES, repeat=4)],
+               rational_to_str(effective_correlator(model, i, j, 2, 2)))
+              for i in range(quad.s_a) for j in range(quad.s_b)]
     if config.fmt == "json":
-        blocks = []
-        for i in range(quad.s_a):
-            for j in range(quad.s_b):
-                entries = [
-                    {"outcomes": format_event((x, xp), (y, yp)),
-                     "p": rational_to_str(quad.prob(i, j, x, xp, y, yp))}
-                    for x, xp, y, yp in product(OUTCOMES, repeat=4)
-                ]
-                blocks.append({
-                    "alice_setting": i,
-                    "bob_setting": j,
-                    "entries": entries,
-                    "quad_correlator": rational_to_str(quad.quad_correlator(i, j)),
-                })
-        return canonical_json({"n": model.n, "settings": blocks})
+        return canonical_json({"n": model.n, "settings": [
+            {"alice_setting": i, "bob_setting": j,
+             "entries": [{"outcomes": event, "p": p} for event, p in entries],
+             "quad_correlator": correlator}
+            for i, j, entries, correlator in blocks]})
     lines = [f"effective two-pair distribution (n={model.n})"]
-    for i in range(quad.s_a):
-        for j in range(quad.s_b):
-            lines.append(f"settings ({i},{j}):")
-            for x, xp, y, yp in product(OUTCOMES, repeat=4):
-                lines.append(
-                    f"  {format_event((x, xp), (y, yp))} "
-                    f"{rational_to_str(quad.prob(i, j, x, xp, y, yp))}")
-            lines.append(
-                f"  <a a' b b'> = {rational_to_str(quad.quad_correlator(i, j))}")
+    for i, j, entries, correlator in blocks:
+        lines.append(f"settings ({i},{j}):")
+        lines.extend(f"  {event} {p}" for event, p in entries)
+        lines.append(f"  <a a' b b'> = {correlator}")
     return "\n".join(lines) + "\n"
 
 
@@ -473,10 +461,10 @@ def _verify_path_agreement(model: EnsembleModel) -> tuple:
     routine compares itself, raising on a disagreement.  For a product
     model the two are independent algorithms over one input,
     ``box.weights``: the closed form counts the matchings and reads the
-    (i, j) row's (P, A, B), while the matching sum visits each matching
-    and multiplies signed row sums, an unmatched slot's from row (i, 0)
-    or (0, j).  For a joint table both read the same memoised marginals,
-    so the row checks only the two summations."""
+    (i, j) row's (P, A, B), while the check runs the one matching sum,
+    ``symmetry._matching_sum``, over signed row sums, an unmatched slot's
+    from row (i, 0) or (0, j).  For a joint table both read the same
+    memoised marginals, so the row checks only the two summations."""
     for i in range(model.s_a):
         macro_average(model, ALICE, i)
         macro_local_second_moment(model, ALICE, i)

@@ -31,7 +31,6 @@ the cost and leaves the size to its caller.
 
 from __future__ import annotations
 
-import json
 import marshal
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from .boxes import (
     Violation,
     as_rational,
     json_int,
+    parse_json,
     validate_pairbox,
 )
 from .errors import ConstructionError, DomainError, SignallingError
@@ -579,11 +579,7 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
 
 def explicit_joint_from_json(text: str) -> ExplicitJoint:
     """Load a joint table from its JSON form (omitted entries are zero)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConstructionError(f"invalid joint-table JSON: {exc}") from exc
-    return explicit_joint_from_data(data)
+    return explicit_joint_from_data(parse_json(text, "joint-table"))
 
 
 def explicit_joint_from_data(data) -> ExplicitJoint:

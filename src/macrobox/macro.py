@@ -8,9 +8,10 @@ correlators of :func:`effective_correlator`, an integer closed form for a
 pair box and the signed sums of the symmetrised entries for a joint
 table.  The averages, correlations and second moments are checked against
 the same expansion over the distinct-tuple sums of
-:func:`_distinct_tuple_sum`: for a pair box one term per partial matching,
-a product of signed row sums of ``box.weights``, and for a joint table the
-literal loop over its marginal correlators.  General k-th moments are
+:func:`_distinct_tuple_sum`: for a pair box the one matching sum,
+:func:`~macrobox.symmetry._matching_sum`, over signed row sums of
+``box.weights``, and for a joint table the literal loop over its marginal
+correlators.  General k-th moments are
 checked by ``verify``'s oracle row.  The expansion sums integer numerators
 per denominator and builds one Fraction per moment.  Also here: the exact
 distribution of the collective sums (an integer convolution for
@@ -49,7 +50,7 @@ from .ensemble import (
     marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
-from .symmetry import _symmetrized_correlator, effective_correlator, matching_assignment_count
+from .symmetry import _matching_sum, _symmetrized_correlator, effective_correlator
 
 
 def odd_multiplicity_counts(length: int, symbols: int) -> list:
@@ -92,16 +93,11 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
     carrying ``bob_settings``.  Callers check the settings.
 
     A joint table gets the literal loop, one :func:`marginal_correlator`
-    term per index tuple.  For a product model a term depends only on which
-    Bob slot shares its pair with which Alice slot, so the sum visits each
-    partial matching of Bob slots onto Alice slots once, weighted by
-    :func:`matching_assignment_count`; a term of weight 0 (too few pairs
-    for that many distinct particles) is never evaluated.  A term is the
-    product of one :func:`_signed_row_sum` per involved pair: row (i, j)
-    for a matched pair, row (i, 0) for an Alice-only slot and row (0, j)
-    for a Bob-only slot.  With L = ``box.scale``, a term over m matched
-    pairs is scaled by L^m onto the common L^(a+b), and one Fraction is
-    built.
+    term per index tuple.  A product model takes :func:`_matching_sum` over
+    integer weights, each one :func:`_signed_row_sum`: row (i, 0) for an
+    Alice slot alone on its pair, row (0, j) for a Bob slot alone, and L
+    times row (i, j) for a matched pair, L = ``box.scale``.  Every term is
+    then L^(a+b) times its correlator, and one Fraction is built.
     """
     n = model.n
     a, b = len(alice_settings), len(bob_settings)
@@ -112,20 +108,12 @@ def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
                 + [(BOB, l, s) for l, s in zip(bob, bob_settings)]))
             for alice in permutations(range(n), a) for bob in permutations(range(n), b))
     box = model.box
-    alice_only = [_signed_row_sum(box, i, 0, 1, 0) for i in alice_settings]
-    bob_only = [_signed_row_sum(box, 0, j, 0, 1) for j in bob_settings]
-    total = 0
-    for partners in product(range(a + 1), repeat=b):  # a marks an unmatched slot
-        matched = [u for u in partners if u < a]
-        if len(set(matched)) < len(matched):
-            continue
-        term = matching_assignment_count(n, len(matched), a, b) * box.scale ** len(matched)
-        if term:
-            total += term * math.prod(
-                [w for u, w in enumerate(alice_only) if u not in matched]
-                + [_signed_row_sum(box, alice_settings[u], j, 1, 1) if u < a else bob_only[v]
-                   for v, (u, j) in enumerate(zip(partners, bob_settings))])
-    return Fraction(total, box.scale ** (a + b))
+    scale = box.scale
+    return Fraction(_matching_sum(
+        n, [_signed_row_sum(box, i, 0, 1, 0) for i in alice_settings],
+        [_signed_row_sum(box, 0, j, 0, 1) for j in bob_settings],
+        [[scale * _signed_row_sum(box, i, j, 1, 1) for j in bob_settings]
+         for i in alice_settings]), scale ** (a + b))
 
 
 def _weighted_sum(terms) -> Fraction:
@@ -173,9 +161,10 @@ def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fra
     (N)_r (N)_s.  The check runs first.  On a pair box the two are
     independent algorithms over one input, ``box.weights``.  The closed
     form counts the matchings of m pairs as C(r, m) C(s, m) m! and reads
-    only the (i, j) row's (P, A, B) through ``_correlator_row``.  The
-    matching sum visits the matchings one by one and reads an unmatched
-    slot's own row, (i, 0) or (0, j), through :func:`_signed_row_sum`.
+    only the (i, j) row's (P, A, B) through ``_correlator_row``.  The check
+    sums the matchings in the subset DP of :func:`_matching_sum` and reads
+    an unmatched slot's own row, (i, 0) or (0, j), through
+    :func:`_signed_row_sum`.
     """
     check_settings(model.s_a, model.s_b, i, j)
     n = model.n

@@ -8,17 +8,17 @@ distributions, and symmetric joint probability distributions (JPDs) with
 symmetrized slot distribution each, with one and two slots per side for the
 effective pair and quad.
 
-For product models every such average collapses to a sum over partial
-matchings between Alice slots and Bob slots: an injective assignment of
-slots to particles is determined, up to counting, by which Alice slot lands
-on the same pair as which Bob slot.  The number of assignments realizing a
-matching of size m is (N)_(a+b-m), with a and b the slot counts per side
-and (N)_k = math.perm(N, k), as in the moment sums of :mod:`macrobox.macro`.
-The slot correlators E(r, s) write the sum out as one integer closed form;
-the effective pair and quad are its Walsh inversion (:func:`_inverted_row`),
-and a small subset DP, which sums the JPDs' matchings exactly, checks them.
-Every other model goes through the explicit enumeration of ordered index
-tuples through model marginals, the DP's oracle on product models as tables.
+For product models every such average is a sum over partial matchings
+between Alice slots and Bob slots: :func:`_matching_sum`, the one matching
+sum, which weights a matching of size m by its (N)_(a+b-m) slot-to-particle
+assignments ((N)_k = math.perm(N, k)).  It gives the JPD entries from the
+box's Fraction cells, and :mod:`macrobox.macro`'s distinct-tuple check
+from integer row sums.  The slot correlators E(r, s) count the matchings
+in one integer closed form instead (:func:`_correlator_count`); the
+effective pair and quad are its Walsh inversion (:func:`_inverted_row`),
+and the matching sum behind the JPDs checks them.  Every other model goes
+through the explicit enumeration of ordered index tuples through model
+marginals, the matching sum's oracle on product models as tables.
 
 A symmetrized value depends only on how many of each outcome every (side,
 setting) block of slots holds, so each distribution is a read-only map from
@@ -58,24 +58,12 @@ from .boxes import (
     json_int,
     outcome_from_symbol,
     outcome_symbol,
+    parse_json,
     rational_to_str,
     validate_pairbox,
 )
 from .ensemble import EnsembleModel, IndependentPairs, marginal
 from .errors import ConstructionError, DomainError, SignallingError
-
-
-def matching_assignment_count(n: int, matched: int, a_slots: int, b_slots: int) -> int:
-    """Injective slot-to-particle assignments inducing an exact matching.
-
-    Counts pairs of injective maps (Alice slots -> particles, Bob slots ->
-    particles) whose set of cross-side particle coincidences is one fixed
-    matching of size ``matched``.  The Alice slots take (N)_a particles,
-    the matched Bob slots follow their partners, and the unmatched Bob
-    slots take (N-a)_(b-m) of the rest, so the count is (N)_(a+b-m); it is
-    0 when that exceeds the N particles.
-    """
-    return math.perm(n, a_slots + b_slots - matched)
 
 
 def format_event(a_outcomes: Sequence[int], b_outcomes: Sequence[int]) -> str:
@@ -147,50 +135,62 @@ class QuadDistribution:
         return total
 
 
-def _symmetrized_product_entry(box: PairBox, n: int,
-                               a_settings: tuple, a_outcomes: tuple,
-                               b_settings: tuple, b_outcomes: tuple) -> Fraction:
-    """One symmetrized-distribution entry for a product model.
+def _matching_sum(n: int, alone_a: Sequence, alone_b: Sequence, together: Sequence):
+    """Sum over every pair of injective maps (Alice slots -> particles, Bob
+    slots -> particles), N particles, of the product of one weight per
+    slot: ``alone_a[u]`` for Alice slot u and ``alone_b[v]`` for Bob slot v
+    on a particle the other side leaves empty, and ``together[u][v]`` for
+    Alice slot u and Bob slot v on one particle.  Weights may be ints or
+    Fractions, and so is the sum.
 
-    Sums the factorized probability over all injective assignments of the
-    slots to particles via the partial-matching subset DP, then normalizes
-    by the total number of assignments (N)_a (N)_b.
+    A term depends only on the partial matching of Bob slots onto Alice
+    slots that the maps induce.  A matching of size m is realised by
+    (N)_(a+b-m) pairs of maps, a and b the slot counts per side: the Alice
+    slots take (N)_a particles, the matched Bob slots follow their
+    partners, and the unmatched Bob slots take (N-a)_(b-m) of the rest.
+    A subset DP over the set of matched Bob slots sums the matchings.  It
+    never carries a zero weight, and it skips a matching whose count is 0
+    (too few particles) before it multiplies the unmatched Bob weights.
     """
-    a_count = len(a_settings)
-    b_count = len(b_settings)
-    alice_single = [box.marginal_a(i, x) for i, x in zip(a_settings, a_outcomes)]
-    bob_single = [box.marginal_b(j, y) for j, y in zip(b_settings, b_outcomes)]
-    paired = [[box.prob(i, j, x, y) for j, y in zip(b_settings, b_outcomes)]
-              for i, x in zip(a_settings, a_outcomes)]
+    a_count, b_count = len(alone_a), len(alone_b)
     # states: bitmask of matched Bob slots -> accumulated product weight
-    states = {0: ONE}
+    states = {0: 1}
     for u in range(a_count):
         advanced: dict = {}
         for mask, value in states.items():
-            unmatched = value * alice_single[u]
-            if unmatched != 0:
-                advanced[mask] = advanced.get(mask, ZERO) + unmatched
+            unmatched = value * alone_a[u]
+            if unmatched:
+                advanced[mask] = advanced.get(mask, 0) + unmatched
             for v in range(b_count):
                 bit = 1 << v
                 if mask & bit:
                     continue
-                matched = value * paired[u][v]
-                if matched != 0:
+                matched = value * together[u][v]
+                if matched:
                     key = mask | bit
-                    advanced[key] = advanced.get(key, ZERO) + matched
+                    advanced[key] = advanced.get(key, 0) + matched
         states = advanced
-    total = ZERO
+    total = 0
     for mask, value in states.items():
-        matched = mask.bit_count()
-        count = matching_assignment_count(n, matched, a_count, b_count)
-        if count == 0 or value == 0:
-            continue
-        rest = ONE
-        for v in range(b_count):
-            if not (mask >> v) & 1:
-                rest *= bob_single[v]
-        total += count * value * rest
-    return total / (math.perm(n, a_count) * math.perm(n, b_count))
+        count = math.perm(n, a_count + b_count - mask.bit_count())
+        if count:
+            total += count * value * math.prod(
+                w for v, w in enumerate(alone_b) if not (mask >> v) & 1)
+    return total
+
+
+def _symmetrized_product_entry(box: PairBox, n: int,
+                               a_settings: tuple, a_outcomes: tuple,
+                               b_settings: tuple, b_outcomes: tuple) -> Fraction:
+    """One symmetrized-distribution entry for a product model: the
+    :func:`_matching_sum` of the box's Fraction cells over the slots, divided
+    by the number of assignments (N)_a (N)_b."""
+    alice = list(zip(a_settings, a_outcomes))
+    bob = list(zip(b_settings, b_outcomes))
+    return Fraction(_matching_sum(n, [box.marginal_a(i, x) for i, x in alice],
+                                  [box.marginal_b(j, y) for j, y in bob],
+                                  [[box.prob(i, j, x, y) for j, y in bob] for i, x in alice]),
+                    math.perm(n, len(alice)) * math.perm(n, len(bob)))
 
 
 def _symmetrized_generic_entries(model: EnsembleModel,
@@ -512,10 +512,7 @@ class SymmetricJPD:
         every event listed once with one outcome per slot and the same
         value as every other event of its orbit, and a ``"valid"`` flag that
         is a JSON bool equal to :attr:`valid` of the entries."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConstructionError(f"invalid jpd JSON: {exc}") from exc
+        data = parse_json(text, "jpd")
         try:
             schema_a = tuple((json_int(g["setting"]), json_int(g["copies"]))
                              for g in data["schema"]["alice"])

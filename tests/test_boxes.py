@@ -14,8 +14,10 @@ from macrobox import (
     DomainError,
     OUTCOMES,
     PairBox,
+    SymmetricJPD,
     as_rational,
     chsh_value,
+    explicit_joint_from_json,
     make_deterministic_box,
     make_isotropic_box,
     independent_pairs,
@@ -323,6 +325,20 @@ class TestSerialization:
     @given(box=no_signalling_boxes())
     def test_round_trip_random(self, box):
         assert PairBox.from_json(box.to_json()).table == box.table
+
+    @pytest.mark.parametrize("load,what", [(PairBox.from_json, "pair-box"),
+                                           (explicit_joint_from_json, "joint-table"),
+                                           (SymmetricJPD.from_json, "jpd")],
+                             ids=["pair-box", "joint-table", "jpd"])
+    @pytest.mark.parametrize("text", ['{"n": ' + "1" * 5000 + "}",
+                                      "[" * 100000 + "]" * 100000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_unparsable_json_is_a_construction_error(self, load, what, text):
+        """An integer too long for int() and nesting too deep for the
+        decoder raise ValueError and RecursionError from json.loads; every
+        loader refuses them as malformed input."""
+        with pytest.raises(ConstructionError, match=f"^invalid {what} JSON: "):
+            load(text)
 
 
 def pr_rows():

@@ -1,12 +1,16 @@
 """Command-line interface: parsing, dispatch, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrobox import MacroDistribution, SymmetricJPD, make_isotropic_box, make_pr_box
 from macrobox.cli import build_parser, main, parse_args
@@ -21,6 +25,8 @@ from tests.conftest import (
     signalling_joint_table,
     three_fault_box,
 )
+from tests.test_boxes import JSON_VALUES, pair_box_json
+from tests.test_joint_loader import mutated_tables
 
 F = Fraction
 
@@ -730,9 +736,72 @@ class TestFileBoxes:
         assert err.startswith(f"error: cannot write {out_path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000 + "]" * 100000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_unparsable_json_file_is_usage_error(self, capsys, tmp_path, text):
+        """json.loads raises ValueError on an over-long integer and
+        RecursionError on deep nesting; both are a usage error, not a
+        traceback."""
+        path = tmp_path / "box.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["box", "--box", f"file:{path}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"box file {path}: invalid box JSON: " in err and "Traceback" not in err
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(SystemExit) as exc:
             parse_args(["box", "--box", f"file:{path}"])
         assert exc.value.code == 2
+
+
+@st.composite
+def box_documents(draw):
+    """Parsed JSON for a ``file:`` box: now and then an arbitrary value,
+    otherwise mutated pair-box rows or a mutated joint table, whose header
+    keys may be replaced by other values or removed."""
+    kind = draw(st.sampled_from(["any", "pair", "pair", "joint", "joint"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    if kind == "pair":
+        return draw(pair_box_json())
+    data = draw(mutated_tables())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        key = draw(st.sampled_from(["n", "s_a", "s_b", "entries"]))
+        if draw(st.booleans()):
+            data[key] = draw(st.one_of(st.integers(-1, 3), JSON_VALUES))
+        else:
+            data.pop(key, None)
+    return data
+
+
+def quiet_main(argv):
+    """``main(argv)``'s exit code, with argparse's SystemExit taken as its
+    code, and what it wrote to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, f"argparse exit {exc.code!r}"
+            code = 2
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(document=box_documents(), n=st.integers(1, 3),
+       kind=st.sampled_from(["pair", "quad"]))
+def test_fuzzed_box_file_exits_cleanly(tmp_path_factory, document, n, kind):
+    """Whatever JSON a ``file:`` box holds, ``box``, ``effective`` and
+    ``verify`` exit 0, 1 or 2 and print no traceback: the file loads into
+    a model, or the loader or the command refuses it."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-box.json"
+    path.write_text(json.dumps(document))
+    for argv in (["box"], ["effective", "--kind", kind], ["verify"]):
+        code, err = quiet_main(argv + ["--box", f"file:{path}", "--n", str(n)])
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err

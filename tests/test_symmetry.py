@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -44,7 +45,7 @@ from macrobox import (
     pr_quad_values,
 )
 from macrobox import ensemble, explicit_joint, symmetry
-from macrobox.symmetry import matching_assignment_count, parse_event
+from macrobox.symmetry import _matching_sum, parse_event
 from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
@@ -72,16 +73,66 @@ class TestMatchingCounts:
                 observed[size] = observed.get(size, 0) + 1
         for m in range(min(a, b) + 1):
             matchings = math.comb(a, m) * math.comb(b, m) * math.factorial(m)
-            expected = matchings * matching_assignment_count(n, m, a, b)
+            expected = matchings * math.perm(n, a + b - m)
             assert observed.get(m, 0) == expected
 
     def test_total_assignments(self):
         for n, a, b in [(4, 2, 2), (5, 3, 2), (6, 4, 4)]:
             total = sum(
                 math.comb(a, m) * math.comb(b, m) * math.factorial(m)
-                * matching_assignment_count(n, m, a, b)
+                * math.perm(n, a + b - m)
                 for m in range(min(a, b) + 1))
             assert total == math.perm(n, a) * math.perm(n, b)
+
+
+def brute_matching_sum(n, alone_a, alone_b, together):
+    """The matching sum spelled out: over every pair of injective maps of
+    the slots to n particles, the product of each Alice slot's weight (its
+    matched weight if a Bob slot shares its particle) and of each Bob slot
+    alone on its particle."""
+    total = 0
+    for sigma_a in permutations(range(n), len(alone_a)):
+        for sigma_b in permutations(range(n), len(alone_b)):
+            term = 1
+            for u, k in enumerate(sigma_a):
+                term *= together[u][sigma_b.index(k)] if k in sigma_b else alone_a[u]
+            for v, k in enumerate(sigma_b):
+                if k not in sigma_a:
+                    term *= alone_b[v]
+            total += term
+    return total
+
+
+class TestMatchingSum:
+    SHAPES = [(n, a, b) for n in range(1, 6) for a in range(4) for b in range(4)]
+
+    @staticmethod
+    def _weights(a, b, draw):
+        return ([draw() for _ in range(a)], [draw() for _ in range(b)],
+                [[draw() for _ in range(b)] for _ in range(a)])
+
+    @pytest.mark.parametrize("n,a,b", SHAPES)
+    def test_int_weights_with_zeros(self, n, a, b):
+        # Shapes with n < a + b include matchings whose count (N)_(a+b-m) is 0.
+        rng = random.Random(f"{n},{a},{b}")
+        weights = self._weights(a, b, lambda: rng.choice((-2, -1, 0, 0, 1, 3)))
+        total = _matching_sum(n, *weights)
+        assert type(total) is int
+        assert total == brute_matching_sum(n, *weights)
+
+    @pytest.mark.parametrize("n,a,b", SHAPES)
+    def test_fraction_weights(self, n, a, b):
+        rng = random.Random(f"{n};{a};{b}")
+        weights = self._weights(a, b, lambda: F(rng.randint(-3, 3), rng.randint(1, 5)))
+        assert _matching_sum(n, *weights) == brute_matching_sum(n, *weights)
+
+    def test_unit_weights_count_the_assignments(self):
+        # With every weight 1 the sum counts all (N)_a (N)_b assignments,
+        # 0 when a side has more slots than there are particles.
+        assert _matching_sum(2, [1, 1, 1], [1], [[1], [1], [1]]) == 0
+        for n, a, b in self.SHAPES:
+            ones = self._weights(a, b, lambda: 1)
+            assert _matching_sum(n, *ones) == math.perm(n, a) * math.perm(n, b)
 
 
 class TestEffectivePair:
