@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,14 @@ from typing import Iterator, Mapping, Union
 from .errors import ConstructionError, DomainError
 
 RationalLike = Union[Fraction, int, str]
+
+#: The one grammar of a rational string, in ASCII on every Python version:
+#: optional surrounding whitespace, a sign, then digits with an optional
+#: "/digits", or a plain decimal.  ``Fraction``'s own grammar varies with
+#: the version (underscores, spaces around "/", non-ASCII digits).  A
+#: decimal exponent is matched only to be refused by name.
+_RATIONAL = re.compile(
+    r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)(?P<exponent>[eE][+-]?\d+)?\s*", re.ASCII)
 
 ALICE = "A"
 BOB = "B"
@@ -40,19 +49,22 @@ ONE = Fraction(1)
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" or plain decimal strings and Fractions to an exact
-    Fraction; a decimal exponent ("1e-1000000") is refused, not expanded."""
+    Fraction.  A string must match ``_RATIONAL`` before ``Fraction`` reads
+    it; a decimal exponent ("1e-1000000") is refused, not expanded."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise DomainError("booleans are not probabilities")
-    if isinstance(value, str) and ("e" in value or "E" in value):
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str) or (match := _RATIONAL.fullmatch(value)) is None:
+        raise DomainError(f"not a rational: {value!r}")
+    if match["exponent"]:
         raise DomainError(f"not a rational: {value!r} has a decimal exponent")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a rational: {value!r}") from exc
-    raise DomainError(f"not a rational: {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:  # over 4300 digits, or "p/0"
+        raise DomainError(f"not a rational: {value!r}") from exc
 
 
 def parse_json(text: str, what: str):
@@ -326,5 +338,6 @@ def chsh_value(box: PairBox) -> Fraction:
     if box.s_a != 2 or box.s_b != 2:
         raise DomainError(
             f"CHSH needs two settings per side, got s_a={box.s_a}, s_b={box.s_b}")
-    return (pair_correlation(box, 0, 0) + pair_correlation(box, 0, 1)
-            + pair_correlation(box, 1, 0) - pair_correlation(box, 1, 1))
+    return Fraction(sum((-1) ** (i * j) * x * y * box.weights[(i, j, x, y)]
+                        for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)),
+                    box.scale)

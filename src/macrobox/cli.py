@@ -457,14 +457,16 @@ def _verify_marginal_identities(model: EnsembleModel) -> tuple:
 
 def _verify_path_agreement(model: EnsembleModel) -> tuple:
     """Primary: :func:`effective_correlator` behind the averages, second
-    moments and correlations.  Check: the distinct-tuple sums, which each
+    moments and correlations.  Check: an independent route, which each
     routine compares itself, raising on a disagreement.  For a product
     model the two are independent algorithms over one input,
     ``box.weights``: the closed form counts the matchings and reads the
     (i, j) row's (P, A, B), while the check runs the one matching sum,
     ``symmetry._matching_sum``, over signed row sums, an unmatched slot's
-    from row (i, 0) or (0, j).  For a joint table both read the same
-    memoised marginals, so the row checks only the two summations."""
+    from row (i, 0) or (0, j).  For a joint table the primary route sums
+    the memoised marginals, and the check is the moment of the count law
+    of :func:`macro_distribution_bruteforce`, a scan of the stored block
+    that builds no marginal."""
     for i in range(model.s_a):
         macro_average(model, ALICE, i)
         macro_local_second_moment(model, ALICE, i)

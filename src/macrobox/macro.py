@@ -6,12 +6,13 @@ moment <A_i^p B_j^q> has one primary route, :func:`_moment`: the
 coincidence expansion (:func:`_expansion`) over the distinct-particle
 correlators of :func:`effective_correlator`, an integer closed form for a
 pair box and the signed sums of the symmetrised entries for a joint
-table.  The averages, correlations and second moments are checked against
-the same expansion over the distinct-tuple sums of
-:func:`_distinct_tuple_sum`: for a pair box the one matching sum,
-:func:`~macrobox.symmetry._matching_sum`, over signed row sums of
-``box.weights``, and for a joint table the literal loop over its marginal
-correlators.  General k-th moments are
+table.  The averages, correlations and second moments are checked: on a
+pair box against the same expansion over the distinct-tuple sums of
+:func:`_distinct_tuple_sum`, the one matching sum
+:func:`~macrobox.symmetry._matching_sum` over signed row sums of
+``box.weights``; on a joint table against the moment of its count law,
+:func:`macro_distribution_bruteforce`, a scan of the stored block that
+builds no marginal.  General k-th moments are
 checked by ``verify``'s oracle row.  The expansion sums integer numerators
 per denominator and builds one Fraction per moment.  Also here: the exact
 distribution of the collective sums (an integer convolution for
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -47,7 +48,6 @@ from .ensemble import (
     SettingAssignment,
     _as_law,
     _side_sum_counts,
-    marginal_correlator,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
 from .symmetry import _matching_sum, _symmetrized_correlator, effective_correlator
@@ -86,34 +86,25 @@ def _signed_row_sum(box: PairBox, i: int, j: int, alice: int, bob: int) -> int:
                for x in OUTCOMES for y in OUTCOMES)
 
 
-def _distinct_tuple_sum(model: EnsembleModel, alice_settings: tuple,
+def _distinct_tuple_sum(model: IndependentPairs, alice_settings: tuple,
                         bob_settings: tuple) -> Fraction:
     """Sum of the outcome-product correlator over ordered tuples of distinct
     Alice particles carrying ``alice_settings`` and distinct Bob particles
-    carrying ``bob_settings``.  Callers check the settings.
+    carrying ``bob_settings``, on a pair box.  Callers check the settings.
 
-    A joint table gets the literal loop, one :func:`marginal_correlator`
-    term per index tuple.  A product model takes :func:`_matching_sum` over
-    integer weights, each one :func:`_signed_row_sum`: row (i, 0) for an
-    Alice slot alone on its pair, row (0, j) for a Bob slot alone, and L
-    times row (i, j) for a matched pair, L = ``box.scale``.  Every term is
-    then L^(a+b) times its correlator, and one Fraction is built.
+    :func:`_matching_sum` over integer weights, each one
+    :func:`_signed_row_sum`: row (i, 0) for an Alice slot alone on its pair,
+    row (0, j) for a Bob slot alone, and L times row (i, j) for a matched
+    pair, L = ``box.scale``.  Every term is then L^(a+b) times its
+    correlator, and one Fraction is built.
     """
-    n = model.n
-    a, b = len(alice_settings), len(bob_settings)
-    if not isinstance(model, IndependentPairs):
-        return _weighted_sum(
-            (1, marginal_correlator(
-                model, [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
-                + [(BOB, l, s) for l, s in zip(bob, bob_settings)]))
-            for alice in permutations(range(n), a) for bob in permutations(range(n), b))
     box = model.box
     scale = box.scale
     return Fraction(_matching_sum(
-        n, [_signed_row_sum(box, i, 0, 1, 0) for i in alice_settings],
+        model.n, [_signed_row_sum(box, i, 0, 1, 0) for i in alice_settings],
         [_signed_row_sum(box, 0, j, 0, 1) for j in bob_settings],
         [[scale * _signed_row_sum(box, i, j, 1, 1) for j in bob_settings]
-         for i in alice_settings]), scale ** (a + b))
+         for i in alice_settings]), scale ** (len(alice_settings) + len(bob_settings)))
 
 
 def _weighted_sum(terms) -> Fraction:
@@ -156,20 +147,28 @@ def _moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
 
 
 def _checked_moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
-    """<A_i^p B_j^q> by :func:`_moment`, checked against the same expansion
-    over the distinct-tuple sums of :func:`_distinct_tuple_sum`, divided by
-    (N)_r (N)_s.  The check runs first.  On a pair box the two are
+    """<A_i^p B_j^q> by :func:`_moment`, checked by an independent route
+    that runs first.
+
+    On a pair box the check is the same expansion over the distinct-tuple
+    sums of :func:`_distinct_tuple_sum`, divided by (N)_r (N)_s: two
     independent algorithms over one input, ``box.weights``.  The closed
     form counts the matchings of m pairs as C(r, m) C(s, m) m! and reads
     only the (i, j) row's (P, A, B) through ``_correlator_row``.  The check
     sums the matchings in the subset DP of :func:`_matching_sum` and reads
     an unmatched slot's own row, (i, 0) or (0, j), through
-    :func:`_signed_row_sum`.
+    :func:`_signed_row_sum`.  On a joint table the check is the moment of
+    the count law of (A_i, B_j), :func:`macro_distribution_bruteforce`: a
+    scan of the stored (i, j) block that shares no code with the memoised
+    marginals the primary route sums.
     """
     check_settings(model.s_a, model.s_b, i, j)
     n = model.n
-    micro = _expansion(n, p, q, lambda r, s: _distinct_tuple_sum(
-        model, (i,) * r, (j,) * s) / (math.perm(n, r) * math.perm(n, s)))
+    if isinstance(model, IndependentPairs):
+        micro = _expansion(n, p, q, lambda r, s: _distinct_tuple_sum(
+            model, (i,) * r, (j,) * s) / (math.perm(n, r) * math.perm(n, s)))
+    else:
+        micro = macro_distribution_bruteforce(model, i, j).moment(p, q)
     value = _moment(model, i, j, p, q)
     if micro != value:
         body = " ".join(f"{side}{setting}" for side, setting, power
@@ -238,24 +237,20 @@ class MacroDistribution:
         for x_value, y_value in product(self.support_values(), repeat=2):
             yield x_value, y_value, self.prob(x_value, y_value)
 
+    def moment(self, p: int, q: int) -> Fraction:
+        """<A^p B^q> = sum X^p Y^q p(X, Y), on integers."""
+        return _weighted_sum((x_value ** p * y_value ** q, prob)
+                             for (x_value, y_value), prob in self.probs.items())
+
     def joint_moment(self, order: int) -> Fraction:
-        """<(A B)^order> = sum (X Y)^order p(X, Y)."""
-        total = ZERO
-        for (x_value, y_value), p in self.probs.items():
-            total += (x_value * y_value) ** order * p
-        return total
+        """<(A B)^order>."""
+        return self.moment(order, order)
 
     def alice_moment(self, order: int) -> Fraction:
-        total = ZERO
-        for (x_value, _), p in self.probs.items():
-            total += x_value ** order * p
-        return total
+        return self.moment(order, 0)
 
     def bob_moment(self, order: int) -> Fraction:
-        total = ZERO
-        for (_, y_value), p in self.probs.items():
-            total += y_value ** order * p
-        return total
+        return self.moment(0, order)
 
     def total(self) -> Fraction:
         return sum(self.probs.values(), ZERO)
@@ -321,15 +316,17 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
     (:func:`~macrobox.ensemble._side_sum_counts`), so no support is
     listed.  It deliberately shares no machinery with the convolution of
     :func:`macro_distribution` or with the effective-distribution and
-    coincidence-expansion routes, so it is the independent check for all
-    of them.  A joint table's scan reads one block it already holds.  A
+    coincidence-expansion routes, nor with the memoised marginals, so it
+    is the independent check for all of them.  A joint table's scan reads
+    one block it already holds.  A
     product model streams up to 4^N codes from one box (``isotropic:1/3``:
     6 ms at N = 6, 0.35 s at N = 9 on a 2-core Xeon, four times longer per
     extra pair), so the caller picks the size: ``verify``'s
     oracle-agreement row runs it on a product model only up to
     ``VERIFY_EXHAUSTIVE_LIMIT``.  Its callers are that row,
     :func:`macro_distribution` for models that are not independent pairs,
-    and the tests.
+    :func:`_checked_moment`, whose check on a joint table is this law's
+    :meth:`MacroDistribution.moment`, and the tests.
     """
     check_settings(model.s_a, model.s_b, i, j)
     law = _as_law(*_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j)))
@@ -368,21 +365,18 @@ def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> F
         if p_x == 0:
             continue
         assigned_sum = 0
+        # The box is validated, so the conditionals over y sum to 1: either
+        # one of them is 1, or one lies strictly between 0 and 1.
         for j in (0, 1):
-            assigned = None
             for y in OUTCOMES:
                 conditional = box.prob(alice_setting, j, x, y) / p_x
                 if conditional == 1:
-                    assigned = y
+                    assigned_sum += y
                 elif conditional != 0:
                     raise UnsupportedExtensionError(
                         f"Bob's outcome at setting {j} is not determined by Alice's "
                         f"outcome {x} at setting {alice_setting} "
                         f"(conditional {conditional}); the value assignment is undefined")
-            if assigned is None:
-                raise UnsupportedExtensionError(
-                    f"no Bob outcome at setting {j} given Alice outcome {x}")
-            assigned_sum += assigned
         mean += p_x * assigned_sum
         mean_square += p_x * assigned_sum * assigned_sum
     n = model.n

@@ -39,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -234,20 +234,9 @@ def _orbit_key(settings: tuple, outcomes: tuple) -> tuple:
     return tuple(-o for _, o in sorted(zip(settings, [-o for o in outcomes])))
 
 
-def _orbit_members(settings: tuple, key: tuple) -> list:
-    """Every outcome tuple whose :func:`_orbit_key` under ``settings`` is
-    ``key``: each same-setting run's -1s placed in every set of its slots."""
-    runs = []
-    for _, run in groupby(zip(settings, key), key=lambda slot: slot[0]):
-        outcomes = [o for _, o in run]
-        size = len(outcomes)
-        runs.append([tuple(MINUS if k in minus else PLUS for k in range(size))
-                     for minus in combinations(range(size), outcomes.count(MINUS))])
-    return [sum(parts, ()) for parts in product(*runs)]
-
-
 def _orbit_size(settings: tuple, key: tuple) -> int:
-    """How many members :func:`_orbit_members` lists: C(run length, -1s) per run."""
+    """How many outcome tuples share the orbit ``key`` under ``settings``:
+    C(run length, -1s) per same-setting run."""
     minus = [s for s, o in zip(settings, key) if o == MINUS]
     return math.prod(math.comb(settings.count(s), minus.count(s)) for s in set(minus))
 
@@ -473,17 +462,11 @@ class SymmetricJPD:
 
     def negative_entries(self) -> tuple:
         """(alice outcomes, bob outcomes, value) of every event with a
-        negative value, in canonical order.  Only the negative orbits are
-        expanded, so a valid JPD answers without expanding any."""
-        negative = [(key, p) for key, p in self.orbits.items() if p < 0]
-        if not negative:
+        negative value, in canonical order.  A JPD with no negative orbit
+        answers without expanding any event."""
+        if all(p >= 0 for p in self.orbits.values()):
             return ()
-        a_settings, b_settings = _slot_settings(self.schema_a), _slot_settings(self.schema_b)
-        events = [(a_out, b_out, p) for (a_key, b_key), p in negative
-                  for a_out in _orbit_members(a_settings, a_key)
-                  for b_out in _orbit_members(b_settings, b_key)]
-        # product(OUTCOMES, ...) order: +1 before -1, slot by slot.
-        return tuple(sorted(events, key=lambda e: [o < 0 for o in e[0] + e[1]]))
+        return tuple(event for event in self.items() if event[2] < 0)
 
     def items(self):
         """(alice outcomes, bob outcomes, probability) for every event, in

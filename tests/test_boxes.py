@@ -1,5 +1,6 @@
 """Single-pair box construction, validation, correlators and serialization."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -345,6 +346,76 @@ def pr_rows():
     return [[i, j, x, y, str(p)] for i, j, x, y, p in make_pr_box().cells()]
 
 
+def _pr_box_with_half_cell(text):
+    rows = pr_rows()
+    rows[next(k for k, row in enumerate(rows) if row[4] == "1/2")][4] = text
+    return PairBox.from_data({"s_a": 2, "s_b": 2, "table": rows})
+
+
+def _pr_table_with_half_cell(text):
+    entries = [{"settings_a": [i], "settings_b": [j], "outcomes_a": [x], "outcomes_b": [y],
+                "p": "1/2"} for i, j, x, y, p in make_pr_box().cells() if p]
+    entries[0]["p"] = text
+    return explicit_joint_from_json(json.dumps({"n": 1, "s_a": 2, "s_b": 2,
+                                                "entries": entries}))
+
+
+def _one_slot_jpd_with_half_cell(text):
+    group = {"setting": 0, "copies": 1}
+    entries = [{"outcomes": "(+;+)", "p": text}, {"outcomes": "(+;-)", "p": "0"},
+               {"outcomes": "(-;+)", "p": "0"}, {"outcomes": "(-;-)", "p": "1/2"}]
+    return SymmetricJPD.from_json(json.dumps({"schema": {"alice": [group], "bob": [group]},
+                                              "entries": entries, "valid": True}))
+
+
+#: Every reader of a rational string, each given one cell whose value is 1/2.
+RATIONAL_READERS = {"as_rational": as_rational, "pair-box": _pr_box_with_half_cell,
+                    "joint-table": _pr_table_with_half_cell,
+                    "jpd": _one_slot_jpd_with_half_cell}
+
+
+class TestRationalGrammar:
+    """One ASCII grammar on every Python version.  ``Fraction`` reads
+    underscores from 3.11 on, spaces around "/" from 3.12 on, and
+    non-ASCII digits everywhere; each reader refuses all three."""
+
+    @pytest.mark.parametrize("read", RATIONAL_READERS.values(), ids=RATIONAL_READERS.keys())
+    @pytest.mark.parametrize("text", ["1_0/2_0", "1 / 2", "\u0661/\u0662"],
+                             ids=["underscores", "spaced-slash", "arabic-indic-digits"])
+    def test_version_dependent_spellings_refused(self, read, text):
+        with pytest.raises((DomainError, ConstructionError)) as info:
+            read(text)
+        assert f"not a rational: {text!r}" in f"{info.value} {info.value.__cause__}"
+
+    @pytest.mark.parametrize("read", RATIONAL_READERS.values(), ids=RATIONAL_READERS.keys())
+    @pytest.mark.parametrize("text", ["+1/2", "0.5", ".5", " 1/2 ", "2/4", "\t1/2\n"])
+    def test_ascii_spellings_of_one_half_load(self, read, text):
+        assert read(text) == read("1/2")
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", F(3)), ("-2/7", F(-2, 7)), ("+1/3", F(1, 3)), ("0.25", F(1, 4)),
+        (".5", F(1, 2)), ("5.", F(5)), (" 1/3 ", F(1, 3))])
+    def test_still_loads(self, text, value):
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000])
+    def test_over_long_digit_string_refused(self, text):
+        with pytest.raises(DomainError, match="not a rational"):
+            as_rational(text)
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1/2", F(1, 2)), (" -3/6 ", F(-1, 2)), ("5.", F(5)), (".5", F(1, 2)),
+        ("1_0", None), ("1 / 2", None), ("\u0663", None), ("1e3", None), (".", None),
+        ("1/0", None), ("+", None), ("1/-2", None)])
+    def test_fuzz_reference_reads_the_same_grammar(self, raw, value):
+        assert reference_rational(raw) == value
+        if value is None:
+            with pytest.raises(DomainError):
+                as_rational(raw)
+        else:
+            assert as_rational(raw) == value
+
+
 class TestFromDataRows:
     @pytest.mark.parametrize("row", [[2, 0, 1, 1, "1/2"], [0, -1, 1, 1, "1/2"],
                                      [0, 0, 2, 1, "1/3"], [0, 0, 1, 0, "1/3"]])
@@ -445,14 +516,31 @@ def reference_pair_box(data):
             return None
         if type(raw) is int:
             table[key] = F(raw)
-        elif type(raw) is str:
-            try:
-                table[key] = F(raw)
-            except (ValueError, ZeroDivisionError):
-                return None
+        elif type(raw) is str and (value := reference_rational(raw)) is not None:
+            table[key] = value
         else:
             return None
     return table
+
+
+def reference_rational(raw):
+    """The Fraction that a cell string spells in the format's ASCII grammar
+    (a sign, then digits with an optional "/digits", or a plain decimal,
+    with surrounding whitespace), or None for a string it must refuse."""
+    def digits(text):
+        return text.isascii() and text.isdigit()
+
+    body = raw.strip(" \t\n\r\x0b\x0c")
+    unsigned = body[1:] if body[:1] in ("+", "-") else body
+    numerator, slash, denominator = unsigned.partition("/")
+    whole, point, decimals = unsigned.partition(".")
+    if slash:
+        spelled = digits(numerator) and digits(denominator) and int(denominator) != 0
+    elif point:
+        spelled = bool(whole or decimals) and all(digits(t) for t in (whole, decimals) if t)
+    else:
+        spelled = digits(unsigned)
+    return F(body) if spelled else None
 
 
 def reference_valid(s_a, s_b, table):

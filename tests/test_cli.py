@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrobox import MacroDistribution, SymmetricJPD, make_isotropic_box, make_pr_box
+from macrobox import (
+    ALICE,
+    MacroDistribution,
+    SymmetricJPD,
+    ensemble,
+    make_isotropic_box,
+    make_pr_box,
+)
 from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
 from tests.conftest import (
@@ -100,6 +107,12 @@ class TestParsing:
     def test_decimal_exponent_spec_is_usage_error(self, capsys):
         err = self.usage_error(capsys, ["box", "--box", "isotropic:1e-1000000"])
         assert "malformed isotropic box spec 'isotropic:1e-1000000'" in err
+
+    @pytest.mark.parametrize("visibility", ["1_0/3_0", "2 / 3", "٣/٤"],
+                             ids=["underscores", "spaced-slash", "arabic-indic-digits"])
+    def test_version_dependent_spec_is_usage_error(self, capsys, visibility):
+        err = self.usage_error(capsys, ["box", "--box", f"isotropic:{visibility}"])
+        assert f"malformed isotropic box spec 'isotropic:{visibility}'" in err
 
     def test_decimal_exponent_cell_in_file_is_usage_error(self, capsys, tmp_path):
         data = json.loads(make_pr_box().to_json())
@@ -492,6 +505,41 @@ class TestVerifyOutput:
             "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
             "SKIP fluctuations-jpd: construction needs n >= 4\n"
             "result: FAIL (7 checks, 4 failed, 1 skipped)\n")
+
+    def test_skewed_joint_table_marginal_fails_path_agreement(self, capsys, monkeypatch,
+                                                              tmp_path):
+        """A joint table's moments are checked against the count law of its
+        stored block, which builds no marginal, so a wrong marginal law
+        behind the effective route fails the row."""
+        checked = ensemble._checked_marginal
+
+        def skewed(model, slots):
+            scale, counts = checked(model, slots)
+            if slots != ((ALICE, 0, 0),):
+                return scale, counts
+            # Half a count moves from -1 to +1: <a_0> rises by 1/D.
+            return 2 * scale, {outcomes: 2 * count + outcomes[0]
+                               for outcomes, count in counts.items()}
+
+        monkeypatch.setattr("macrobox.ensemble._checked_marginal", skewed)
+        path = write_joint_file(tmp_path / "table.json",
+                                explicit_from_box(make_isotropic_box(F(1, 3)), 2).table, 2)
+        code, out, err = run_cli(capsys, ["verify", "--box", f"file:{path}"])
+        assert (code, err) == (1, "")
+        assert [line for line in out.splitlines() if not line.startswith(("PASS", "SKIP"))] == [
+            "FAIL path-agreement: <A0>: microscopic sum 0 != effective route 1/36",
+            "result: FAIL (7 checks, 1 failed, 1 skipped)"]
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_mixed_completion_leak_fails_the_count_law_check(self, capsys, tmp_path, i, fmt):
+        """Bob particle 0 is pinned in block (0, 1): the count law of that
+        block gives <B1> = 1, while the marginals, compared only under the
+        (0, 0) and (1, 1) completions, give 0."""
+        path = write_joint_file(tmp_path / "table.json", mixed_completion_signalling_table(), 2)
+        code, out, err = run_cli(capsys, ["moments", "--box", f"file:{path}", "--i", str(i),
+                                          "--j", "1", "--format", fmt])
+        assert (code, out, err) == (1, "", "error: <B1>: microscopic sum 1 != effective route 0\n")
 
     @pytest.mark.parametrize("route, row, n", [
         ("check_no_signalling", "no-signalling", 2),

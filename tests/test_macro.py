@@ -3,7 +3,7 @@
 import math
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from macrobox import (
     make_deterministic_box,
     make_isotropic_box,
     make_pr_box,
+    marginal_correlator,
     moment_report,
     odd_multiplicity_counts,
     rohrlich_conditional_variance,
@@ -135,18 +136,29 @@ def _slot_shapes(i, j):
             ((i, i), (j, j)), ((0, 1), (1, 0)), ((0, 1, 0), (1,)), ((0, 1), (1, 0, 1))]
 
 
+def _literal_tuple_sum(model, alice_settings, bob_settings):
+    """The literal loop over ordered tuples of distinct particles per side:
+    one marginal correlator per index tuple."""
+    n = model.n
+    return sum((marginal_correlator(
+        model, [(ALICE, k, s) for k, s in zip(alice, alice_settings)]
+        + [(BOB, l, s) for l, s in zip(bob, bob_settings)])
+        for alice in permutations(range(n), len(alice_settings))
+        for bob in permutations(range(n), len(bob_settings))), F(0))
+
+
 class TestDistinctTupleSum:
     @staticmethod
     def _assert_branches_agree(box):
-        # The product branch's weighted matchings against the literal loop
-        # over distinct index tuples, which a wrapped table always takes.
+        # The pair box's matching sum against the literal loop over distinct
+        # index tuples on the same box written as a joint table.
         for n in range(1, 5):
             matchings = independent_pairs(box, n)
             literal = explicit_from_box(box, n)
             for i, j in SETTINGS:
                 for alice, bob in _slot_shapes(i, j):
                     assert (_distinct_tuple_sum(matchings, alice, bob)
-                            == _distinct_tuple_sum(literal, alice, bob)), (n, alice, bob)
+                            == _literal_tuple_sum(literal, alice, bob)), (n, alice, bob)
 
     def test_pr_box(self):
         self._assert_branches_agree(make_pr_box())
@@ -165,7 +177,7 @@ class TestDistinctTupleSum:
         def refuse(*args, **kwargs):
             raise AssertionError("a marginal was computed")
 
-        monkeypatch.setattr("macrobox.macro.marginal_correlator", refuse)
+        monkeypatch.setattr("macrobox.ensemble._checked_marginal", refuse)
         monkeypatch.setattr("macrobox.ensemble._product_marginal_counts", refuse)
         model = independent_pairs(make_pr_box(), 9)
         assert macro_average(model, ALICE, 0) == 0
@@ -455,8 +467,21 @@ class TestRohrlich:
 
     def test_noisy_box_unsupported(self):
         model = independent_pairs(make_isotropic_box(F(1, 2)), 3)
-        with pytest.raises(UnsupportedExtensionError):
+        with pytest.raises(UnsupportedExtensionError, match=re.escape(
+                "Bob's outcome at setting 0 is not determined by Alice's outcome 1 at "
+                "setting 0 (conditional 3/4); the value assignment is undefined")):
             rohrlich_conditional_variance(model, 0)
+
+    @given(box=no_signalling_boxes())
+    @settings(max_examples=50, deadline=None)
+    def test_every_box_is_assigned_or_undetermined(self, box):
+        # A validated box's conditionals over y sum to 1, so some Bob
+        # outcome is assigned unless a conditional lies strictly inside (0, 1).
+        for i in range(box.s_a):
+            try:
+                rohrlich_conditional_variance(independent_pairs(box, 2), i)
+            except UnsupportedExtensionError as exc:
+                assert "is not determined by Alice's outcome" in str(exc)
 
     def test_explicit_model_unsupported(self):
         with pytest.raises(UnsupportedExtensionError):
