@@ -50,6 +50,7 @@ from .boxes import (
     PairBox,
     ValidationReport,
     Violation,
+    _collector_paused,
     as_rational,
     json_int,
     parse_json,
@@ -587,8 +588,9 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     :func:`explicit_joint_from_json`.
 
     The entries are walked once, straight into the model's integer blocks
-    (:func:`_json_runs` into :func:`_joint_blocks`): no Fraction table is
-    built.  Repeated entries are summed.  A malformed entry is reported
+    (:func:`_json_runs` into :func:`_joint_blocks`), with the collector
+    paused (:func:`~macrobox.boxes._collector_paused`): no Fraction table
+    is built.  Repeated entries are summed.  A malformed entry is reported
     before any other fault; the others are reported as construction
     reports them (see :class:`ExplicitJoint`).
     """
@@ -599,8 +601,9 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
         entries = list(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
-    return explicit_joint(n, s_a, s_b,
-                          _joint_blocks(n, s_a, s_b, _json_runs(entries), grouped=False))
+    with _collector_paused():
+        table = _joint_blocks(n, s_a, s_b, _json_runs(entries), grouped=False)
+    return explicit_joint(n, s_a, s_b, table)
 
 
 def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
@@ -762,10 +765,12 @@ def marginal(model: EnsembleModel, spec: Sequence) -> dict:
     setting 0.  A joint table's marginal is computed again under the (1, 1)
     completion (a side with a single setting keeps 0) and the two must
     agree exactly; a mismatch means the model signals and raises
-    :class:`SignallingError` carrying both values.  Only these two
-    completions are compared, so a leak that shows only under a mixed
-    completion, such as Alice's unlisted particles at 0 and Bob's at 1,
-    passes unnoticed; :func:`check_no_signalling` is the exhaustive check.
+    :class:`SignallingError` carrying both values.  A spec that lists all
+    2N particles leaves none to complete, so it reads one block and
+    compares nothing.  Only these two completions are compared, so a leak
+    that shows only under a mixed completion, such as Alice's unlisted
+    particles at 0 and Bob's at 1, passes unnoticed;
+    :func:`check_no_signalling` is the exhaustive check.
     A product model's box passed :func:`~macrobox.boxes.validate_pairbox`
     at construction and is read-only, so its completions always agree and
     only (0, 0) is computed.
@@ -801,7 +806,9 @@ def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
     computed.  Any other model scans the support (:func:`_marginal_counts`)
     under the (0, 0) completion and under the (1, 1) completion (0 on a
     side with one setting), and compares the two on masked codes with
-    :func:`_same_law`.  The stored law is decoded into outcome tuples once;
+    :func:`_same_law`.  Slots that list all 2N particles leave nothing to
+    complete: both completions name the same block, so the second scan is
+    skipped.  The stored law is decoded into outcome tuples once;
     Fractions are built only for a mismatch, to carry both laws on the
     error.
     """
@@ -811,7 +818,7 @@ def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
     alt_a = 1 if model.s_a > 1 else 0
     alt_b = 1 if model.s_b > 1 else 0
     scale, counts = _marginal_counts(model, slots, 0, 0)
-    if (alt_a, alt_b) != (0, 0):
+    if (alt_a, alt_b) != (0, 0) and len(slots) < 2 * model.n:
         alt_scale, alt_counts = _marginal_counts(model, slots, alt_a, alt_b)
         if not _same_law(scale, counts, alt_scale, alt_counts):
             raise SignallingError(

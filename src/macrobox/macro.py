@@ -327,8 +327,17 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
     :func:`macro_distribution` for models that are not independent pairs,
     :func:`_checked_moment`, whose check on a joint table is this law's
     :meth:`MacroDistribution.moment`, and the tests.
+
+    The model memoises the distribution, which is read-only, under
+    ``("count-law", i, j)``, so every caller reads one scan per setting
+    pair; the settings are checked on every call, before the lookup.
     """
     check_settings(model.s_a, model.s_b, i, j)
+    return model._memoized(("count-law", i, j), lambda: _count_law_grid(model, i, j))
+
+
+def _count_law_grid(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
+    """The uncached body of :func:`macro_distribution_bruteforce`."""
     law = _as_law(*_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j)))
     return _on_grid(model.n, i, j, lambda key: law.get(key, ZERO))
 

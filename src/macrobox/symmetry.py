@@ -17,8 +17,9 @@ from integer row sums.  The slot correlators E(r, s) count the matchings
 in one integer closed form instead (:func:`_correlator_count`); the
 effective pair and quad are its Walsh inversion (:func:`_inverted_row`),
 and the matching sum behind the JPDs checks them.  Every other model goes
-through the explicit enumeration of ordered index tuples through model
-marginals, the matching sum's oracle on product models as tables.
+through the explicit enumeration of particle sets through model marginals
+(:func:`_symmetrized_generic_entries`), the matching sum's oracle on
+product models as tables.
 
 A symmetrized value depends only on how many of each outcome every (side,
 setting) block of slots holds, so each distribution is a read-only map from
@@ -39,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, groupby, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -195,33 +196,66 @@ def _symmetrized_product_entry(box: PairBox, n: int,
 
 def _symmetrized_generic_entries(model: EnsembleModel,
                                  a_settings: tuple, b_settings: tuple) -> dict:
-    """All symmetrized-distribution entries for an arbitrary model.
+    """All symmetrized-distribution entries for an arbitrary model.  Both
+    settings tuples must be nondecreasing.
 
-    Enumerates every ordered tuple of pairwise-distinct particles per side
-    and sums the model's multi-slot marginals (:func:`~macrobox.ensemble.marginal`)
-    on integers: each marginal probability's numerator is added to the
-    entry's sum for its denominator, and each entry's Fraction is built
-    once, at the end.  Cost grows like (N)_a (N)_b marginal evaluations and
-    is only meant for small N.
+    Averaging over ordered tuples of distinct particles reads each set of
+    particles once per ordering of every same-setting run, and the orderings
+    only permute the outcomes within the run.  So the enumeration takes one
+    tuple per set (:func:`_run_sorted_tuples`) and sums the model's
+    multi-slot marginals (:func:`~macrobox.ensemble.marginal`) per orbit:
+    summing a run's orderings gives |G| / |orbit| times the orbit's sum over
+    the sets, G the group of within-run permutations, and the entry is that
+    sum over |orbit| (:func:`_orbit_size`) times the number of sets.  Sums
+    run on integers: each marginal probability's numerator is added to its
+    event's sum for its denominator, each event's sums go to its orbit
+    once, and each entry's Fraction is built once, at the end.  Cost grows
+    like (N)_a (N)_b / prod(run!) marginal evaluations, run! over every
+    same-setting run of either side, and is only meant for small N.
+
+    The sets come in the order ``permutations`` meets their run-sorted
+    tuples, and a failing tuple's run-sorted twin lists the same slots and
+    comes no later, so a marginal that raises raises as it would under the
+    ordered enumeration, on the same spec.
     """
     n = model.n
-    a_count, b_count = len(a_settings), len(b_settings)
+    a_orbits = {a_out: _orbit_key(a_settings, a_out)
+                for a_out in product(OUTCOMES, repeat=len(a_settings))}
+    b_orbits = {b_out: _orbit_key(b_settings, b_out)
+                for b_out in product(OUTCOMES, repeat=len(b_settings))}
+    orbit_of = {a_out + b_out: (a_key, b_key)  # event -> its orbit, in _side_orbits order
+                for a_out, a_key in a_orbits.items() for b_out, b_key in b_orbits.items()}
+    a_sets, b_sets = _run_sorted_tuples(n, a_settings), _run_sorted_tuples(n, b_settings)
     by_denominator: dict = {}  # denominator -> outcome tuple -> summed numerators
-    for a_particles in permutations(range(n), a_count):
+    for a_particles in a_sets:
         alice = [(ALICE, k, s) for k, s in zip(a_particles, a_settings)]
-        for b_particles in permutations(range(n), b_count):
+        for b_particles in b_sets:
             dist = marginal(model, alice + [(BOB, l, s) for l, s in zip(b_particles, b_settings)])
             for outcomes, p in dist.items():
                 sums = by_denominator.setdefault(p.denominator, {})
                 sums[outcomes] = sums.get(outcomes, 0) + p.numerator
     scale = math.lcm(*by_denominator)
-    totals = dict.fromkeys(product(OUTCOMES, repeat=a_count + b_count), 0)
+    totals = dict.fromkeys(orbit_of.values(), 0)
     for d, sums in by_denominator.items():
         for outcomes, numerator in sums.items():
-            totals[outcomes] += numerator * (scale // d)
-    norm = scale * math.perm(n, a_count) * math.perm(n, b_count)
-    return {(a_key, b_key): Fraction(totals[a_key + b_key], norm)
-            for a_key in _side_orbits(a_settings) for b_key in _side_orbits(b_settings)}
+            totals[orbit_of[outcomes]] += numerator * (scale // d)
+    norm = scale * len(a_sets) * len(b_sets)
+    return {(a_key, b_key): Fraction(total, norm * _orbit_size(a_settings, a_key)
+                                     * _orbit_size(b_settings, b_key))
+            for (a_key, b_key), total in totals.items()}
+
+
+def _run_sorted_tuples(n: int, settings: tuple) -> list:
+    """Every tuple of distinct particles in range(n), one per slot of
+    ``settings``, that increases within each same-setting run, in the order
+    ``permutations(range(n), len(settings))`` meets them: one tuple per
+    choice of a particle set for each run, (N)_k / prod(run!) in all."""
+    runs = [len(list(run)) for _, run in groupby(settings)]
+    tuples = [()]
+    for length in runs:
+        tuples = [chosen + extra for chosen in tuples
+                  for extra in combinations([k for k in range(n) if k not in chosen], length)]
+    return tuples
 
 
 def _orbit_key(settings: tuple, outcomes: tuple) -> tuple:

@@ -4,9 +4,10 @@
 reproduces exactly with the same command and prints its reproduction blob.
 """
 
+import math
 import os
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import settings
@@ -19,8 +20,10 @@ from macrobox import (
     independent_pairs,
     make_deterministic_box,
     make_pr_box,
+    marginal,
     OutcomeAssignment,
     SettingAssignment,
+    symmetry,
 )
 
 ZERO = Fraction(0)
@@ -72,22 +75,23 @@ def signalling_model():
     return explicit_joint(1, 2, 2, signalling_joint_table())
 
 
-def cross_pair_signalling_table():
-    """Two-pair table where Alice particle 0's setting steers Bob particle 1.
+def cross_pair_signalling_table(n=2):
+    """``n``-pair table where Alice particle 0's setting steers Bob's last
+    particle (two pairs unless ``n`` says otherwise).
 
-    All outcomes are independent fair coins except the second Bob outcome,
+    All outcomes are independent fair coins except the last Bob outcome,
     which stays uniform at i_1=0 but is pinned to +1 at i_1=1.
     """
     table = {}
-    for sa in product(range(2), repeat=2):
-        for sb in product(range(2), repeat=2):
+    for sa in product(range(2), repeat=n):
+        for sb in product(range(2), repeat=n):
             block = {}
-            for oa in product(OUTCOMES, repeat=2):
-                for ob in product(OUTCOMES, repeat=2):
-                    p = Fraction(1, 8)
+            for oa in product(OUTCOMES, repeat=n):
+                for ob in product(OUTCOMES, repeat=n):
+                    p = Fraction(2, 4 ** n)
                     if sa[0] == 0:
                         p /= 2
-                    elif ob[1] != 1:
+                    elif ob[-1] != 1:
                         p = ZERO
                     if p != 0:
                         block[(oa, ob)] = p
@@ -132,6 +136,34 @@ def joint_mixture(first, second, weight, n):
                 block[outcomes] = block.get(outcomes, 0) + w * p
         table[key] = block
     return explicit_joint(n, 2, 2, table)
+
+
+def ordered_marginal_average(model, a_settings, b_settings):
+    """(alice outcomes, bob outcomes) -> the average of ``marginal`` over
+    every ordered tuple of distinct particles per side, Alice's tuples
+    outermost, in ``permutations`` order, on Fractions: the symmetrised
+    law by its definition, every event listed."""
+    n, width = model.n, len(a_settings)
+    total = {(a_out, b_out): ZERO for a_out in product(OUTCOMES, repeat=width)
+             for b_out in product(OUTCOMES, repeat=len(b_settings))}
+    for a_particles in permutations(range(n), width):
+        for b_particles in permutations(range(n), len(b_settings)):
+            spec = ([("A", k, s) for k, s in zip(a_particles, a_settings)]
+                    + [("B", l, s) for l, s in zip(b_particles, b_settings)])
+            for outcomes, p in marginal(model, spec).items():
+                total[outcomes[:width], outcomes[width:]] += p
+    norm = math.perm(n, width) * math.perm(n, len(b_settings))
+    return {event: p / norm for event, p in total.items()}
+
+
+def ordered_generic_entries(model, a_settings, b_settings):
+    """A stand-in for ``symmetry._symmetrized_generic_entries`` by the
+    ordered enumeration of :func:`ordered_marginal_average`: each orbit's
+    value read at the event that names it, orbits in the same order."""
+    average = ordered_marginal_average(model, a_settings, b_settings)
+    return {(a_key, b_key): average[a_key, b_key]
+            for a_key in symmetry._side_orbits(a_settings)
+            for b_key in symmetry._side_orbits(b_settings)}
 
 
 def mixed_denominator_box():

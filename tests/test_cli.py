@@ -17,8 +17,10 @@ from macrobox import (
     MacroDistribution,
     SymmetricJPD,
     ensemble,
+    macro,
     make_isotropic_box,
     make_pr_box,
+    symmetry,
 )
 from macrobox.cli import build_parser, main, parse_args
 from macrobox.errors import DomainError
@@ -29,6 +31,7 @@ from tests.conftest import (
     joint_mixture,
     mixed_completion_signalling_table,
     mixed_denominator_box,
+    ordered_generic_entries,
     signalling_joint_table,
     three_fault_box,
 )
@@ -529,6 +532,45 @@ class TestVerifyOutput:
         assert [line for line in out.splitlines() if not line.startswith(("PASS", "SKIP"))] == [
             "FAIL path-agreement: <A0>: microscopic sum 0 != effective route 1/36",
             "result: FAIL (7 checks, 1 failed, 1 skipped)"]
+
+    def test_verify_scans_each_block_count_law_once(self, capsys, monkeypatch, tmp_path):
+        """path-agreement checks 16 moments and oracle-agreement 4 setting
+        pairs against the count law of (A_i, B_j), and a table with 2x2
+        settings has 4 such laws: one scan each."""
+        scans = []
+        side_sums = macro._side_sum_counts
+        monkeypatch.setattr(macro, "_side_sum_counts",
+                            lambda *args: scans.append(args[1]) or side_sums(*args))
+        path = write_joint_file(tmp_path / "table.json",
+                                explicit_from_box(make_isotropic_box(F(1, 3)), 3).table, 3)
+        code, out, err = run_cli(capsys, ["verify", "--box", f"file:{path}"])
+        assert (code, err) == (0, "")
+        assert len(scans) == 4
+        assert {(s.alice[0], s.bob[0]) for s in scans} == set(product((0, 1), repeat=2))
+
+    @pytest.mark.parametrize("table, n, order", [
+        (signalling_joint_table(), 1, "table"),
+        (cross_pair_signalling_table(), 2, "table"),
+        (mixed_completion_signalling_table(), 2, "table"),
+        (signalling_joint_table(), 1, "sorted"),
+        (cross_pair_signalling_table(), 2, "sorted"),
+        (cross_pair_signalling_table(3), 3, "table"),
+    ], ids=["single-pair", "cross-pair", "mixed-completion", "single-pair-sorted",
+            "cross-pair-sorted", "cross-pair-3"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_signalling_verify_bytes_as_the_ordered_enumeration(self, capsys, monkeypatch,
+                                                                 tmp_path, table, n, order, fmt):
+        """verify on the signalling tables prints the same bytes with the
+        ordered-tuple enumeration in place of the particle sets.  The
+        sorted files are the benchmark's two, written in its entry order."""
+        if order == "sorted":
+            table = {key: dict(sorted(block.items())) for key, block in sorted(table.items())}
+        path = write_joint_file(tmp_path / "table.json", table, n)
+        argv = ["verify", "--box", f"file:{path}", "--format", fmt]
+        got = run_cli(capsys, argv)
+        monkeypatch.setattr(symmetry, "_symmetrized_generic_entries", ordered_generic_entries)
+        assert run_cli(capsys, argv) == got
+        assert got[0] == 1
 
     @pytest.mark.parametrize("i", [0, 1])
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -6,6 +6,7 @@ Fraction blocks alike.
 """
 
 import copy
+import gc
 import json
 from fractions import Fraction
 from itertools import product
@@ -269,6 +270,58 @@ def test_one_walk_parses_each_distinct_text_once_and_decodes_nothing(monkeypatch
     assert macro_distribution_bruteforce(model, 1, 0).total() == 1
     monkeypatch.undo()
     assert model == source and model.table == source.table
+
+
+# ---------------------------------------------------------------------------
+# The collector pause around decoding and the walk
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector as the caller leaves it, on or off; the test's
+    own state is restored after it."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+LOADS = [
+    ("table", lambda: explicit_joint_from_json(json.dumps(pr_data())), None),
+    ("data", lambda: explicit_joint_from_data(pr_data()), None),
+    ("invalid-text", lambda: explicit_joint_from_json('{"n": 1,'), "invalid joint-table JSON"),
+    ("deep-nesting", lambda: explicit_joint_from_json("[" * 100000 + "]" * 100000),
+     "invalid joint-table JSON"),
+    ("long-integer", lambda: explicit_joint_from_json('{"n": ' + "1" * 5000 + "}"),
+     "invalid joint-table JSON"),
+    ("malformed-entry", lambda: explicit_joint_from_data(edited(pr_data(), (0, "p", 0.5))),
+     "malformed joint-table entry"),
+    ("bad-total", lambda: explicit_joint_from_data(edited(pr_data(), (0, "p", "1/3"))),
+     "sum to 5/6, not 1"),
+]
+
+
+@pytest.mark.parametrize("load, refusal", [case[1:] for case in LOADS],
+                         ids=[case[0] for case in LOADS])
+def test_collector_left_as_the_caller_had_it(collector, load, refusal):
+    if refusal is None:
+        assert load() == explicit_joint(1, 2, 2, pr_table())
+    else:
+        with pytest.raises(ConstructionError, match=refusal):
+            load()
+    assert gc.isenabled() is collector
+
+
+def test_collector_paused_while_decoding_and_walking(monkeypatch, collector):
+    states = []
+    loads, walk = json.loads, ensemble._joint_blocks
+    monkeypatch.setattr(json, "loads", lambda *args: states.append(gc.isenabled())
+                        or loads(*args))
+    monkeypatch.setattr(ensemble, "_joint_blocks", lambda *args, **kwargs:
+                        states.append(gc.isenabled()) or walk(*args, **kwargs))
+    explicit_joint_from_json(json.dumps(pr_data()))
+    assert states == [False, False]
+    assert gc.isenabled() is collector
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,30 @@ class TestBruteForceDistribution:
         assert dist == macro_distribution_bruteforce(independent_pairs(make_pr_box(), 3), 0, 0)
         assert macro_distribution(joint, 0, 0) == dist
 
+    @pytest.mark.parametrize("model", [explicit_from_box(make_isotropic_box(F(1, 3)), 2),
+                                       independent_pairs(make_isotropic_box(F(1, 3)), 2)],
+                             ids=["joint", "product"])
+    def test_memoised_per_setting_pair(self, monkeypatch, model):
+        """One scan per setting pair, each handed out read-only and as the
+        same object; a bad setting raises on every call, before the lookup."""
+        scans = []
+        side_sums = macro._side_sum_counts
+        monkeypatch.setattr(macro, "_side_sum_counts",
+                            lambda *args: scans.append(args[1]) or side_sums(*args))
+        dist = macro_distribution_bruteforce(model, 1, 0)
+        assert macro_distribution_bruteforce(model, 1, 0) is dist
+        assert macro_distribution_bruteforce(model, 0, 1) is not dist
+        assert len(scans) == 2
+        with pytest.raises(TypeError):
+            dist.probs[(2, 2)] = F(1)
+        with pytest.raises(AttributeError):
+            dist.n = 3
+        for bad in ((2, 0), (0, 2), (True, 0)):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    macro_distribution_bruteforce(model, *bad)
+        assert len(scans) == 2
+
     def test_csv_layout(self):
         dist = macro_distribution_bruteforce(independent_pairs(make_pr_box(), 1), 0, 0)
         lines = dist.to_csv().splitlines()

@@ -1,5 +1,6 @@
 """Symmetrized distributions, JPDs and their closed-form cross-checks."""
 
+import functools
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from macrobox import (
     ConstructionError,
     DomainError,
+    MacroboxError,
     OUTCOMES,
     SignallingError,
     SymmetricJPD,
@@ -50,8 +52,11 @@ from tests.conftest import (
     cross_pair_signalling_table,
     explicit_from_box,
     joint_mixture,
+    mixed_completion_signalling_table,
     mixed_denominator_box,
     no_signalling_boxes,
+    ordered_generic_entries,
+    ordered_marginal_average,
     signalling_joint_table,
 )
 
@@ -886,38 +891,104 @@ class TestSymmetrizedMemo:
                 effective_pair(model)
 
 
+@functools.cache
+def _four_pair_table():
+    """The checked blocks of four pairs of ``isotropic:1/3`` as a joint
+    table, built once: 65536 entries."""
+    return explicit_from_box(make_isotropic_box(F(1, 3)), 4).table
+
+
 class TestGenericEntries:
     """The integer route of ``_symmetrized_generic_entries``."""
 
     @pytest.mark.parametrize("a_settings, b_settings",
-                             [((0,), (1,)), ((0, 1), (1,)), ((1, 1), (0, 0)), ((), (0, 1))])
+                             [((0,), (1,)), ((0, 1), (1,)), ((1, 1), (0, 0)), ((), (0, 1)),
+                              ((0, 0, 0), (1,)), ((0, 0, 1), (0, 1, 1))])
     def test_matches_fraction_sum_of_marginals(self, a_settings, b_settings):
+        """The sum over particle sets equals the average over ordered
+        tuples (:func:`ordered_marginal_average`) on every event, with runs
+        of one, two and three slots, alone and mixed."""
         n = 3
         model = joint_mixture(mixed_denominator_box(), make_isotropic_box(F(1, 3)), F(2, 5), n)
         block_lcms = {math.lcm(*(p.denominator for p in block.values()))
                       for block in model.table.values()}
         assert len(block_lcms) > 1
-        expected = {(a_out, b_out): F(0)
-                    for a_out in product(OUTCOMES, repeat=len(a_settings))
-                    for b_out in product(OUTCOMES, repeat=len(b_settings))}
-        for a_particles in permutations(range(n), len(a_settings)):
-            for b_particles in permutations(range(n), len(b_settings)):
-                spec = ([("A", k, s) for k, s in zip(a_particles, a_settings)]
-                        + [("B", l, s) for l, s in zip(b_particles, b_settings)])
-                for outcomes, p in marginal(model, spec).items():
-                    expected[outcomes[:len(a_settings)], outcomes[len(a_settings):]] += p
-        norm = math.perm(n, len(a_settings)) * math.perm(n, len(b_settings))
+        expected = ordered_marginal_average(model, a_settings, b_settings)
         orbits = symmetry._symmetrized_generic_entries(model, a_settings, b_settings)
-        by_counts = {}  # outcome counts per (side, setting) -> the sum's value
+        by_counts = {}  # outcome counts per (side, setting) -> the average's value
         for (a_out, b_out), p in expected.items():
             counts = (frozenset(Counter(zip(a_settings, a_out)).items()),
                       frozenset(Counter(zip(b_settings, b_out)).items()))
             assert by_counts.setdefault(counts, p) == p
             key = (symmetry._orbit_key(a_settings, a_out), symmetry._orbit_key(b_settings, b_out))
-            assert orbits[key] == p / norm
+            assert orbits[key] == p
         assert len(orbits) == len(by_counts)
+        assert list(orbits) == [(a_key, b_key) for a_key in symmetry._side_orbits(a_settings)
+                                for b_key in symmetry._side_orbits(b_settings)]
+
+    @pytest.mark.parametrize("settings", [(), (0,), (0, 1), (1, 1), (0, 0, 1), (0, 1, 1, 1)])
+    def test_run_sorted_tuples_are_the_ordered_tuples_that_increase_in_each_run(self, settings):
+        runs = [k for k in range(1, len(settings)) if settings[k - 1] == settings[k]]
+        expected = [t for t in permutations(range(5), len(settings))
+                    if all(t[k - 1] < t[k] for k in runs)]
+        assert symmetry._run_sorted_tuples(5, settings) == expected
+        assert len(expected) == math.perm(5, len(settings)) // math.prod(
+            math.factorial(settings.count(s)) for s in set(settings))
+
+    @pytest.mark.parametrize("route, calls", [(effective_quad, 144), (jpd_fluctuations, 36)])
+    def test_one_marginal_per_particle_set(self, monkeypatch, route, calls):
+        """At N = 4 the quad reads C(4, 2)^2 = 36 particle sets per setting
+        pair and the fluctuations JPD C(4, 2) C(2, 2) = 6 per side, where
+        the ordered tuples were 12^2 per setting pair and 4!^2, 576 each.
+        The values are the product model's."""
+        box = make_isotropic_box(F(1, 3))
+        model = explicit_joint(4, 2, 2, _four_pair_table())
+        read = []
+        monkeypatch.setattr(symmetry, "marginal",
+                            lambda model, spec: read.append(spec) or marginal(model, spec))
+        value = route(model)
+        assert len(read) == calls
+        assert value == route(independent_pairs(box, 4))
 
     def test_out_of_range_setting_raises_as_marginal_does(self):
         model = explicit_from_box(make_pr_box(), 2)
         with pytest.raises(DomainError, match="setting 2 out of range for side B"):
             effective_correlator(model, 0, 2, 1, 1)
+
+
+def _outcome(route, model):
+    """``route(model)``, or the type, text and carried laws of the error
+    it raises."""
+    try:
+        return route(model)
+    except MacroboxError as exc:
+        return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+
+
+class TestSignallingErrorTexts:
+    """A failing particle tuple's run-sorted twin lists the same slots and
+    comes no later in ``permutations`` order, so the set enumeration raises
+    the error the ordered enumeration raised first, slot tuple included.
+    The tables are conftest's three signalling tables, the first two also
+    the benchmark's, and the cross-pair leak at three pairs, where the
+    quad's same-setting runs leave particles to complete."""
+
+    @pytest.mark.parametrize("route", [effective_pair, effective_quad, jpd_averages])
+    @pytest.mark.parametrize("table, n", [(signalling_joint_table(), 1),
+                                          (cross_pair_signalling_table(), 2),
+                                          (mixed_completion_signalling_table(), 2),
+                                          (cross_pair_signalling_table(3), 3)],
+                             ids=["single-pair", "cross-pair", "mixed-completion",
+                                  "cross-pair-3"])
+    def test_first_failure_is_the_ordered_enumerations(self, monkeypatch, route, table, n):
+        got = _outcome(route, explicit_joint(n, 2, 2, table))
+        monkeypatch.setattr(symmetry, "_symmetrized_generic_entries", ordered_generic_entries)
+        assert _outcome(route, explicit_joint(n, 2, 2, table)) == got
+
+    def test_quad_names_the_first_run_sorted_tuple(self):
+        """Alice particle 0 steers Bob particle 2, so the first failing
+        tuple leaves Alice's 0 out and lists Bob's 2."""
+        with pytest.raises(SignallingError) as info:
+            effective_quad(explicit_joint(3, 2, 2, cross_pair_signalling_table(3)))
+        assert str(info.value).startswith(
+            "marginal over (('A', 1, 0), ('A', 2, 0), ('B', 0, 0), ('B', 2, 0)) depends on ")
