@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="symmetric joint probability distribution")
     jpd.add_argument("--kind", choices=("averages", "fluctuations", "general"),
                      default="averages")
-    jpd.add_argument("--copies", type=int, default=1,
-                     help="slot copies per setting (kind=general)")
+    jpd.add_argument("--copies", type=int, default=None,
+                     help="slot copies per setting (kind=general only, default 1)")
 
     moments = sub.add_parser("moments", parents=[common],
                              help="macroscopic moment report, or one k-th moment")
@@ -185,6 +185,13 @@ def parse_args(argv) -> RunConfig:
     namespace = parser.parse_args(argv)
     if namespace.n < 1:
         parser.error(f"--n must be at least 1, got {namespace.n}")
+    if namespace.command == "jpd":
+        if namespace.copies is None:
+            namespace.copies = 1
+        elif namespace.kind != "general":
+            parser.error(f"--copies is only available for --kind general, not {namespace.kind}")
+        elif namespace.copies < 1:
+            parser.error(f"--copies must be at least 1, got {namespace.copies}")
     box, joint = _load_box_spec(namespace.box, parser)
     if joint is not None and namespace.n not in (1, joint.n):
         parser.error(f"--n {namespace.n} conflicts with the joint table's n={joint.n}")

@@ -13,7 +13,7 @@ keeps one private memo of the laws derived from it (see
 Laws are integer counts over a common denominator until they are handed
 out.  A product model reads its box's integer form (``PairBox.scale`` and
 ``PairBox.weights``, computed once when the box is built) and keeps no
-scaled copy of it: its marginals are products of those integer cells.
+scaled copy of it: its support is streamed from those integer cells.
 Each model's ``_support`` kernel names every joint outcome by one integer
 code, a bit per slot, so a scan keys its counts by the code masked to the
 slots it keeps (:func:`_support_counts`), and only a law that is handed
@@ -24,9 +24,10 @@ entries (:func:`_joint_blocks`), from JSON entries with no Fraction per
 entry; its marginals and swap check read those blocks, and its Fraction
 ``table`` is decoded from them block by block when it is read (see
 :class:`ExplicitJoint`).  A product model's kernel streams up
-to 4^N codes from one box; in the library only the brute-force
-distribution of :mod:`macrobox.macro` reads it, and that function states
-the cost and leaves the size to its caller.
+to 4^N codes from one box.  A marginal scans it on the model of the k
+pairs it names, so at most 4^k codes; the brute-force distribution of
+:mod:`macrobox.macro` scans all N pairs, and states the cost and leaves
+the size to its caller.
 """
 
 from __future__ import annotations
@@ -415,8 +416,7 @@ def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
 
     Each block's scale is reduced to the lcm of its stored values'
     denominators, and its nonzero counts are sorted by code into its
-    support.  A block that no assignment reaches (a setting that is in
-    range but not an integer) is kept as it is.
+    support.
     """
     held = {}
     reduced = {}
@@ -712,51 +712,6 @@ def _marginal_counts(model: EnsembleModel, slots: tuple,
     return _support_counts(model, settings, mask)
 
 
-def _product_marginal_counts(model: IndependentPairs, slots: tuple,
-                             fill_a: int, fill_b: int) -> tuple:
-    """``(D, counts)`` of a product model's marginal: one integer box factor
-    per involved pair, read from ``box.weights`` with its zero cells skipped.
-
-    A particle whose partner slot is not listed is summed out through the
-    completion setting ``fill_a``/``fill_b`` on the opposite side, which is
-    exactly where a signalling box would leak.  ``D`` is the box scale to
-    the power of the number of involved pairs, and every count is positive.
-    Keys are masked support codes, as :func:`_marginal_counts` gives them,
-    and in the same order: that of their first support code, which takes
-    each involved pair's first nonzero cell with the key's outcomes.
-    """
-    n, weights = model.n, model.box.weights
-    per_pair: dict = {}
-    for side, particle, setting in slots:
-        per_pair.setdefault(particle, {})[side] = setting
-    factors = []  # per pair: [first support code, masked code, weight]
-    for particle, sides in per_pair.items():
-        shift_a, shift_b = _slot_shift(n, ALICE, particle), _slot_shift(n, BOB, particle)
-        mask = (ALICE in sides) << shift_a | (BOB in sides) << shift_b
-        i, j = sides.get(ALICE, fill_a), sides.get(BOB, fill_b)
-        options: dict = {}
-        # x, then y, in OUTCOMES order, so a masked code first meets its
-        # smallest support code.
-        for x, y in product(OUTCOMES, OUTCOMES):
-            w = weights[(i, j, x, y)]
-            if not w:
-                continue
-            code = (x < 0) << shift_a | (y < 0) << shift_b
-            key = code & mask
-            if key in options:
-                options[key][2] += w
-            else:
-                options[key] = [code, key, w]
-        factors.append(options.values())
-    laws = []  # (first support code, masked code, weight)
-    for combo in product(*factors):
-        first, key, weight = 0, 0, 1
-        for code, bits, w in combo:
-            first, key, weight = first | code, key | bits, weight * w
-        laws.append((first, key, weight))
-    return model.box.scale ** len(factors), {key: weight for _, key, weight in sorted(laws)}
-
-
 def marginal(model: EnsembleModel, spec: Sequence) -> dict:
     """Exact marginal over the listed (side, particle, setting) slots.
 
@@ -773,7 +728,9 @@ def marginal(model: EnsembleModel, spec: Sequence) -> dict:
     :func:`check_no_signalling` is the exhaustive check.
     A product model's box passed :func:`~macrobox.boxes.validate_pairbox`
     at construction and is read-only, so its completions always agree and
-    only (0, 0) is computed.
+    only (0, 0) is computed, on the model of the k pairs the spec names:
+    the other pairs sum out to 1.  That scan streams at most 4^k support
+    codes, even for a spec that lists one side of each pair.
 
     Returns a dict mapping outcome tuples (in spec order) to probabilities;
     outcome tuples with zero probability are omitted, and the rest are in
@@ -800,21 +757,29 @@ def _checked_marginal(model: EnsembleModel, slots: tuple) -> tuple:
     """The uncached body of :func:`marginal` on validated slots: the marginal
     as an integer count law ``(D, counts)``.
 
-    A product model multiplies its box's integer rows under the (0, 0)
-    completion (:func:`_product_marginal_counts`); its box is validated and
-    read-only, so the (1, 1) completion could not differ and is not
-    computed.  Any other model scans the support (:func:`_marginal_counts`)
-    under the (0, 0) completion and under the (1, 1) completion (0 on a
-    side with one setting), and compares the two on masked codes with
-    :func:`_same_law`.  Slots that list all 2N particles leave nothing to
-    complete: both completions name the same block, so the second scan is
-    skipped.  The stored law is decoded into outcome tuples once;
-    Fractions are built only for a mismatch, to carry both laws on the
-    error.
+    Every model scans the support (:func:`_marginal_counts`) under the (0,
+    0) completion.  A product model scans the model of the pairs that
+    ``slots`` names, of the same box, their particles relabelled 0..k-1 in
+    ascending order, so masked codes keep their order; an empty ``slots``
+    scans nothing.  Its box is validated and read-only, so the (1, 1)
+    completion could not differ and is not computed.  Any other model
+    scans the (1, 1) completion too (0 on a side with one setting), and
+    compares the two on masked codes with :func:`_same_law`.  Slots that
+    list all 2N particles leave nothing to complete: both completions name
+    the same block, so the second scan is skipped.  The stored law is
+    decoded into outcome tuples once; Fractions are built only for a
+    mismatch, to carry both laws on the error.
     """
-    shifts = [_slot_shift(model.n, side, particle) for side, particle, _ in slots]
     if isinstance(model, IndependentPairs):
-        return _decoded(*_product_marginal_counts(model, slots, 0, 0), shifts)
+        if not slots:
+            return 1, {(): 1}
+        named = sorted({particle for _, particle, _ in slots})
+        sub = independent_pairs(model.box, len(named))
+        local = tuple((side, named.index(particle), setting)
+                      for side, particle, setting in slots)
+        shifts = [_slot_shift(sub.n, side, particle) for side, particle, _ in local]
+        return _decoded(*_marginal_counts(sub, local, 0, 0), shifts)
+    shifts = [_slot_shift(model.n, side, particle) for side, particle, _ in slots]
     alt_a = 1 if model.s_a > 1 else 0
     alt_b = 1 if model.s_b > 1 else 0
     scale, counts = _marginal_counts(model, slots, 0, 0)

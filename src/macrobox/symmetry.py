@@ -618,6 +618,8 @@ def jpd_marginal(jpd: SymmetricJPD, slots: Sequence) -> dict:
     """Exact marginal over the listed (side, setting, copy) slots.
 
     Returns a complete dict over outcome tuples in the requested slot order.
+    A slot whose setting or copy is not an int (a bool or a float too), or
+    that the JPD does not hold, raises :class:`DomainError`.
     """
     positions = []
     seen = set()
@@ -631,11 +633,10 @@ def jpd_marginal(jpd: SymmetricJPD, slots: Sequence) -> dict:
             pool, offset = slots_b, len(slots_a)
         else:
             raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
-        try:
-            index = pool.index((setting, copy))
-        except ValueError:
-            raise DomainError(
-                f"unknown slot ({side}, setting={setting}, copy={copy})") from None
+        # Type-checked first: ``True`` and ``1.0`` equal the slot key ``1``.
+        if type(setting) is not int or type(copy) is not int or (setting, copy) not in pool:
+            raise DomainError(f"unknown slot ({side}, setting={setting}, copy={copy})")
+        index = pool.index((setting, copy))
         if (side, index) in seen:
             raise DomainError(f"slot {entry} listed twice")
         seen.add((side, index))

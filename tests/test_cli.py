@@ -125,6 +125,25 @@ class TestParsing:
         err = self.usage_error(capsys, ["box", "--box", f"file:{path}"])
         assert "has a decimal exponent" in err
 
+    @pytest.mark.parametrize("kind", ["averages", "fluctuations"])
+    @pytest.mark.parametrize("copies", ["1", "3"])
+    def test_copies_outside_general_is_usage_error(self, capsys, kind, copies):
+        err = self.usage_error(capsys, ["jpd", "--box", "pr", "--n", "4", "--kind", kind,
+                                        "--copies", copies])
+        assert f"--copies is only available for --kind general, not {kind}" in err
+
+    @pytest.mark.parametrize("copies", ["0", "-1"])
+    def test_copies_below_one_is_usage_error(self, capsys, copies):
+        err = self.usage_error(capsys, ["jpd", "--box", "pr", "--n", "4", "--kind", "general",
+                                        "--copies", copies])
+        assert f"--copies must be at least 1, got {copies}" in err
+
+    def test_general_jpd_defaults_to_one_copy(self, capsys):
+        default = run_cli(capsys, ["jpd", "--box", "pr", "--n", "2", "--kind", "general"])
+        assert parse_args(["jpd", "--box", "pr", "--kind", "general"]).params["copies"] == 1
+        assert default == run_cli(capsys, ["jpd", "--box", "pr", "--n", "2", "--kind",
+                                           "general", "--copies", "1"])
+
     def test_missing_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["box", "--box", "file:/does/not/exist.json"])

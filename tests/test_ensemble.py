@@ -35,8 +35,8 @@ from macrobox import (
 from macrobox.ensemble import (
     _as_law,
     _decoded,
+    _marginal_count_law,
     _marginal_counts,
-    _product_marginal_counts,
     _slot_shift,
     _swap_scan,
 )
@@ -807,8 +807,8 @@ def signed_sum(law):
 
 
 class TestProductMarginalCounts:
-    """The product-model integer kernel behind ``marginal`` and
-    ``marginal_correlator``."""
+    """A product model's ``marginal`` and ``marginal_correlator``: the
+    support scan of the pairs the spec names."""
 
     COMPLETIONS = ((0, 0), (1, 1), (0, 1), (1, 0))
 
@@ -820,12 +820,15 @@ class TestProductMarginalCounts:
         model = independent_pairs(box, n)
         for spec in marginal_specs(n) + [[("B", 0, 1), ("A", 0, 0)]]:
             slots = tuple(spec)
+            law = marginal(model, spec)
+            _, counts = _marginal_count_law(model, slots)
+            assert all(isinstance(c, int) and c > 0 for c in counts.values())
             for fill in self.COMPLETIONS:
-                scale, counts = _product_marginal_counts(model, slots, *fill)
-                assert all(isinstance(c, int) and c > 0 for c in counts.values())
-                # Same masked codes, values and key order as the scan.
-                assert list(_as_law(scale, counts).items()) == \
-                    list(_as_law(*_marginal_counts(model, slots, *fill)).items())
+                scan = _marginal_by_enumeration(model, slots, *fill)
+                assert law == scan
+                if fill == (0, 0):
+                    # The full model's scan meets the keys in the same order.
+                    assert list(law) == list(scan)
 
     @settings(max_examples=10, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))
@@ -860,18 +863,34 @@ class TestProductMarginalCounts:
         # completion cannot differ; a joint table still computes both.
         from macrobox import ensemble
 
-        for kernel, build, fills in (
-                ("_product_marginal_counts", independent_pairs, [(0, 0)]),
-                ("_marginal_counts", explicit_from_box, [(0, 0), (1, 1)])):
-            calls = []
-            original = getattr(ensemble, kernel)
-            monkeypatch.setattr(ensemble, kernel,
-                                lambda m, s, a, b, original=original:
-                                calls.append((a, b)) or original(m, s, a, b))
+        calls = []
+        original = ensemble._marginal_counts
+        monkeypatch.setattr(ensemble, "_marginal_counts",
+                            lambda m, s, a, b: calls.append((a, b)) or original(m, s, a, b))
+        for build, fills in ((independent_pairs, [(0, 0)]),
+                             (explicit_from_box, [(0, 0), (1, 1)])):
+            calls.clear()
             model = build(make_pr_box(), 2)
             law = marginal(model, [("A", 0, 1), ("B", 1, 0)])
             assert law == {outcomes: F(1, 4) for outcomes in product(OUTCOMES, repeat=2)}
             assert calls == fills
+
+    def test_product_marginal_scans_only_the_named_pairs(self, monkeypatch):
+        box = make_isotropic_box(F(1, 3))
+        model = independent_pairs(box, 200)
+        scanned = []
+        original = IndependentPairs._support
+        monkeypatch.setattr(IndependentPairs, "_support",
+                            lambda self, settings: scanned.append(settings)
+                            or original(self, settings))
+        law = marginal(model, [("A", 150, 1), ("B", 7, 0)])
+        assert law == {(x, y): box.marginal_a(1, x) * box.marginal_b(0, y)
+                       for x, y in product(OUTCOMES, repeat=2)}
+        assert scanned
+        assert all(len(s.alice) == len(s.bob) == 2 for s in scanned)
+        scanned.clear()
+        assert marginal(model, []) == {(): 1}
+        assert scanned == []
 
     def test_correlator_raises_on_every_call_for_signalling_tables(self):
         model = explicit_joint(1, 2, 2, signalling_joint_table())

@@ -178,7 +178,6 @@ class TestDistinctTupleSum:
             raise AssertionError("a marginal was computed")
 
         monkeypatch.setattr("macrobox.ensemble._checked_marginal", refuse)
-        monkeypatch.setattr("macrobox.ensemble._product_marginal_counts", refuse)
         model = independent_pairs(make_pr_box(), 9)
         assert macro_average(model, ALICE, 0) == 0
         # Only the two full matchings survive the uniform marginals; each

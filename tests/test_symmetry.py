@@ -610,6 +610,14 @@ class TestJPDMarginalAndValidity:
         with pytest.raises(DomainError):
             jpd_marginal(jpd, [("C", 0, 0)])
 
+    @pytest.mark.parametrize("slot", [("A", True, 0), ("A", 1.0, 0), ("B", 0, False),
+                                      ("B", 0, 0.0)])
+    def test_non_int_setting_or_copy_rejected(self, slot):
+        # True == 1 and 0.0 == 0 would otherwise name the int slot.
+        jpd = jpd_fluctuations(independent_pairs(make_pr_box(), 4))
+        with pytest.raises(DomainError, match="unknown slot"):
+            jpd_marginal(jpd, [slot])
+
     def test_duplicate_slot_rejected(self):
         jpd = jpd_averages(independent_pairs(make_pr_box(), 2))
         with pytest.raises(DomainError):
