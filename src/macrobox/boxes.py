@@ -110,6 +110,15 @@ def json_int(value) -> int:
     raise TypeError(f"not an integer: {value!r}")
 
 
+def check_sizes(error: type, **sizes) -> None:
+    """Refuse, with ``error``, the first of ``sizes`` (a pair count or a
+    setting count, by name) that is not an int: a bool, a float or a str,
+    before a range check compares it or a grid is built from it."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")
+
+
 def rational_to_str(value: Fraction) -> str:
     """Serialize a rational as the canonical "p/q" string (q > 0 always)."""
     return f"{value.numerator}/{value.denominator}"
@@ -161,15 +170,16 @@ class PairBox:
 
     ``table`` maps (alice_setting, bob_setting, alice_outcome, bob_outcome)
     to an exact probability, an int (not a bool) or a Fraction; missing
-    cells are 0.  Construction refuses (:class:`ConstructionError`) a side
-    without settings, fewer cells than setting pairs (checked before the
-    grid is built), a key outside the grid of settings and +1/-1 outcomes,
-    and any other cell value.  The box keeps a read-only view of a private
-    copy of ``table``, and its integer form: ``scale``, the lcm L of the
-    grid's denominators, and ``weights``, a read-only map from every grid
-    key (:meth:`cells` order, zeros included) to L * p.  Boxes compare by
-    that form, so a table that leaves its zero cells out equals the one
-    that lists them, as its :meth:`to_json` round trip does.
+    cells are 0.  Construction refuses (:class:`ConstructionError`) a setting
+    count that is not an int, a side without settings, fewer cells than
+    setting pairs (checked before the grid is built), a key outside the
+    grid of settings and +1/-1 outcomes, and any other cell value.  The
+    box keeps a read-only view of a private copy of ``table``, and its
+    integer form: ``scale``, the lcm L of the grid's denominators, and
+    ``weights``, a read-only map from every grid key (:meth:`cells` order,
+    zeros included) to L * p.  Boxes compare by that form, so a table that
+    leaves its zero cells out equals the one that lists them, as its
+    :meth:`to_json` round trip does.
     """
 
     s_a: int
@@ -180,6 +190,7 @@ class PairBox:
 
     def __post_init__(self) -> None:
         s_a, s_b = self.s_a, self.s_b
+        check_sizes(ConstructionError, s_a=s_a, s_b=s_b)
         if s_a < 1 or s_b < 1:
             raise ConstructionError(
                 f"a pair box needs at least one setting per side, got "

@@ -185,6 +185,8 @@ def parse_args(argv) -> RunConfig:
     namespace = parser.parse_args(argv)
     if namespace.n < 1:
         parser.error(f"--n must be at least 1, got {namespace.n}")
+    if getattr(namespace, "k", None) is not None and namespace.k < 0:
+        parser.error(f"--k must be at least 0, got {namespace.k}")
     if namespace.command == "jpd":
         if namespace.copies is None:
             namespace.copies = 1

@@ -53,6 +53,7 @@ from .boxes import (
     Violation,
     _collector_paused,
     as_rational,
+    check_sizes,
     json_int,
     parse_json,
     validate_pairbox,
@@ -159,11 +160,11 @@ class EnsembleModel:
 class IndependentPairs(EnsembleModel):
     """N independent copies of one pair box; probabilities factorize per pair.
 
-    Construction rejects ``n < 1`` (:class:`DomainError`) and a box that
-    fails :func:`~macrobox.boxes.validate_pairbox`
-    (:class:`ConstructionError`), so every instance is a product of
-    normalised, nonnegative, no-signalling boxes and hence no-signalling
-    itself.
+    Construction rejects an ``n`` that is not an int or is below 1
+    (:class:`DomainError`) and a box that fails
+    :func:`~macrobox.boxes.validate_pairbox` (:class:`ConstructionError`),
+    so every instance is a product of normalised, nonnegative,
+    no-signalling boxes and hence no-signalling itself.
     """
 
     box: PairBox
@@ -172,6 +173,7 @@ class IndependentPairs(EnsembleModel):
                         compare=False)
 
     def __post_init__(self) -> None:
+        check_sizes(DomainError, n=self.n)
         if self.n < 1:
             raise DomainError(f"need at least one pair, got n={self.n}")
         report = validate_pairbox(self.box)
@@ -229,24 +231,23 @@ class ExplicitJoint(EnsembleModel):
 
     Each setting assignment maps to a mapping over (alice outcomes, bob
     outcomes); omitted outcome entries are zero.  Construction checks the
-    table against ``n``, ``s_a`` and ``s_b``: every setting key must list
-    ``n`` in-range settings per side, every outcome must be +1 or -1, and
-    each setting assignment must be nonnegative and normalized.
+    table against ``n``, ``s_a`` and ``s_b``, which must be ints: every
+    setting key must list ``n`` in-range settings per side, every outcome
+    must be +1 or -1, and each setting assignment must be nonnegative and
+    normalized.
 
     The table's one stored form is its integer blocks, built at
     construction in one walk over the entries (:func:`_joint_blocks`):
     per setting assignment a scale ``D`` (the lcm of the block's
     denominators), the integer count ``D * p`` of each stored outcome,
-    and the sorted nonzero support that :meth:`_support` returns.  Two
-    outcome keys that name one outcome tuple store the last value.  A bad
-    setting key or outcome raises where it is met, in table order; the
-    other faults (an outcome tuple of the wrong length, a negative
-    probability, a wrong total) are held per block, and the first failing
-    setting assignment in ``product`` order is reported, a missing block
-    as summing to 0.  :func:`explicit_joint_from_json` builds the same
-    blocks straight from the JSON entries, with no Fraction per entry, and
-    passes them as ``table``; construction keeps such checked blocks as
-    they are.
+    and the sorted nonzero support that :meth:`_support` returns.  A
+    table and a JSON file (:func:`explicit_joint_from_json`) follow the
+    same rules, those of that walk: keys that name one setting tuple or
+    one outcome tuple are summed, a value that is not a rational raises
+    where it is met, and the other faults are reported after the walk.
+    The JSON loader builds the blocks straight from its entries, with no
+    Fraction per entry, and passes them as ``table``; construction keeps
+    such checked blocks as they are.
 
     ``table`` is a read-only view of the blocks as Fractions, each block
     decoded on its first read; its blocks are read-only too, so the
@@ -268,8 +269,7 @@ class ExplicitJoint(EnsembleModel):
     def __post_init__(self) -> None:
         n, s_a, s_b, table = self.n, self.s_a, self.s_b, self.table
         if not (isinstance(table, _JointTable) and table.shape == (n, s_a, s_b)):
-            _check_shape(n, s_a, s_b, table)
-            table = _joint_blocks(n, s_a, s_b, _table_runs(table), grouped=True)
+            table = _joint_blocks(n, s_a, s_b, _table_runs(table))
         object.__setattr__(self, "table", MappingProxyType(table))
         object.__setattr__(self, "_blocks", table.blocks)
         object.__setattr__(self, "_supports", table.supports)
@@ -326,83 +326,62 @@ class _JointTable(Mapping):
 _NOT_AN_OUTCOME = -1
 
 
-def _check_shape(n: int, s_a: int, s_b: int, table: Mapping) -> None:
-    if n < 1:
-        raise DomainError(f"need at least one pair, got n={n}")
-    if s_a < 1 or s_b < 1:
-        raise DomainError("each side needs at least one setting")
-    if not table:
-        raise ConstructionError("empty joint table")
-
-
-def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable,
-                  grouped: bool) -> _JointTable:
+def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable) -> _JointTable:
     """The checked :class:`_JointTable` of ``runs``, in one walk over the
     entries.
 
-    ``runs`` yields ``(setting key, entries)`` with each entry an
-    ``(outcome key, value)`` pair; keys are pairs of tuples.  Each block
-    keeps integer counts over a running scale, the lcm of the
-    denominators met so far, and each distinct outcome key is checked and
-    coded once (:func:`_outcome_code`).
-
-    ``grouped`` runs come from a table, one run per block, in the
-    caller's order, and their values are rationals
-    (:func:`~macrobox.boxes.as_rational`): the shape was checked before
-    the walk, a bad setting key, outcome or value raises where it is met,
-    a repeated outcome keeps its last value and a repeated setting key
-    its last block.  Other runs are JSON entries in file order, their
-    values checked ``(numerator, denominator)`` pairs: repeats are
-    summed, and bad keys and outcomes are raised after the walk, so a
-    malformed entry met later still wins, then the shape check, then the
-    first block (in first-seen order) with a bad key or outcome.  Either
-    way the held faults follow (:func:`_checked_blocks`).
+    ``runs`` yields ``(setting key, entries)``, with each entry an
+    ``(outcome key, (numerator, denominator))`` pair and keys pairs of
+    tuples (:func:`_json_runs`, :func:`_table_runs`); a value that is not
+    a rational has raised where the run met it.  Each block keeps integer
+    counts over a running scale, the lcm of the denominators met so far,
+    and each distinct outcome key is checked and coded once
+    (:func:`_outcome_code`).  Repeated outcomes and setting keys are
+    summed.  A bad setting key or outcome is held until after the walk,
+    so a malformed entry met later still wins; then the shape is checked,
+    then the first block (in first-seen order) with a bad key or outcome
+    raises, then the held faults follow (:func:`_checked_blocks`).
     """
-    blocks: dict = {}  # setting key -> [scale, counts, key as last spelled], or None
+    check_sizes(DomainError, n=n, s_a=s_a, s_b=s_b)
+    blocks: dict = {}  # setting key -> [scale, counts], or None
     codes: dict = {}   # outcome key -> support code
-    faults: dict = {}  # setting key -> its first bad key or outcome (JSON runs)
+    faults: dict = {}  # setting key -> its first bad key or outcome
     misfits = set()    # setting keys of blocks with an outcome of the wrong length
-
-    def fail(key: tuple, message: str) -> None:
-        if grouped:
-            raise ConstructionError(message)
-        faults.setdefault(key, message)
-
     for key, run in runs:
-        if grouped or key not in blocks:
+        if key not in blocks:
             message = _setting_key_fault(n, s_a, s_b, key)
             if message is not None:
-                fail(key, message)
-            blocks[key] = None if message is not None else [1, {}, key]
-            misfits.discard(key)
+                faults[key] = message
+            blocks[key] = None if message is not None else [1, {}]
         block = blocks[key]
         if block is None:
             continue
-        scale, counts, _ = block
-        for outcomes, value in run:
+        scale, counts = block
+        for outcomes, (numerator, denominator) in run:
             code = codes.get(outcomes)
             if code is None:
                 code = codes[outcomes] = _outcome_code(n, outcomes)
             if type(code) is not int:
                 misfits.add(key)
             elif code < 0:
-                fail(key, f"outcomes must be +1 or -1, got {outcomes[0]};{outcomes[1]} "
-                          f"at settings {key[0]};{key[1]}")
+                faults.setdefault(key, f"outcomes must be +1 or -1, got "
+                                       f"{outcomes[0]};{outcomes[1]} at settings {key[0]};{key[1]}")
                 continue
-            numerator, denominator = (as_rational(value).as_integer_ratio() if grouped
-                                      else value)
             if scale % denominator:  # raise the scale to the lcm, counts with it
                 factor = denominator // gcd(scale, denominator)
                 scale *= factor
                 for c in counts:
                     counts[c] *= factor
-            count = numerator * (scale // denominator)
-            counts[code] = count if grouped else counts.get(code, 0) + count
+            counts[code] = counts.get(code, 0) + numerator * (scale // denominator)
         block[0] = scale
-    if not grouped:
-        _check_shape(n, s_a, s_b, blocks)
-        if faults:
-            raise ConstructionError(next(faults[key] for key in blocks if key in faults))
+    if n < 1:
+        raise DomainError(f"need at least one pair, got n={n}")
+    if s_a < 1 or s_b < 1:
+        raise DomainError("each side needs at least one setting")
+    if not blocks:
+        raise ConstructionError("empty joint table")
+    if faults:
+        raise ConstructionError(next(faults[key] for key in blocks if key in faults))
     return _checked_blocks(n, s_a, s_b, blocks, codes, misfits)
 
 
@@ -414,29 +393,18 @@ def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
     failing setting assignment in ``product`` order raises, a missing
     block as summing to 0.
 
-    Each block's scale is reduced to the lcm of its stored values'
+    Each block's scale is then reduced to the lcm of its stored values'
     denominators, and its nonzero counts are sorted by code into its
     support.
     """
     held = {}
-    reduced = {}
-    supports = {}
-    for key, (scale, counts, spelled) in blocks.items():
+    for key, (scale, counts) in blocks.items():
         values = counts.values()
-        low = min(values, default=0)
-        if key in misfits or low < 0:
-            held[key] = _entry_fault(spelled, scale, counts, codes)
+        if key in misfits or min(values, default=0) < 0:
+            held[key] = _entry_fault(key, scale, counts, codes)
         elif sum(values) != scale:
-            held[key] = (f"outcomes for setting assignment {spelled[0]};{spelled[1]} "
+            held[key] = (f"outcomes for setting assignment {key[0]};{key[1]} "
                          f"sum to {Fraction(sum(values), scale)}, not 1")
-        common = gcd(scale, *values)
-        if common > 1:
-            scale //= common
-            counts = {code: count // common for code, count in counts.items()}
-        reduced[key] = (scale, counts)
-        if key not in misfits:
-            pairs = counts.items() if low > 0 else (item for item in counts.items() if item[1])
-            supports[key] = (scale, tuple(sorted(pairs)))
     # Keys are in range, so a missing block shows in the count.
     if held or len(blocks) != (s_a * s_b) ** n:
         for sa in product(range(s_a), repeat=n):
@@ -446,6 +414,17 @@ def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
                         f"outcomes for setting assignment {sa};{sb} sum to 0, not 1")
                 if (sa, sb) in held:
                     raise ConstructionError(held[(sa, sb)])
+    reduced = {}
+    supports = {}
+    for key, (scale, counts) in blocks.items():
+        common = gcd(scale, *counts.values())
+        if common > 1:
+            scale //= common
+            counts = {code: count // common for code, count in counts.items()}
+        reduced[key] = (scale, counts)
+        pairs = counts.items() if 0 not in counts.values() else (
+            item for item in counts.items() if item[1])
+        supports[key] = (scale, tuple(sorted(pairs)))
     return _JointTable((n, s_a, s_b), reduced, supports)
 
 
@@ -487,25 +466,26 @@ def _outcome_code(n: int, outcomes: tuple):
                for particle, o in enumerate(side_outcomes) if o < 0)
 
 
-def _outcomes_of(n: int, code) -> tuple:
-    """The (alice outcomes, bob outcomes) of a support code; an outcome key
-    of the wrong length is its own code."""
-    if type(code) is not int:
-        return code
+def _outcomes_of(n: int, code: int) -> tuple:
+    """The (alice outcomes, bob outcomes) of a support code."""
     slots = tuple(MINUS if code >> (2 * n - 1 - k) & 1 else PLUS for k in range(2 * n))
     return slots[:n], slots[n:]
 
 
 def _table_runs(table: Mapping) -> Iterable:
-    """The runs of :func:`_joint_blocks` of a table of blocks: one per
-    block, its entries read as it is walked."""
+    """The runs of :func:`_joint_blocks` of a table of blocks, as
+    :func:`_json_runs` yields them: one per block, its keys as tuples and
+    its values as ``(numerator, denominator)`` pairs
+    (:func:`~macrobox.boxes.as_rational`), converted as they are met.  A
+    table or block that is not a mapping raises :class:`ConstructionError`."""
+    if not isinstance(table, Mapping):
+        raise ConstructionError(f"a joint table is a mapping of blocks, got {table!r}")
     for key, block in table.items():
-        yield (tuple(key[0]), tuple(key[1])), _block_entries(block)
-
-
-def _block_entries(block: Mapping) -> Iterable:
-    for outcomes, p in block.items():
-        yield (tuple(outcomes[0]), tuple(outcomes[1])), p
+        if not isinstance(block, Mapping):
+            raise ConstructionError(f"block {key} is not a mapping of outcomes: {block!r}")
+        yield (tuple(key[0]), tuple(key[1])), [
+            ((tuple(outcomes[0]), tuple(outcomes[1])), as_rational(p).as_integer_ratio())
+            for outcomes, p in block.items()]
 
 
 def _json_runs(entries: list) -> Iterable:
@@ -602,7 +582,7 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
     with _collector_paused():
-        table = _joint_blocks(n, s_a, s_b, _json_runs(entries), grouped=False)
+        table = _joint_blocks(n, s_a, s_b, _json_runs(entries))
     return explicit_joint(n, s_a, s_b, table)
 
 
@@ -611,7 +591,7 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
     seen = set()
     slots = []
     for entry in spec:
-        side, particle, setting = entry
+        side, particle, setting = _triple(entry, "(side, particle, setting)")
         if side not in (ALICE, BOB):
             raise DomainError(f"side must be {ALICE!r} or {BOB!r}, got {side!r}")
         if type(particle) is not int or not (0 <= particle < model.n):
@@ -625,6 +605,16 @@ def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:
         seen.add((side, particle))
         slots.append((side, particle, setting))
     return tuple(slots)
+
+
+def _triple(entry, names: str) -> tuple:
+    """``entry`` unpacked into three values; :class:`DomainError` naming the
+    ``names`` it should hold if it is not a sequence of three."""
+    try:
+        first, second, third = entry
+    except (TypeError, ValueError):
+        raise DomainError(f"spec entry {entry!r} is not a {names} triple") from None
+    return first, second, third
 
 
 def _slot_shift(n: int, side: str, particle: int) -> int:

@@ -238,7 +238,10 @@ class MacroDistribution:
             yield x_value, y_value, self.prob(x_value, y_value)
 
     def moment(self, p: int, q: int) -> Fraction:
-        """<A^p B^q> = sum X^p Y^q p(X, Y), on integers."""
+        """<A^p B^q> = sum X^p Y^q p(X, Y), on integers; an order that is not
+        a nonnegative int raises :class:`DomainError`."""
+        _check_order(p)
+        _check_order(q)
         return _weighted_sum((x_value ** p * y_value ** q, prob)
                              for (x_value, y_value), prob in self.probs.items())
 
@@ -345,9 +348,13 @@ def _count_law_grid(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:
     """<(A_i B_j)^order> by :func:`_moment`."""
     check_settings(model.s_a, model.s_b, i, j)
+    _check_order(order)
+    return _moment(model, i, j, order, order)
+
+
+def _check_order(order) -> None:
     if type(order) is not int or order < 0:
         raise DomainError(f"moment order must be a nonnegative int, got {order!r}")
-    return _moment(model, i, j, order, order)
 
 
 def rohrlich_conditional_variance(model: EnsembleModel, alice_setting: int) -> Fraction:

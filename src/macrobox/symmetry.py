@@ -63,7 +63,7 @@ from .boxes import (
     rational_to_str,
     validate_pairbox,
 )
-from .ensemble import EnsembleModel, IndependentPairs, marginal
+from .ensemble import EnsembleModel, IndependentPairs, _triple, marginal
 from .errors import ConstructionError, DomainError, SignallingError
 
 
@@ -626,7 +626,7 @@ def jpd_marginal(jpd: SymmetricJPD, slots: Sequence) -> dict:
     slots_a = jpd.slots(ALICE)
     slots_b = jpd.slots(BOB)
     for entry in slots:
-        side, setting, copy = entry
+        side, setting, copy = _triple(entry, "(side, setting, copy)")
         if side == ALICE:
             pool, offset = slots_a, 0
         elif side == BOB:

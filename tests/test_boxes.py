@@ -207,6 +207,16 @@ class TestValidation:
         with pytest.raises(ConstructionError, match="at least one setting"):
             PairBox(s_a=s_a, s_b=s_b, table={})
 
+    @pytest.mark.parametrize("s_a, s_b, message", [
+        (True, 2, "s_a must be an int, got True"),
+        (2, 2.0, "s_b must be an int, got 2.0"),
+        ("2", 2, "s_a must be an int, got '2'"),
+    ])
+    def test_rejects_a_setting_count_that_is_not_an_int(self, s_a, s_b, message):
+        with pytest.raises(ConstructionError) as info:
+            PairBox(s_a=s_a, s_b=s_b, table=make_pr_box().table)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [0.25, True, "1/4"])
     def test_rejects_cells_that_are_not_int_or_fraction(self, value):
         # A float table sums to 1.0 and would otherwise pass validation.

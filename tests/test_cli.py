@@ -138,6 +138,15 @@ class TestParsing:
                                         "--copies", copies])
         assert f"--copies must be at least 1, got {copies}" in err
 
+    @pytest.mark.parametrize("k", ["-1", "-3"])
+    def test_negative_moment_order_is_usage_error(self, capsys, k):
+        err = self.usage_error(capsys, ["moments", "--box", "pr", "--n", "2", "--k", k])
+        assert f"--k must be at least 0, got {k}" in err
+
+    def test_zeroth_moment_order_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["moments", "--box", "pr", "--n", "2", "--k", "0"])
+        assert code == 0 and out
+
     def test_general_jpd_defaults_to_one_copy(self, capsys):
         default = run_cli(capsys, ["jpd", "--box", "pr", "--n", "2", "--kind", "general"])
         assert parse_args(["jpd", "--box", "pr", "--kind", "general"]).params["copies"] == 1

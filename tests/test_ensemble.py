@@ -35,6 +35,8 @@ from macrobox import (
 from macrobox.ensemble import (
     _as_law,
     _decoded,
+    _joint_blocks,
+    _json_runs,
     _marginal_count_law,
     _marginal_counts,
     _slot_shift,
@@ -84,6 +86,12 @@ class TestIndependentPairs:
     def test_rejects_zero_pairs(self):
         with pytest.raises(DomainError):
             independent_pairs(make_pr_box(), 0)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_rejects_a_pair_count_that_is_not_an_int(self, n):
+        with pytest.raises(DomainError) as info:
+            independent_pairs(make_pr_box(), n)
+        assert str(info.value) == f"n must be an int, got {n!r}"
 
     def test_rejects_invalid_box(self):
         from macrobox import PairBox
@@ -163,6 +171,23 @@ class TestExplicitJoint:
     def test_empty_table_rejected(self):
         with pytest.raises(ConstructionError):
             explicit_joint(1, 2, 2, {})
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((1.0, 1, 1), "n must be an int, got 1.0"),
+        ((True, 1, 1), "n must be an int, got True"),
+        ((1, 1.0, 1), "s_a must be an int, got 1.0"),
+        ((1, 1, "1"), "s_b must be an int, got '1'"),
+    ])
+    def test_sizes_that_are_not_ints_rejected_before_the_walk(self, sizes, message):
+        table = {((0,), (0,)): {((1,), (1,)): F(1)}}
+        with pytest.raises(DomainError) as info:
+            explicit_joint(*sizes, table)
+        assert str(info.value) == message
+        entries = [{"settings_a": [0], "settings_b": [0], "outcomes_a": [1],
+                    "outcomes_b": [1], "p": "1"}]
+        with pytest.raises(DomainError) as info:
+            _joint_blocks(*sizes, _json_runs(entries))
+        assert str(info.value) == message
 
     def test_bad_normalization_names_assignment(self):
         table = signalling_joint_table()
@@ -753,21 +778,27 @@ class TestOnePassChecks:
             explicit_joint(2, 1, 1, table)
         assert str(info.value) == "outcome tuple length mismatch at settings (0, 0);(0, 0)"
 
-    def test_duplicate_outcome_key_keeps_the_last_value(self):
+    def test_duplicate_outcome_keys_are_summed(self):
         # ``range(1, 2)`` and ``(1,)`` name the same outcome tuple: the block
-        # stores only the last value, which alone sums to 1/2.
+        # sums the two values, as the JSON loader sums repeated entries.
         table = {((0,), (0,)): {((1,), (1,)): F(1, 2), (range(1, 2), (1,)): F(1, 2)}}
+        model = explicit_joint(1, 1, 1, table)
+        assert dict(model.table[((0,), (0,))]) == {((1,), (1,)): 1}
+
+    def test_duplicate_outcome_key_sums_with_a_negative_value(self):
+        table = {((0,), (0,)): {((1,), (1,)): F(-1, 2), (range(1, 2), (1,)): F(1, 2),
+                                ((-1,), (-1,)): F(1, 2)}}
         with pytest.raises(ConstructionError) as info:
             explicit_joint(1, 1, 1, table)
         assert str(info.value) == "outcomes for setting assignment (0,);(0,) sum to 1/2, not 1"
 
-    def test_duplicate_outcome_key_overwrites_a_negative_value(self):
-        table = {((0,), (0,)): {((1,), (1,)): F(-1, 2), (range(1, 2), (1,)): F(1, 2),
-                                ((-1,), (-1,)): F(1, 2)}}
+    def test_duplicate_setting_keys_are_summed(self):
+        table = {((0,), (0,)): {((1,), (1,)): F(1, 2)},
+                 (range(0, 1), (0,)): {((-1,), (-1,)): F(1, 2)}}
         model = explicit_joint(1, 1, 1, table)
+        assert list(model.table) == [((0,), (0,))]
         assert dict(model.table[((0,), (0,))]) == {((1,), (1,)): F(1, 2),
                                                    ((-1,), (-1,)): F(1, 2)}
-        assert marginal(model, [("A", 0, 0)]) == {(1,): F(1, 2), (-1,): F(1, 2)}
 
     @pytest.mark.parametrize("field", ["settings_a", "settings_b", "outcomes_a", "outcomes_b"])
     @pytest.mark.parametrize("bad", [True, 1.0, "1"])
@@ -941,3 +972,12 @@ class TestProductNoSignalling:
     def test_product_and_its_joint_table_pass(self):
         assert check_no_signalling(independent_pairs(make_pr_box(), 3)).ok
         assert check_no_signalling(explicit_from_box(make_pr_box(), 3)).ok
+
+
+@pytest.mark.parametrize("entry", [("A", 0), ("A", 0, 0, 0), "A0", 5])
+@pytest.mark.parametrize("law", [marginal, marginal_correlator])
+def test_spec_entry_that_is_not_a_triple_rejected(law, entry):
+    with pytest.raises(DomainError) as info:
+        law(independent_pairs(make_pr_box(), 2), [entry])
+    assert str(info.value) == (f"spec entry {entry!r} is not a "
+                               f"(side, particle, setting) triple")

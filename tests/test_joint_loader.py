@@ -182,6 +182,10 @@ JSON_CASES = [
 
 TABLE_CASES = [
     ("empty", lambda: {}, ConstructionError, "empty joint table"),
+    ("table-not-a-mapping", lambda: None,
+     ConstructionError, "a joint table is a mapping of blocks, got None"),
+    ("block-not-a-mapping", lambda: table_with((((1,), (0,)), [])),
+     ConstructionError, "block ((1,), (0,)) is not a mapping of outcomes: []"),
     ("setting-key-length", lambda: table_with((((0, 0), (0,)), {((1, 1), (1,)): F(1)})),
      ConstructionError, "setting key (0, 0);(0,) does not list n=1 settings per side"),
     ("setting-out-of-range", lambda: table_with((((0,), (-1,)), {((1,), (1,)): F(1)})),
@@ -202,16 +206,18 @@ TABLE_CASES = [
      ConstructionError, "outcomes for setting assignment (0,);(0,) sum to 1/3, not 1"),
     ("missing-block", lambda: table_with((((1,), (1,)), None)),
      ConstructionError, "outcomes for setting assignment (1,);(1,) sum to 0, not 1"),
-    # Table order for what raises where it is met, product order after.
+    # Bad keys and outcomes by the block first met, held faults in product order.
     ("bad-key-in-table-order", lambda: table_with((((0,), (0,)), {((1,), (2,)): F(1)}),
                                                   (((3,), (0,)), {})),
      ConstructionError, "outcomes must be +1 or -1, got (1,);(2,) at settings (0,);(0,)"),
-    ("bad-outcome-before-its-value", lambda: table_with((((0,), (1,)), {((0,), (1,)): "half"})),
-     ConstructionError, "outcomes must be +1 or -1, got (0,);(1,) at settings (0,);(1,)"),
-    ("last-value-wins", lambda: table_with((((0,), (0,)), {((1,), (1,)): F(-1, 2),
-                                                          (range(1, 2), (1,)): F(1, 4),
-                                                          ((-1,), (-1,)): F(1, 2)})),
-     ConstructionError, "outcomes for setting assignment (0,);(0,) sum to 3/4, not 1"),
+    # A value that is not a rational raises where it is met, as a malformed
+    # JSON entry is reported first.
+    ("bad-value-first", lambda: table_with((((0,), (1,)), {((0,), (1,)): "half"})),
+     DomainError, "not a rational: 'half'"),
+    ("summed", lambda: table_with((((0,), (0,)), {((1,), (1,)): F(-1, 2),
+                                                  (range(1, 2), (1,)): F(1, 4),
+                                                  ((-1,), (-1,)): F(1, 2)})),
+     ConstructionError, "negative probability -1/4 at settings (0,);(0,), outcomes (1,);(1,)"),
 ]
 
 
@@ -460,3 +466,52 @@ def test_fuzzed_json_loads_exactly_or_is_refused(data):
     for (sa, sb), block in expected.items():
         assert model.table[(sa, sb)] == block
         assert model._support(SettingAssignment(sa, sb)) == reference_support(model.n, block)
+
+
+def rational_text(raw):
+    if type(raw) is not str:
+        return False
+    try:
+        F(raw)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def dict_inputs(data):
+    """Whether every entry of ``data`` holds int lists and a rational text,
+    so the same entries can be written as a table of Fraction blocks."""
+    return all(type(v) is int for entry in data["entries"] for name in LISTS
+               for v in entry[name]) and all(rational_text(entry["p"])
+                                             for entry in data["entries"])
+
+
+def summed_table(entries):
+    """The entries as a table of Fraction blocks, in first-seen order,
+    repeats summed."""
+    table = {}
+    for entry in entries:
+        sa, sb, oa, ob = (tuple(entry[name]) for name in LISTS)
+        block = table.setdefault((sa, sb), {})
+        block[(oa, ob)] = block.get((oa, ob), 0) + F(entry["p"])
+    return table
+
+
+def outcome(build):
+    """The model ``build()`` returns, or the class and text of its error."""
+    try:
+        return build()
+    except (ConstructionError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_tables().filter(dict_inputs))
+def test_dict_and_json_follow_one_rule_set(data):
+    n, s_a, s_b = data["n"], data["s_a"], data["s_b"]
+    from_json = outcome(lambda: explicit_joint_from_data(data))
+    from_dict = outcome(lambda: explicit_joint(n, s_a, s_b, summed_table(data["entries"])))
+    assert from_dict == from_json
+    if not isinstance(from_json, tuple):
+        assert list(from_dict.table) == list(from_json.table)
+        assert from_dict._supports == from_json._supports

@@ -427,6 +427,14 @@ class TestGeneralMoments:
         with pytest.raises(DomainError, match="nonnegative int, got"):
             macro_moment_general(independent_pairs(make_pr_box(), 2), 0, 0, order)
 
+    @pytest.mark.parametrize("p, q, bad", [(-1, 0, -1), (0, -2, -2), (1.0, 0, 1.0),
+                                           (0, True, True)])
+    def test_distribution_moment_order_must_be_a_nonnegative_int(self, p, q, bad):
+        dist = macro_distribution_bruteforce(independent_pairs(make_pr_box(), 1), 0, 0)
+        with pytest.raises(DomainError) as info:
+            dist.moment(p, q)
+        assert str(info.value) == f"moment order must be a nonnegative int, got {bad!r}"
+
     @pytest.mark.parametrize("box_name,box", [
         ("pr", make_pr_box()),
         ("noise", make_isotropic_box(0)),

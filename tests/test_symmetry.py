@@ -618,6 +618,13 @@ class TestJPDMarginalAndValidity:
         with pytest.raises(DomainError, match="unknown slot"):
             jpd_marginal(jpd, [slot])
 
+    @pytest.mark.parametrize("slot", [("A", 0), ("A", 0, 0, 0), 5])
+    def test_slot_that_is_not_a_triple_rejected(self, slot):
+        jpd = jpd_averages(independent_pairs(make_pr_box(), 2))
+        with pytest.raises(DomainError) as info:
+            jpd_marginal(jpd, [slot])
+        assert str(info.value) == f"spec entry {slot!r} is not a (side, setting, copy) triple"
+
     def test_duplicate_slot_rejected(self):
         jpd = jpd_averages(independent_pairs(make_pr_box(), 2))
         with pytest.raises(DomainError):
