@@ -13,7 +13,6 @@ cells.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import math
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ConstructionError, DomainError
 
@@ -69,10 +68,10 @@ def as_rational(value: RationalLike) -> Fraction:
         raise DomainError(f"not a rational: {value!r}") from exc
 
 
-@contextlib.contextmanager
-def _collector_paused():
+class _collector_paused:
     """Run the block with the cyclic garbage collector off, and leave it as
-    the caller had it, on success and on error alike.
+    the caller had it, on success and on error alike.  Pauses nest: an
+    inner one finds the collector off and leaves it off.
 
     Decoding JSON, and walking what it decodes, allocates many containers
     and no reference cycle, so the collections they trigger free nothing:
@@ -80,26 +79,42 @@ def _collector_paused():
     decoding and walking it set off 33 young collections and 3 older ones
     on CPython 3.11.  The switch is process-wide, so a thread running
     alongside the block runs without the collector too.
+
+    A class, not a generator: leaving a generator's block allocates a
+    StopIteration just after the collector resumes, which sets off a young
+    collection before the caller gets the block's result.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if self._enabled:
             gc.enable()
 
 
-def parse_json(text: str, what: str):
-    """``json.loads(text)``, with the collector paused
-    (:func:`_collector_paused`), and with every way it can refuse the text,
-    a number too long to convert and nesting too deep to decode included,
-    raised as :class:`ConstructionError` "invalid ``what`` JSON"."""
-    try:
-        with _collector_paused():
-            return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConstructionError(f"invalid {what} JSON: {exc}") from exc
+def parse_json(text: str, what: str, build: Callable):
+    """``build(json.loads(text))``: the text decoded, and the document built
+    into what the caller loads, in one collector pause
+    (:func:`_collector_paused`).  Every way the decoder can refuse the
+    text, a number too long to convert and nesting too deep to decode
+    included, is raised as :class:`ConstructionError` "invalid ``what``
+    JSON"; ``build`` raises its own refusals.
+
+    The document is dropped before the collector resumes, so no collection
+    scans it, and nothing is allocated between the resume and the return:
+    the first young collection after the load runs in the caller and scans
+    only what ``build`` kept.
+    """
+    with _collector_paused():
+        try:
+            document = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ConstructionError(f"invalid {what} JSON: {exc}") from exc
+        built = build(document)
+        del document
+    return built
 
 
 def json_int(value) -> int:
@@ -245,7 +260,7 @@ class PairBox:
 
     @staticmethod
     def from_json(text: str) -> "PairBox":
-        return PairBox.from_data(parse_json(text, "pair-box"))
+        return parse_json(text, "pair-box", PairBox.from_data)
 
     @staticmethod
     def from_data(data) -> "PairBox":

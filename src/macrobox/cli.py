@@ -113,14 +113,19 @@ def _load_box_spec(spec: str, parser: argparse.ArgumentParser):
         except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read box file {path}: {getattr(exc, 'strerror', None) or exc}")
         try:
-            data = parse_json(text, "box")
-            if isinstance(data, dict) and "entries" in data:
-                return None, explicit_joint_from_data(data)
-            return PairBox.from_data(data), None
+            return parse_json(text, "box", _box_or_joint)
         except MacroboxError as exc:
             parser.error(f"box file {path}: {exc}")
     parser.error(f"unknown box spec {spec!r}: expected pr | isotropic:E | "
                  f"det:x0,x1,y0,y1 | file:path")
+
+
+def _box_or_joint(data) -> tuple:
+    """``(box, None)`` or ``(None, joint model)`` of a decoded box file: an
+    object with ``"entries"`` is a joint table, anything else a pair box."""
+    if isinstance(data, dict) and "entries" in data:
+        return None, explicit_joint_from_data(data)
+    return PairBox.from_data(data), None
 
 
 @functools.cache

@@ -32,7 +32,6 @@ the size to its caller.
 
 from __future__ import annotations
 
-import marshal
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -243,8 +242,9 @@ class ExplicitJoint(EnsembleModel):
     and the sorted nonzero support that :meth:`_support` returns.  A
     table and a JSON file (:func:`explicit_joint_from_json`) follow the
     same rules, those of that walk: keys that name one setting tuple or
-    one outcome tuple are summed, a value that is not a rational raises
-    where it is met, and the other faults are reported after the walk.
+    one outcome tuple are summed, a value that is not a rational and a
+    key that is not a pair of sequences raise where they are met, and the
+    other faults are reported after the walk.
     The JSON loader builds the blocks straight from its entries, with no
     Fraction per entry, and passes them as ``table``; construction keeps
     such checked blocks as they are.
@@ -269,7 +269,7 @@ class ExplicitJoint(EnsembleModel):
     def __post_init__(self) -> None:
         n, s_a, s_b, table = self.n, self.s_a, self.s_b, self.table
         if not (isinstance(table, _JointTable) and table.shape == (n, s_a, s_b)):
-            table = _joint_blocks(n, s_a, s_b, _table_runs(table))
+            table = _joint_blocks(n, s_a, s_b, _table_runs(n, table))
         object.__setattr__(self, "table", MappingProxyType(table))
         object.__setattr__(self, "_blocks", table.blocks)
         object.__setattr__(self, "_supports", table.supports)
@@ -321,30 +321,25 @@ class _JointTable(Mapping):
         return repr(dict(self.items()))
 
 
-#: The code of an outcome key naming an outcome other than +1/-1.  A key
-#: of the wrong length is its own code, so it stays apart in its block.
-_NOT_AN_OUTCOME = -1
-
-
 def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable) -> _JointTable:
     """The checked :class:`_JointTable` of ``runs``, in one walk over the
     entries.
 
-    ``runs`` yields ``(setting key, entries)``, with each entry an
-    ``(outcome key, (numerator, denominator))`` pair and keys pairs of
-    tuples (:func:`_json_runs`, :func:`_table_runs`); a value that is not
-    a rational has raised where the run met it.  Each block keeps integer
-    counts over a running scale, the lcm of the denominators met so far,
-    and each distinct outcome key is checked and coded once
-    (:func:`_outcome_code`).  Repeated outcomes and setting keys are
-    summed.  A bad setting key or outcome is held until after the walk,
-    so a malformed entry met later still wins; then the shape is checked,
-    then the first block (in first-seen order) with a bad key or outcome
-    raises, then the held faults follow (:func:`_checked_blocks`).
+    ``runs`` yields ``(setting key, entries)``, with the key a pair of
+    tuples and each entry a ``(code, (numerator, denominator))`` pair
+    (:func:`_json_runs`, :func:`_table_runs`); a malformed entry has
+    raised where the run met it.  ``code`` is the support code of the
+    entry's outcome (:func:`_outcome_code`), or its outcome key if that
+    does not name n +1/-1 outcomes per side.  Each block keeps integer
+    counts over a running scale, the lcm of the denominators met so far.
+    Repeated outcomes and setting keys are summed.  A bad setting key or
+    outcome is held until after the walk, so a malformed entry met later
+    still wins; then the shape is checked, then the first block (in
+    first-seen order) with a bad key or outcome raises, then the held
+    faults follow (:func:`_checked_blocks`).
     """
     check_sizes(DomainError, n=n, s_a=s_a, s_b=s_b)
     blocks: dict = {}  # setting key -> [scale, counts], or None
-    codes: dict = {}   # outcome key -> support code
     faults: dict = {}  # setting key -> its first bad key or outcome
     misfits = set()    # setting keys of blocks with an outcome of the wrong length
     for key, run in runs:
@@ -357,16 +352,14 @@ def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable) -> _JointTable:
         if block is None:
             continue
         scale, counts = block
-        for outcomes, (numerator, denominator) in run:
-            code = codes.get(outcomes)
-            if code is None:
-                code = codes[outcomes] = _outcome_code(n, outcomes)
+        for code, (numerator, denominator) in run:
             if type(code) is not int:
-                misfits.add(key)
-            elif code < 0:
-                faults.setdefault(key, f"outcomes must be +1 or -1, got "
-                                       f"{outcomes[0]};{outcomes[1]} at settings {key[0]};{key[1]}")
-                continue
+                alice, bob = code
+                if any(o not in OUTCOMES for o in alice + bob):
+                    faults.setdefault(key, f"outcomes must be +1 or -1, got "
+                                           f"{alice};{bob} at settings {key[0]};{key[1]}")
+                    continue
+                misfits.add(key)  # stored under its key, to be reported after the walk
             if scale % denominator:  # raise the scale to the lcm, counts with it
                 factor = denominator // gcd(scale, denominator)
                 scale *= factor
@@ -382,11 +375,10 @@ def _joint_blocks(n: int, s_a: int, s_b: int, runs: Iterable) -> _JointTable:
         raise ConstructionError("empty joint table")
     if faults:
         raise ConstructionError(next(faults[key] for key in blocks if key in faults))
-    return _checked_blocks(n, s_a, s_b, blocks, codes, misfits)
+    return _checked_blocks(n, s_a, s_b, blocks, misfits)
 
 
-def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
-                    misfits: set) -> _JointTable:
+def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, misfits: set) -> _JointTable:
     """The held faults of :func:`_joint_blocks`'s walked ``blocks``: per
     block, the first stored entry of the wrong length or with a negative
     value (:func:`_entry_fault`), else a total other than 1; the first
@@ -401,7 +393,7 @@ def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, codes: dict,
     for key, (scale, counts) in blocks.items():
         values = counts.values()
         if key in misfits or min(values, default=0) < 0:
-            held[key] = _entry_fault(key, scale, counts, codes)
+            held[key] = _entry_fault(n, key, scale, counts)
         elif sum(values) != scale:
             held[key] = (f"outcomes for setting assignment {key[0]};{key[1]} "
                          f"sum to {Fraction(sum(values), scale)}, not 1")
@@ -437,15 +429,14 @@ def _setting_key_fault(n: int, s_a: int, s_b: int, key: tuple) -> str | None:
     return None
 
 
-def _entry_fault(key: tuple, scale: int, counts: dict, codes: dict) -> str:
+def _entry_fault(n: int, key: tuple, scale: int, counts: dict) -> str:
     """The message of a block's first stored entry that has an outcome
     tuple of the wrong length or a negative value."""
-    spelled = {code: outcomes for outcomes, code in codes.items()}
     for code, count in counts.items():
         if type(code) is not int:
             return f"outcome tuple length mismatch at settings {key[0]};{key[1]}"
         if count < 0:
-            alice, bob = spelled[code]
+            alice, bob = _outcomes_of(n, code)
             return (f"negative probability {Fraction(count, scale)} at settings "
                     f"{key[0]};{key[1]}, outcomes {alice};{bob}")
     raise AssertionError("a block held as faulty has no faulty entry")
@@ -453,13 +444,10 @@ def _entry_fault(key: tuple, scale: int, counts: dict, codes: dict) -> str:
 
 def _outcome_code(n: int, outcomes: tuple):
     """The support code of one joint outcome of ``n`` pairs (see
-    :meth:`EnsembleModel._support`); :data:`_NOT_AN_OUTCOME` if it names an
-    outcome other than +1/-1, else ``outcomes`` itself if it does not list
-    ``n`` outcomes per side."""
+    :meth:`EnsembleModel._support`), or ``outcomes`` itself if it does not
+    list ``n`` outcomes per side, each +1 or -1."""
     alice, bob = outcomes
-    if any(o not in OUTCOMES for o in alice + bob):
-        return _NOT_AN_OUTCOME
-    if len(alice) != n or len(bob) != n:
+    if len(alice) != n or len(bob) != n or any(o not in OUTCOMES for o in alice + bob):
         return outcomes
     return sum(1 << _slot_shift(n, side, particle)
                for side, side_outcomes in ((ALICE, alice), (BOB, bob))
@@ -472,23 +460,47 @@ def _outcomes_of(n: int, code: int) -> tuple:
     return slots[:n], slots[n:]
 
 
-def _table_runs(table: Mapping) -> Iterable:
+def _table_runs(n: int, table: Mapping) -> Iterable:
     """The runs of :func:`_joint_blocks` of a table of blocks, as
-    :func:`_json_runs` yields them: one per block, its keys as tuples and
-    its values as ``(numerator, denominator)`` pairs
+    :func:`_json_runs` yields them: one per block, its key as a pair of
+    tuples and its entries as ``(code, (numerator, denominator))``
     (:func:`~macrobox.boxes.as_rational`), converted as they are met.  A
-    table or block that is not a mapping raises :class:`ConstructionError`."""
+    table or block that is not a mapping, or a setting or outcome key that
+    is not a pair of sequences, raises :class:`ConstructionError` where
+    it is met."""
     if not isinstance(table, Mapping):
         raise ConstructionError(f"a joint table is a mapping of blocks, got {table!r}")
+    codes: dict = {}  # outcome key -> support code
     for key, block in table.items():
         if not isinstance(block, Mapping):
             raise ConstructionError(f"block {key} is not a mapping of outcomes: {block!r}")
-        yield (tuple(key[0]), tuple(key[1])), [
-            ((tuple(outcomes[0]), tuple(outcomes[1])), as_rational(p).as_integer_ratio())
-            for outcomes, p in block.items()]
+        pair = _tuple_pair(key)
+        if pair is None:
+            raise ConstructionError(f"setting key {key!r} is not a pair of sequences")
+        run = []
+        for outcomes, p in block.items():
+            outcomes_pair = _tuple_pair(outcomes)
+            if outcomes_pair is None:
+                raise ConstructionError(f"outcome key {outcomes!r} at settings "
+                                        f"{pair[0]};{pair[1]} is not a pair of sequences")
+            code = codes.get(outcomes_pair)
+            if code is None:
+                code = codes[outcomes_pair] = _outcome_code(n, outcomes_pair)
+            run.append((code, as_rational(p).as_integer_ratio()))
+        yield pair, run
 
 
-def _json_runs(entries: list) -> Iterable:
+def _tuple_pair(key) -> tuple | None:
+    """``key`` as a pair of tuples, or None if it is not a pair of
+    sequences."""
+    try:
+        alice, bob = key
+        return tuple(alice), tuple(bob)
+    except (TypeError, ValueError):
+        return None
+
+
+def _json_runs(n: int, entries: list) -> Iterable:
     """The runs of :func:`_joint_blocks` of JSON entries: one per stretch
     of entries with one setting key, checked as they are met.
 
@@ -496,17 +508,45 @@ def _json_runs(entries: list) -> Iterable:
     :func:`~macrobox.boxes.json_int` (no bools, no floats), and a rational
     ``p`` (:func:`~macrobox.boxes.as_rational`): an int, or a "p/q" text,
     each distinct text parsed once.
+
+    Nothing is serialised per entry.  Every value of every entry is
+    checked one by one, a new run's settings as the tuples of its key: no
+    cache keyed by the values could spare that, since ``True`` and
+    ``1.0`` compare and hash as ``1`` does.  Once checked, values are
+    compared by value: an entry whose setting lists equal those that
+    started the run continues it, and a repeated outcome goes straight to
+    its support code through ``codes``, keyed by the flat tuple of its
+    values, Alice's first.  Only an outcome that lists ``n`` values for
+    Alice is cached, so a flat key names one split.  The three checking
+    loops are written out: one loop over a joined tuple costs more than
+    the joining saves.
     """
-    settings_seen: dict = {}
-    outcomes_seen: dict = {}
-    ratios: dict = {}
-    run_key, run = None, []
+    codes: dict = {}   # flat outcome values -> support code
+    ratios: dict = {}  # "p/q" text -> (numerator, denominator)
+    run_key, run_a, run_b, run = None, None, None, []
     for entry in entries:
         try:
-            key = _int_tuples((entry["settings_a"], entry["settings_b"]), settings_seen)
-            outcomes = _int_tuples((entry["outcomes_a"], entry["outcomes_b"]),
-                                   outcomes_seen)
-            raw = entry["p"]
+            sa, sb = entry["settings_a"], entry["settings_b"]
+            oa, ob, raw = entry["outcomes_a"], entry["outcomes_b"], entry["p"]
+            if sa == run_a and sb == run_b:
+                key, alice, bob = run_key, sa, sb
+            else:
+                key = alice, bob = tuple(sa), tuple(sb)
+            values = (*oa, *ob)
+            for v in alice:
+                if type(v) is not int:
+                    raise TypeError(f"not an integer: {v!r}")
+            for v in bob:
+                if type(v) is not int:
+                    raise TypeError(f"not an integer: {v!r}")
+            for v in values:
+                if type(v) is not int:
+                    raise TypeError(f"not an integer: {v!r}")
+            code = codes.get(values) if len(oa) == n else None
+            if code is None:
+                code = _outcome_code(n, (tuple(oa), tuple(ob)))
+                if len(oa) == n:
+                    codes[values] = code
             ratio = ratios.get(raw) if type(raw) is str else None
             if ratio is None:
                 ratio = (raw, 1) if type(raw) is int else as_rational(raw).as_integer_ratio()
@@ -515,36 +555,14 @@ def _json_runs(entries: list) -> Iterable:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed joint-table entry {entry!r}") from exc
         if key is not run_key:
-            if run:
-                yield run_key, run
-            run_key, run = key, []
-        run.append((outcomes, ratio))
+            run_a, run_b = sa, sb
+            if key != run_key:
+                if run:
+                    yield run_key, run
+                run_key, run = key, []
+        run.append((code, ratio))
     if run:
         yield run_key, run
-
-
-def _int_tuples(lists: tuple, seen: dict) -> tuple:
-    """``lists`` as a tuple of tuples of integers; :class:`TypeError` if any
-    value is not an int (:func:`~macrobox.boxes.json_int`).
-
-    ``seen`` holds the lists already checked, keyed by their marshal
-    bytes: marshal writes an int, a bool and a float with different type
-    codes, so one lookup checks the types, where equal tuples would not
-    tell ``True`` or ``1.0`` from ``1``.  Lists marshal cannot write are
-    checked without the cache.
-    """
-    try:
-        mark = marshal.dumps(lists, 2)
-    except ValueError:
-        mark = None
-    tuples = seen.get(mark)
-    if tuples is None:
-        tuples = tuple(map(tuple, lists))
-        if not all(type(v) is int for values in tuples for v in values):
-            raise TypeError("settings and outcomes must be integers")
-        if mark is not None:
-            seen[mark] = tuples
-    return tuples
 
 
 def independent_pairs(box: PairBox, n: int) -> IndependentPairs:
@@ -559,8 +577,10 @@ def explicit_joint(n: int, s_a: int, s_b: int, table: Mapping) -> ExplicitJoint:
 
 
 def explicit_joint_from_json(text: str) -> ExplicitJoint:
-    """Load a joint table from its JSON form (omitted entries are zero)."""
-    return explicit_joint_from_data(parse_json(text, "joint-table"))
+    """Load a joint table from its JSON form (omitted entries are zero),
+    decoded and walked in one collector pause
+    (:func:`~macrobox.boxes.parse_json`)."""
+    return parse_json(text, "joint-table", explicit_joint_from_data)
 
 
 def explicit_joint_from_data(data) -> ExplicitJoint:
@@ -568,9 +588,11 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     :func:`explicit_joint_from_json`.
 
     The entries are walked once, straight into the model's integer blocks
-    (:func:`_json_runs` into :func:`_joint_blocks`), with the collector
-    paused (:func:`~macrobox.boxes._collector_paused`): no Fraction table
-    is built.  Repeated entries are summed.  A malformed entry is reported
+    (:func:`_json_runs` into :func:`_joint_blocks`): no Fraction table is
+    built.  The walk and the model's construction run with the collector
+    paused (:func:`~macrobox.boxes._collector_paused`); called from
+    :func:`~macrobox.boxes.parse_json`, that is the decoder's pause, which
+    nests.  Repeated entries are summed.  A malformed entry is reported
     before any other fault; the others are reported as construction
     reports them (see :class:`ExplicitJoint`).
     """
@@ -582,8 +604,7 @@ def explicit_joint_from_data(data) -> ExplicitJoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed joint-table JSON: {exc}") from exc
     with _collector_paused():
-        table = _joint_blocks(n, s_a, s_b, _json_runs(entries))
-    return explicit_joint(n, s_a, s_b, table)
+        return explicit_joint(n, s_a, s_b, _joint_blocks(n, s_a, s_b, _json_runs(n, entries)))
 
 
 def _normalize_spec(model: EnsembleModel, spec: Sequence) -> tuple:

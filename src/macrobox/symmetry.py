@@ -529,7 +529,11 @@ class SymmetricJPD:
         every event listed once with one outcome per slot and the same
         value as every other event of its orbit, and a ``"valid"`` flag that
         is a JSON bool equal to :attr:`valid` of the entries."""
-        data = parse_json(text, "jpd")
+        return parse_json(text, "jpd", SymmetricJPD.from_data)
+
+    @staticmethod
+    def from_data(data) -> "SymmetricJPD":
+        """Build a JPD from the parsed JSON object of :meth:`from_json`."""
         try:
             schema_a = tuple((json_int(g["setting"]), json_int(g["copies"]))
                              for g in data["schema"]["alice"])

@@ -186,7 +186,7 @@ class TestExplicitJoint:
         entries = [{"settings_a": [0], "settings_b": [0], "outcomes_a": [1],
                     "outcomes_b": [1], "p": "1"}]
         with pytest.raises(DomainError) as info:
-            _joint_blocks(*sizes, _json_runs(entries))
+            _joint_blocks(*sizes, _json_runs(sizes[0], entries))
         assert str(info.value) == message
 
     def test_bad_normalization_names_assignment(self):

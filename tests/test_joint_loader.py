@@ -7,7 +7,9 @@ Fraction blocks alike.
 
 import copy
 import gc
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -20,6 +22,7 @@ from macrobox import (
     ConstructionError,
     DomainError,
     OUTCOMES,
+    OutcomeAssignment,
     SettingAssignment,
     check_no_signalling,
     explicit_joint,
@@ -27,7 +30,7 @@ from macrobox import (
     macro_distribution_bruteforce,
     marginal,
 )
-from macrobox import ensemble
+from macrobox import cli, ensemble
 from macrobox.ensemble import explicit_joint_from_data
 from tests.conftest import explicit_from_box, mixed_denominator_box
 
@@ -178,6 +181,31 @@ JSON_CASES = [
     ("missing-block-in-product-order",
      lambda: edited(without_block(pr_data(), 0, 1), (5, "p", "1/4")),
      ConstructionError, "outcomes for setting assignment (0,);(1,) sum to 0, not 1"),
+    # A list already met as ints, met again with a value that equals and
+    # hashes as an int but is not one: still malformed, and the later entry
+    # is named.
+    ("cached-setting-then-false", lambda: edited(pr_data(), (2, "settings_a", [False])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [False], 'settings_b': [1], "
+                        "'outcomes_a': [1], 'outcomes_b': [1], 'p': '1/2'}"),
+    ("cached-setting-then-float",
+     lambda: edited(pr_data(), (0, "settings_b", [-1]), (1, "settings_b", [-1.0])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [-1.0], "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1], 'p': '1/2'}"),
+    ("cached-setting-then-true",
+     lambda: edited(pr_data(), (0, "settings_a", [0, 1]), (3, "settings_a", [0, True])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0, True], 'settings_b': [1], "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1], 'p': '1/2'}"),
+    ("cached-outcome-then-false",
+     lambda: edited(pr_data(), (1, "outcomes_a", [0]), (5, "outcomes_a", [False])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [1], 'settings_b': [0], "
+                        "'outcomes_a': [False], 'outcomes_b': [-1], 'p': '1/2'}"),
+    ("cached-outcome-then-float", lambda: edited(pr_data(), (3, "outcomes_b", [-1.0])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [0], 'settings_b': [1], "
+                        "'outcomes_a': [-1], 'outcomes_b': [-1.0], 'p': '1/2'}"),
+    ("cached-outcome-then-true",
+     lambda: edited(pr_data(), (0, "outcomes_b", [0, 1]), (4, "outcomes_b", [0, True])),
+     ConstructionError, "malformed joint-table entry {'settings_a': [1], 'settings_b': [0], "
+                        "'outcomes_a': [1], 'outcomes_b': [0, True], 'p': '1/2'}"),
 ]
 
 TABLE_CASES = [
@@ -218,6 +246,22 @@ TABLE_CASES = [
                                                   (range(1, 2), (1,)): F(1, 4),
                                                   ((-1,), (-1,)): F(1, 2)})),
      ConstructionError, "negative probability -1/4 at settings (0,);(0,), outcomes (1,);(1,)"),
+    # A key that is not a pair of sequences is refused where it is met.
+    ("setting-key-not-a-pair", lambda: table_with((5, {((1,), (1,)): F(1)})),
+     ConstructionError, "setting key 5 is not a pair of sequences"),
+    ("setting-key-of-one-part", lambda: table_with((((0,),), {((1,), (1,)): F(1)})),
+     ConstructionError, "setting key ((0,),) is not a pair of sequences"),
+    ("setting-key-of-three-parts",
+     lambda: table_with((((0,), (0,), (0,)), {((1,), (1,)): F(1)})),
+     ConstructionError, "setting key ((0,), (0,), (0,)) is not a pair of sequences"),
+    ("outcome-key-not-a-pair", lambda: table_with((((1,), (0,)), {5: F(1)})),
+     ConstructionError, "outcome key 5 at settings (1,);(0,) is not a pair of sequences"),
+    ("outcome-key-of-one-part", lambda: table_with((((1,), (0,)), {((1,),): F(1)})),
+     ConstructionError, "outcome key ((1,),) at settings (1,);(0,) is not a pair of sequences"),
+    ("outcome-key-of-three-parts",
+     lambda: table_with((((1,), (0,)), {((1,), (1,), (1,)): F(1)})),
+     ConstructionError,
+     "outcome key ((1,), (1,), (1,)) at settings (1,);(0,) is not a pair of sequences"),
 ]
 
 
@@ -318,15 +362,96 @@ def test_collector_left_as_the_caller_had_it(collector, load, refusal):
     assert gc.isenabled() is collector
 
 
+def noting_the_collector(states, name, function):
+    """``function``, wrapped to note (``name``, collector on) at each call."""
+    def noted(*args, **kwargs):
+        states.append((name, gc.isenabled()))
+        return function(*args, **kwargs)
+    return noted
+
+
 def test_collector_paused_while_decoding_and_walking(monkeypatch, collector):
     states = []
-    loads, walk = json.loads, ensemble._joint_blocks
-    monkeypatch.setattr(json, "loads", lambda *args: states.append(gc.isenabled())
-                        or loads(*args))
-    monkeypatch.setattr(ensemble, "_joint_blocks", lambda *args, **kwargs:
-                        states.append(gc.isenabled()) or walk(*args, **kwargs))
+    monkeypatch.setattr(json, "loads", noting_the_collector(states, "decode", json.loads))
+    monkeypatch.setattr(ensemble, "explicit_joint_from_data", noting_the_collector(
+        states, "build", ensemble.explicit_joint_from_data))
+    monkeypatch.setattr(ensemble, "_joint_blocks", noting_the_collector(
+        states, "walk", ensemble._joint_blocks))
     explicit_joint_from_json(json.dumps(pr_data()))
-    assert states == [False, False]
+    assert states == [("decode", False), ("build", False), ("walk", False)]
+    assert gc.isenabled() is collector
+
+
+def test_one_pause_from_decode_to_walk_through_the_cli(monkeypatch, tmp_path, collector):
+    path = tmp_path / "pr-table.json"
+    path.write_text(json.dumps(pr_data()), encoding="utf-8")
+    states = []
+    monkeypatch.setattr(json, "loads", noting_the_collector(states, "decode", json.loads))
+    monkeypatch.setattr(cli, "explicit_joint_from_data", noting_the_collector(
+        states, "build", cli.explicit_joint_from_data))
+    monkeypatch.setattr(ensemble, "_joint_blocks", noting_the_collector(
+        states, "walk", ensemble._joint_blocks))
+    box, joint = cli._load_box_spec(f"file:{path}", cli.build_parser())
+    assert states == [("decode", False), ("build", False), ("walk", False)]
+    assert box is None and joint == explicit_joint(1, 2, 2, pr_table())
+    assert gc.isenabled() is collector
+
+
+def every_entry(model):
+    """JSON data listing every outcome of every block of ``model``, zeros
+    included: 4^N entries per setting assignment."""
+    n = model.n
+    entries = []
+    for sa, sb in product(product(range(model.s_a), repeat=n),
+                          product(range(model.s_b), repeat=n)):
+        for oa, ob in product(product(OUTCOMES, repeat=n), repeat=2):
+            p = model.joint_probability(SettingAssignment(sa, sb), OutcomeAssignment(oa, ob))
+            entries.append({"settings_a": list(sa), "settings_b": list(sb),
+                            "outcomes_a": list(oa), "outcomes_b": list(ob),
+                            "p": f"{p.numerator}/{p.denominator}"})
+    return {"n": n, "s_a": model.s_a, "s_b": model.s_b, "entries": entries}
+
+
+def test_no_collection_from_decode_until_the_model_is_returned(monkeypatch, collector):
+    source = explicit_from_box(mixed_denominator_box(), 3)
+    data = every_entry(source)
+    assert len(data["entries"]) == 4096
+    text = json.dumps(data)
+    events = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *args: events.append("decode") or loads(*args))
+
+    def on_collection(phase, info):
+        if phase == "start":
+            events.append(f"collection of generation {info['generation']}")
+
+    gc.callbacks.append(on_collection)
+    try:
+        model = explicit_joint_from_json(text)
+        events.append("returned")
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert events[events.index("decode"):] == ["decode", "returned"]
+    assert model._supports == source._supports
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("text, code", [
+    (json.dumps(pr_data()), 0),
+    ('{"n": 1,', 2),
+    (json.dumps(edited(pr_data(), (0, "p", 0.5))), 2),
+    (json.dumps(edited(pr_data(), (0, "p", "1/3"))), 2),
+], ids=["table", "invalid-text", "malformed-entry", "bad-total"])
+def test_cli_leaves_the_collector_as_the_caller_had_it(tmp_path, collector, text, code):
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = cli.main(["verify", "--box", f"file:{path}"])
+        except SystemExit as exc:
+            result = exc.code
+    assert result == code, err.getvalue()
     assert gc.isenabled() is collector
 
 
