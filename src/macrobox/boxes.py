@@ -31,9 +31,12 @@ RationalLike = Union[Fraction, int, str]
 #: optional surrounding whitespace, a sign, then digits with an optional
 #: "/digits", or a plain decimal.  ``Fraction``'s own grammar varies with
 #: the version (underscores, spaces around "/", non-ASCII digits).  A
-#: decimal exponent is matched only to be refused by name.
+#: decimal exponent is matched only to be refused by name.  The sign and
+#: the digits of an integer or "p/q" text are groups of their own, read
+#: by ``int``; a decimal has no such groups.
 _RATIONAL = re.compile(
-    r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)(?P<exponent>[eE][+-]?\d+)?\s*", re.ASCII)
+    r"\s*(?P<sign>[+-]?)(?:(?P<numerator>\d+)(?:/(?P<denominator>\d+))?|\d+\.\d*|\.\d+)"
+    r"(?P<exponent>[eE][+-]?\d+)?\s*", re.ASCII)
 
 ALICE = "A"
 BOB = "B"
@@ -50,8 +53,10 @@ ONE = Fraction(1)
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" or plain decimal strings and Fractions to an exact
-    Fraction.  A string must match ``_RATIONAL`` before ``Fraction`` reads
-    it; a decimal exponent ("1e-1000000") is refused, not expanded."""
+    Fraction.  A string must match ``_RATIONAL``; a decimal exponent
+    ("1e-1000000") is refused, not expanded.  An integer or "p/q" text's
+    Fraction is built from its matched digit groups, so ``Fraction``
+    parses only a decimal text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -62,8 +67,12 @@ def as_rational(value: RationalLike) -> Fraction:
         raise DomainError(f"not a rational: {value!r}")
     if match["exponent"]:
         raise DomainError(f"not a rational: {value!r} has a decimal exponent")
+    digits, denominator = match["numerator"], match["denominator"]
     try:
-        return Fraction(value)
+        if digits is None:  # a plain decimal
+            return Fraction(value)
+        numerator = int(match["sign"] + digits)
+        return Fraction(numerator, int(denominator)) if denominator else Fraction(numerator)
     except (ValueError, ZeroDivisionError) as exc:  # over 4300 digits, or "p/0"
         raise DomainError(f"not a rational: {value!r}") from exc
 
@@ -298,12 +307,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _noisy_pr_box(numerator: int, denominator: int) -> PairBox:
+    """p(x, y | i, j) = (1 + E * (-1)^(i*j) * x * y) / 4 at visibility
+    E = numerator / denominator: the two cell values, (1 + E) / 4 where
+    x y = (-1)^(i*j) and (1 - E) / 4 elsewhere, each built once from
+    integers."""
+    agree = Fraction(denominator + numerator, 4 * denominator)
+    differ = Fraction(denominator - numerator, 4 * denominator)
+    table = {(i, j, x, y): agree if x * y == (-1) ** (i * j) else differ
+             for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES)}
+    return PairBox(s_a=2, s_b=2, table=table)
+
+
 def make_pr_box() -> PairBox:
     """The maximally nonlocal 2x2 box: <a_i b_j> = (-1)^(i*j), uniform marginals."""
-    table = {}
-    for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES):
-        table[(i, j, x, y)] = Fraction(abs(x + (-1) ** (i * j) * y), 4)
-    return PairBox(s_a=2, s_b=2, table=table)
+    return _noisy_pr_box(1, 1)
 
 
 def make_isotropic_box(visibility: RationalLike) -> PairBox:
@@ -315,10 +333,7 @@ def make_isotropic_box(visibility: RationalLike) -> PairBox:
     e = as_rational(visibility)
     if not (-1 <= e <= 1):
         raise DomainError(f"visibility must lie in [-1, 1], got {e}")
-    table = {}
-    for i, j, x, y in product((0, 1), (0, 1), OUTCOMES, OUTCOMES):
-        table[(i, j, x, y)] = (1 + e * (-1) ** (i * j) * x * y) / 4
-    return PairBox(s_a=2, s_b=2, table=table)
+    return _noisy_pr_box(*e.as_integer_ratio())
 
 
 def make_deterministic_box(x0: int, x1: int, y0: int, y1: int) -> PairBox:

@@ -166,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="if given, print only <(A_i B_j)^k>")
 
     distribution = sub.add_parser("distribution", parents=[common],
-                                  help="exact distribution of (A_i, B_j): N-fold "
-                                       "convolution for pair boxes, support "
-                                       "enumeration for joint tables")
+                                  help="exact distribution of (A_i, B_j): packed "
+                                       "integer powers of the pair's law for pair "
+                                       "boxes, support enumeration for joint tables")
     distribution.add_argument("--i", type=int, default=0)
     distribution.add_argument("--j", type=int, default=0)
 
@@ -411,7 +411,8 @@ def run_gisin(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 #: Above this n, verify's oracle row does not run the 4^n enumeration of a
-#: product model and checks the moment expansion against the convolution.
+#: product model and checks the moment expansion against the packed law of
+#: ``macro_distribution`` at orders 1 to 4.
 VERIFY_EXHAUSTIVE_LIMIT = 6
 
 
@@ -494,16 +495,18 @@ def _verify_path_agreement(model: EnsembleModel) -> tuple:
 
 
 def _verify_oracle(model: EnsembleModel) -> tuple:
-    """Primary: :func:`macro_moment_general` at k = 1, 2 and, for a product
-    model, :func:`macro_distribution`.  Check: the enumeration of
+    """Primary: :func:`macro_moment_general` and, for a product model,
+    :func:`macro_distribution`.  Check: the enumeration of
     :func:`macro_distribution_bruteforce`, which for any other model is
-    ``macro_distribution`` itself.  A product model above
-    VERIFY_EXHAUSTIVE_LIMIT would stream 4^n tuples, so there the expansion
-    is checked against the convolution of ``macro_distribution`` alone."""
+    ``macro_distribution`` itself: its moments at k = 1, 2 and, for a
+    product model, the full law.  A product model above
+    VERIFY_EXHAUSTIVE_LIMIT would stream 4^n tuples, so there the
+    expansion is checked against the packed law of ``macro_distribution``
+    alone, at k = 1..4."""
     n = model.n
     product_model = isinstance(model, IndependentPairs)
     exhaustive = n <= VERIFY_EXHAUSTIVE_LIMIT or not product_model
-    route = "enumeration" if exhaustive else "convolution"
+    route, orders = ("enumeration", (1, 2)) if exhaustive else ("packed law", (1, 2, 3, 4))
     failure = None
     for i, j in product(range(model.s_a), range(model.s_b)):
         dist = (macro_distribution_bruteforce if exhaustive else macro_distribution)(model, i, j)
@@ -514,7 +517,7 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
             if primary.probs != dist.probs:
                 failure = (f"distribution at ({i},{j}): primary "
                            f"route differs from enumeration")
-        for order in (1, 2):
+        for order in orders:
             expansion = macro_moment_general(model, i, j, order)
             oracle = dist.joint_moment(order)
             if expansion != oracle:
@@ -522,7 +525,7 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
                            f"!= {route} {oracle}")
     if exhaustive:
         return failure, "moment expansion matches brute-force enumeration (k=1,2)"
-    return failure, (f"moment expansion matches the convolution (k=1,2); 4^n "
+    return failure, (f"moment expansion matches the packed law (k=1..4); 4^n "
                      f"enumeration skipped for n={n} > {VERIFY_EXHAUSTIVE_LIMIT}")
 
 

@@ -280,7 +280,8 @@ class ExplicitJoint(EnsembleModel):
             (outcomes.alice, outcomes.bob), ZERO)
 
     def _support(self, settings: SettingAssignment) -> tuple:
-        return self._supports[(settings.alice, settings.bob)]
+        scale, support = self._supports[(settings.alice, settings.bob)]
+        return scale, support.items()
 
 
 class _JointTable(Mapping):
@@ -289,7 +290,9 @@ class _JointTable(Mapping):
     ``blocks`` maps each setting key, in first-seen order, to ``(D,
     counts)``: ``counts`` maps the support code of each stored outcome,
     in stored order and zeros included, to ``D * p``.  ``supports`` maps
-    it to ``(D, pairs)``, the sorted nonzero ``(code, count)`` pairs.  As
+    it to ``(D, support)``, the nonzero counts in a dict sorted by code:
+    a dict of ints only, which the cyclic collector never tracks, so no
+    collection scans a support entry by entry.  As
     a mapping it is the Fraction table, each block decoded into a
     read-only ``{(alice outcomes, bob outcomes): p}`` on its first read.
     """
@@ -416,7 +419,7 @@ def _checked_blocks(n: int, s_a: int, s_b: int, blocks: dict, misfits: set) -> _
         reduced[key] = (scale, counts)
         pairs = counts.items() if 0 not in counts.values() else (
             item for item in counts.items() if item[1])
-        supports[key] = (scale, tuple(sorted(pairs)))
+        supports[key] = (scale, dict(sorted(pairs)))
     return _JointTable((n, s_a, s_b), reduced, supports)
 
 

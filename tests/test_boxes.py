@@ -378,6 +378,16 @@ def _one_slot_jpd_with_half_cell(text):
                                               "entries": entries, "valid": True}))
 
 
+#: Up to two characters of ASCII whitespace, as ``\s`` matches it in ``_RATIONAL``.
+ASCII_SPACE = st.text(" \t\n\r\x0b\x0c", max_size=2)
+
+
+def padded_digits(least):
+    """Decimal digits of an int of at least ``least``, after 0 to 3 zeros."""
+    return st.builds(lambda zeros, value: "0" * zeros + str(value),
+                     st.integers(0, 3), st.integers(least, 10 ** 40))
+
+
 #: Every reader of a rational string, each given one cell whose value is 1/2.
 RATIONAL_READERS = {"as_rational": as_rational, "pair-box": _pr_box_with_half_cell,
                     "joint-table": _pr_table_with_half_cell,
@@ -408,10 +418,35 @@ class TestRationalGrammar:
     def test_still_loads(self, text, value):
         assert as_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000])
-    def test_over_long_digit_string_refused(self, text):
-        with pytest.raises(DomainError, match="not a rational"):
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.builds("".join, st.tuples(
+        ASCII_SPACE, st.sampled_from(("", "+", "-")), padded_digits(0),
+        st.one_of(st.just(""), padded_digits(1).map("/".__add__)), ASCII_SPACE)))
+    def test_integer_and_ratio_texts_read_as_fraction_reads_them(self, text):
+        # The texts of \s*[+-]?\d+(/\d+)?\s* in ASCII, leading zeros
+        # included, with a denominator that is not 0.  The Fraction is
+        # built from the matched digit groups, not by a second parse.
+        value = as_rational(text)
+        assert type(value) is F and value == F(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3/0", "not a rational: '3/0'"),
+        (" -07/000 ", "not a rational: ' -07/000 '"),
+        ("1e3", "not a rational: '1e3' has a decimal exponent"),
+        ("1/1e2", "not a rational: '1/1e2' has a decimal exponent"),
+        ("1_0/3", "not a rational: '1_0/3'"),
+        ("\u0663/\u0664", "not a rational: '\u0663/\u0664'"),
+        ("1" * 5000, f"not a rational: {'1' * 5000!r}"),
+        ("1/" + "1" * 5000, f"not a rational: {'1/' + '1' * 5000!r}"),
+        ("-" + "2" * 5000 + "/3", f"not a rational: {'-' + '2' * 5000 + '/3'!r}"),
+        ("0." + "1" * 5000, f"not a rational: {'0.' + '1' * 5000!r}")],
+        ids=["zero-denominator", "padded-zero-denominator", "exponent", "ratio-exponent",
+             "underscore", "non-ascii-digits", "long-integer", "long-denominator",
+             "long-numerator", "long-decimal"])
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(DomainError) as info:
             as_rational(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("raw, value", [
         ("1/2", F(1, 2)), (" -3/6 ", F(-1, 2)), ("5.", F(5)), (".5", F(1, 2)),

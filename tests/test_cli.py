@@ -18,6 +18,7 @@ from macrobox import (
     SymmetricJPD,
     ensemble,
     macro,
+    macro_moment_general,
     make_isotropic_box,
     make_pr_box,
     symmetry,
@@ -361,9 +362,32 @@ class TestDeterminism:
                 digest.update(out.encode())
         assert digest.hexdigest() == GOLDEN_SHA256
 
+    def test_distribution_golden_bytes(self, capsys, tmp_path):
+        """``distribution`` of four pair boxes, one of them a file, at
+        N = 1, 6, 7 and 40, every setting pair and format, hashes to one
+        pinned digest, taken from the N-step convolution that the packed
+        powers replaced.  N = 7 is the first size above the brute force;
+        the det box has rows where one of Alice's outcomes never occurs."""
+        path = tmp_path / "mixed.json"
+        path.write_text(mixed_denominator_box().to_json())
+        digest = hashlib.sha256()
+        for box in ("pr", "isotropic:1/3", f"file:{path}", "det:+,-,-,+"):
+            for n in (1, 6, 7, 40):
+                for i, j in product((0, 1), repeat=2):
+                    for fmt in ("text", "json", "csv"):
+                        code, out, err = run_cli(capsys, [
+                            "distribution", "--box", box, "--n", str(n), "--i", str(i),
+                            "--j", str(j), "--format", fmt])
+                        assert (code, err) == (0, "")
+                        digest.update(out.encode())
+        assert digest.hexdigest() == DISTRIBUTION_SHA256
+
 
 #: sha256 over every output of :meth:`TestDeterminism.test_golden_bytes`.
 GOLDEN_SHA256 = "ce87551a3f73dac464e4efdac7a6079a315aaca9167cdc066e522eb67cee6edc"
+
+#: sha256 over every output of :meth:`TestDeterminism.test_distribution_golden_bytes`.
+DISTRIBUTION_SHA256 = "268c5c5773ce56b1621e5d5fd7bf6055537c6d8152f9e28ed08421399aa67f77"
 
 
 class TestVerify:
@@ -446,7 +470,7 @@ class TestVerifyOutput:
             "PASS marginal-identities: averages-JPD marginals equal the effective pair "
             "distribution\n"
             "PASS path-agreement: microscopic and effective routes agree\n"
-            "PASS oracle-agreement: moment expansion matches the convolution (k=1,2); "
+            "PASS oracle-agreement: moment expansion matches the packed law (k=1..4); "
             "4^n enumeration skipped for n=7 > 6\n"
             "PASS averages-jpd-validity: all entries nonnegative, sum 1\n"
             "PASS fluctuations-jpd: valid and reproduces the two-pair effective "
@@ -459,7 +483,7 @@ class TestVerifyOutput:
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert lines[4] == (f"PASS oracle-agreement: moment expansion matches the "
-                            f"convolution (k=1,2); 4^n enumeration skipped for n={n} > 6")
+                            f"packed law (k=1..4); 4^n enumeration skipped for n={n} > 6")
         assert lines[-1] == "result: PASS (7 checks, 0 failed, 0 skipped)"
 
     def test_oracle_row_checks_above_exhaustive_limit(self, capsys, monkeypatch):
@@ -467,8 +491,24 @@ class TestVerifyOutput:
                             lambda model, i, j, order: F(1, 3))
         code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "7"])
         assert (code, err) == (1, "")
-        assert "FAIL oracle-agreement: <(A1 B1)^2> expansion 1/3 != convolution " in out
+        assert "FAIL oracle-agreement: <(A1 B1)^4> expansion 1/3 != packed law " in out
         assert out.splitlines()[-1] == "result: FAIL (7 checks, 1 failed, 0 skipped)"
+
+    @pytest.mark.parametrize("n, orders", [(6, (1, 2)), (7, (1, 2, 3, 4))])
+    def test_oracle_row_orders(self, capsys, monkeypatch, n, orders):
+        # The enumeration compares the full law, so up to the limit the
+        # expansion is checked at k = 1, 2; above it, at k = 1..4.
+        asked = set()
+        original = macro_moment_general
+
+        def recorded(model, i, j, order):
+            asked.add(order)
+            return original(model, i, j, order)
+
+        monkeypatch.setattr("macrobox.cli.macro_moment_general", recorded)
+        code, _, _ = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", str(n)])
+        assert code == 0
+        assert asked == set(orders)
 
     def test_no_signalling_row_runs_above_exhaustive_limit(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--box", "isotropic:1/3", "--n", "7"])
@@ -633,8 +673,8 @@ class TestVerifyOutput:
 
 
 class TestDistributionRoutes:
-    """The convolution (pair boxes) and the enumeration (joint tables) print
-    the same bytes for the same physics."""
+    """The packed powers (pair boxes) and the enumeration (joint tables)
+    print the same bytes for the same physics."""
 
     @pytest.mark.parametrize("spec", ["pr", "det:+,-,-,+", "isotropic:1/3", "file"])
     @pytest.mark.parametrize("n", (1, 3))

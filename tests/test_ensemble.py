@@ -1,5 +1,6 @@
 """N-pair models: joint probabilities, marginals, no-signalling checks."""
 
+import gc
 import json
 from collections.abc import Iterator
 from fractions import Fraction
@@ -682,7 +683,12 @@ class TestMemo:
     def test_support_blocks_are_held_from_construction(self):
         model = explicit_from_box(make_pr_box(), 1)
         settings_ = SettingAssignment((0,), (1,))
-        assert model._support(settings_) is model._support(settings_)
+        stored_scale, stored = model._supports[((0,), (1,))]
+        for _ in range(2):
+            scale, support = model._support(settings_)
+            # A view of the dict stored at construction, not a new scan.
+            [viewed] = gc.get_referents(support)
+            assert scale == stored_scale and viewed is stored
         assert model._memo == {}
 
 

@@ -436,6 +436,16 @@ def test_no_collection_from_decode_until_the_model_is_returned(monkeypatch, coll
     assert gc.isenabled() is collector
 
 
+def test_stored_supports_are_not_tracked_by_the_collector():
+    # Each support is a dict of ints, so the first collection after a load
+    # has no per-entry container of the table to scan.
+    model = explicit_joint_from_json(json.dumps(every_entry(
+        explicit_from_box(mixed_denominator_box(), 2))))
+    supports = [support for _, support in model._supports.values()]
+    assert len(supports) == 16
+    assert all(type(support) is dict and not gc.is_tracked(support) for support in supports)
+
+
 @pytest.mark.parametrize("text, code", [
     (json.dumps(pr_data()), 0),
     ('{"n": 1,', 2),
@@ -590,7 +600,8 @@ def test_fuzzed_json_loads_exactly_or_is_refused(data):
     assert list(model.table) == list(expected)
     for (sa, sb), block in expected.items():
         assert model.table[(sa, sb)] == block
-        assert model._support(SettingAssignment(sa, sb)) == reference_support(model.n, block)
+        scale, support = model._support(SettingAssignment(sa, sb))
+        assert (scale, tuple(support)) == reference_support(model.n, block)
 
 
 def rational_text(raw):

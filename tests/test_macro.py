@@ -312,8 +312,10 @@ class TestBruteForceDistribution:
         assert len(lines) == 5
 
 
-class TestConvolutionDistribution:
-    """``macro_distribution`` (convolution) against the brute-force oracle."""
+class TestPackedDistribution:
+    """``macro_distribution`` (packed integer powers) against the brute-force
+    oracle, and above its sizes against the binomial marginals and the
+    moment expansion."""
 
     @staticmethod
     def assert_matches_oracle(model):
@@ -336,7 +338,7 @@ class TestConvolutionDistribution:
 
     def test_shares_no_kernel_or_memo(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the convolution read the model's kernel or memo")
+            raise AssertionError("the packed powers read the model's kernel or memo")
 
         model = independent_pairs(make_isotropic_box(F(1, 2)), 3)
         oracle = macro_distribution_bruteforce(model, 1, 0)
@@ -344,6 +346,26 @@ class TestConvolutionDistribution:
         monkeypatch.setattr(IndependentPairs, "_memoized", forbidden)
         assert macro_distribution(model, 1, 0) == oracle
         assert macro_distribution(independent_pairs(make_pr_box(), 40), 1, 1).total() == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(box=no_signalling_boxes(), n=st.integers(7, 60), i=st.integers(0, 1),
+           j=st.integers(0, 1))
+    def test_marginals_and_moments_above_the_oracle(self, box, n, i, j):
+        # Each side's sum counts the -1 outcomes of n independent pairs, so
+        # its marginal is the binomial law of the box's own marginal.
+        model = independent_pairs(box, n)
+        dist = macro_distribution(model, i, j)
+        values = dist.support_values()
+        p_a, p_b = box.marginal_a(i, -1), box.marginal_b(j, -1)
+        for a in range(n + 1):
+            value = n - 2 * a
+            binomial = math.comb(n, a)
+            assert sum(dist.prob(value, y) for y in values) == \
+                binomial * p_a ** a * (1 - p_a) ** (n - a)
+            assert sum(dist.prob(x, value) for x in values) == \
+                binomial * p_b ** a * (1 - p_b) ** (n - a)
+        for order in (1, 2, 3, 4):
+            assert dist.joint_moment(order) == macro_moment_general(model, i, j, order)
 
     def test_binomial_closed_form(self):
         # At (0, 0) the PR box gives A = B, a sum of n fair +-1 steps.
@@ -452,9 +474,9 @@ class TestGeneralMoments:
     @settings(max_examples=20, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(7, 10), order=st.sampled_from((3, 4)),
            i=st.integers(0, 1), j=st.integers(0, 1))
-    def test_higher_orders_match_convolution(self, box, n, order, i, j):
-        # Above the brute-force sizes the convolved distribution is the
-        # oracle for orders 3 and 4.
+    def test_higher_orders_match_packed_law(self, box, n, order, i, j):
+        # Above the brute-force sizes the packed law is the oracle for
+        # orders 3 and 4.
         model = independent_pairs(box, n)
         assert (macro_moment_general(model, i, j, order)
                 == macro_distribution(model, i, j).joint_moment(order))
