@@ -230,10 +230,6 @@ def _require_pair_box(config: RunConfig) -> PairBox:
 # Renderers
 # ---------------------------------------------------------------------------
 
-def _sorted_outcome_pairs():
-    return tuple(product(OUTCOMES, repeat=2))
-
-
 def _render_pair_box(box: PairBox, payload: dict, heading: str) -> list:
     """Text lines for a pair box: the table, its correlations and CHSH value."""
     lines = [heading]
@@ -241,7 +237,7 @@ def _render_pair_box(box: PairBox, payload: dict, heading: str) -> list:
         for j in range(box.s_b):
             cells = " ".join(
                 f"{format_event((x,), (y,))}={rational_to_str(box.prob(i, j, x, y))}"
-                for x, y in _sorted_outcome_pairs())
+                for x, y in product(OUTCOMES, repeat=2))
             lines.append(f"settings ({i},{j}): {cells}")
     correlations = " ".join(
         f"<a{i} b{j}>={payload['correlations'][f'{i},{j}']}"
@@ -514,7 +510,7 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
             failure = f"distribution at ({i},{j}) not normalized"
         if exhaustive and product_model:
             primary = macro_distribution(model, i, j)
-            if primary.probs != dist.probs:
+            if primary != dist:
                 failure = (f"distribution at ({i},{j}): primary "
                            f"route differs from enumeration")
         for order in orders:
@@ -531,18 +527,16 @@ def _verify_oracle(model: EnsembleModel) -> tuple:
 
 def _verify_averages_validity(model: EnsembleModel) -> tuple:
     """Primary: :func:`jpd_averages`, or below its construction, for a box
-    whose integer form (``scale`` and ``weights``) is the PR box's, however
-    its file spells the zero cells, :func:`pr_averages_jpd_closed_form`.
-    Check: :func:`jpd_validity`,
-    every entry nonnegative and the sum 1.  At and above the bound every
-    entry is an average of products of nonnegative marginals, so there the
-    check catches implementation faults only."""
+    equal to the PR box (boxes compare by their integer form, so however its
+    file spells the zero cells), :func:`pr_averages_jpd_closed_form`.
+    Check: :func:`jpd_validity`, every entry nonnegative and the sum 1.  At
+    and above the bound every entry is an average of products of
+    nonnegative marginals, so there the check catches implementation faults
+    only."""
     try:
         _require_construction(model)
     except _Skip:
-        pr = make_pr_box()
-        if not (isinstance(model, IndependentPairs)
-                and (model.box.scale, model.box.weights) == (pr.scale, pr.weights)):
+        if not (isinstance(model, IndependentPairs) and model.box == make_pr_box()):
             raise
         verdict = jpd_validity(pr_averages_jpd_closed_form(model.n))
         return (_validity_failure(verdict, f"closed form at n={model.n}: "),

@@ -15,12 +15,13 @@ pair box against the same expansion over the distinct-tuple sums of
 builds no marginal.  General k-th moments are checked by ``verify``'s
 oracle row, against the law of :func:`macro_distribution`.  The expansion
 sums integer numerators per denominator and builds one Fraction per
-moment.  Also here: the exact distribution of the collective sums (for
-independent pairs, one packed integer per row of the law, checked against
-a brute-force enumeration oracle); the conditional variance of the summed
-incompatible Bob observables under a value assignment; and the 4x4
-correlation matrix whose negative eigenvalues constitute the
-macroscopic-limit paradox.
+moment.  Also here: the exact distribution of the collective sums, held
+as integer counts over one denominator, with Fractions built only when a
+probability or moment is read (for independent pairs, one packed integer
+per row of the law, checked against a brute-force enumeration oracle);
+the conditional variance of the summed incompatible Bob observables under
+a value assignment; and the 4x4 correlation matrix whose negative
+eigenvalues constitute the macroscopic-limit paradox.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .ensemble import (
     EnsembleModel,
     IndependentPairs,
     SettingAssignment,
-    _as_law,
     _side_sum_counts,
 )
 from .errors import DomainError, PathDisagreementError, UnsupportedExtensionError
@@ -110,19 +110,6 @@ def _distinct_tuple_sum(model: IndependentPairs, alice_settings: tuple,
          for i in alice_settings]), scale ** (len(alice_settings) + len(bob_settings)))
 
 
-def _weighted_sum(terms) -> Fraction:
-    """The sum of ``weight * value`` over ``(weight, value)`` terms, on
-    integers: each term's weight times its value's numerator is added to
-    the sum for that denominator, and one Fraction is built at the end.
-    No terms sum to 0."""
-    by_denominator: dict = {}  # denominator -> summed weight * numerator
-    for weight, value in terms:
-        d = value.denominator
-        by_denominator[d] = by_denominator.get(d, 0) + weight * value.numerator
-    scale = math.lcm(*by_denominator)
-    return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
-
-
 def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
     """The coincidence expansion of <A^p B^q> over N pairs.
 
@@ -133,14 +120,20 @@ def _expansion(n: int, p: int, q: int, correlator) -> Fraction:
     from :func:`odd_multiplicity_counts`.  A term whose count is 0 is never
     evaluated, so no correlator is asked for more slots than N pairs hold,
     and the empty correlator is 1 without being computed.  The sum runs on
-    integers (:func:`_weighted_sum`), and the moment's one Fraction is
-    built at the end.
+    integers: each term's count times its correlator's numerator is added
+    to the sum for that denominator, and the moment's one Fraction is built
+    at the end.
     """
-    counts_a = odd_multiplicity_counts(p, n)
     counts_b = odd_multiplicity_counts(q, n)
-    return _weighted_sum((count_r * count_s, ONE if r == s == 0 else correlator(r, s))
-                         for r, count_r in enumerate(counts_a)
-                         for s, count_s in enumerate(counts_b) if count_r and count_s)
+    by_denominator: dict = {}  # denominator -> summed count * numerator
+    for r, count_r in enumerate(odd_multiplicity_counts(p, n)):
+        for s, count_s in enumerate(counts_b):
+            if count_r and count_s:
+                value = ONE if r == s == 0 else correlator(r, s)
+                d = value.denominator
+                by_denominator[d] = by_denominator.get(d, 0) + count_r * count_s * value.numerator
+    scale = math.lcm(*by_denominator)
+    return Fraction(sum(total * (scale // d) for d, total in by_denominator.items()), scale)
 
 
 def _moment(model: EnsembleModel, i: int, j: int, p: int, q: int) -> Fraction:
@@ -217,36 +210,46 @@ def macro_joint_second_moment(model: EnsembleModel, i: int, j: int) -> Fraction:
 class MacroDistribution:
     """Exact joint distribution of the two collective sums (A_i, B_j).
 
-    Support lives on values of the same parity as N; the table is complete
-    over that grid, zeros included.
+    Support lives on values of the same parity as N.  The law is held as
+    integer ``counts`` over one ``scale``: a read-only map from every (X, Y)
+    of the grid (X major, zeros included) to an int, with ``scale`` and the
+    counts divided by their gcd on construction, so two distributions
+    compare equal exactly when their laws are equal, whichever route built
+    them.  Fractions are built only to hand out a probability or a moment.
     """
 
     n: int
     alice_setting: int
     bob_setting: int
-    probs: Mapping  # (X, Y) -> Fraction, read-only
+    scale: int
+    counts: Mapping  # (X, Y) -> int over scale, read-only
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", MappingProxyType(dict(self.probs)))
+        grid = {key: self.counts.get(key, 0)
+                for key in product(self.support_values(), repeat=2)}
+        common = math.gcd(self.scale, *grid.values())
+        object.__setattr__(self, "scale", self.scale // common)
+        object.__setattr__(self, "counts", MappingProxyType(
+            {key: count // common for key, count in grid.items()}))
 
     def support_values(self) -> tuple:
         return tuple(range(-self.n, self.n + 1, 2))
 
     def prob(self, x_value: int, y_value: int) -> Fraction:
-        return self.probs.get((x_value, y_value), ZERO)
+        return Fraction(self.counts.get((x_value, y_value), 0), self.scale)
 
     def rows(self):
         """``(X, Y, p)`` over the complete support grid, X major."""
-        for x_value, y_value in product(self.support_values(), repeat=2):
-            yield x_value, y_value, self.prob(x_value, y_value)
+        for (x_value, y_value), count in self.counts.items():
+            yield x_value, y_value, Fraction(count, self.scale)
 
     def moment(self, p: int, q: int) -> Fraction:
-        """<A^p B^q> = sum X^p Y^q p(X, Y), on integers; an order that is not
-        a nonnegative int raises :class:`DomainError`."""
+        """<A^p B^q> = sum X^p Y^q count(X, Y) / scale, one Fraction; an
+        order that is not a nonnegative int raises :class:`DomainError`."""
         _check_order(p)
         _check_order(q)
-        return _weighted_sum((x_value ** p * y_value ** q, prob)
-                             for (x_value, y_value), prob in self.probs.items())
+        return Fraction(sum(x_value ** p * y_value ** q * count
+                            for (x_value, y_value), count in self.counts.items()), self.scale)
 
     def joint_moment(self, order: int) -> Fraction:
         """<(A B)^order>."""
@@ -276,13 +279,6 @@ class MacroDistribution:
         })
 
 
-def _on_grid(n: int, i: int, j: int, prob) -> MacroDistribution:
-    """The distribution whose complete (X, Y) grid holds ``prob((X, Y))``."""
-    values = range(-n, n + 1, 2)
-    return MacroDistribution(n=n, alice_setting=i, bob_setting=j,
-                             probs={key: prob(key) for key in product(values, repeat=2)})
-
-
 def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
     """Exact law of (A_i, B_j): the primary route.
 
@@ -295,9 +291,9 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
     carries into the next, and one ``to_bytes`` reads the row back.  Row
     a + 1 is row a times Alice's -1 factor over her +1 factor, an exact
     division by a 2B-bit integer, so a row costs time linear in its
-    length.  One Fraction(count, L^N) is built per grid point, about half
-    of the time at large N (``isotropic:1/3``: 0.1 ms at N = 8, 40 ms at
-    N = 100, 0.3 s at N = 200 in one process on a 2-core Xeon).  This
+    length.  The counts go over L^N unchanged, and no Fraction is built
+    (``isotropic:1/3``: 0.1 ms at N = 8, 20 ms at N = 100, 0.15 s at
+    N = 200 in one process on a 2-core Xeon).  This
     reads only the box, never the model's support kernel or memo;
     :func:`macro_distribution_bruteforce`, its check, enumerates a support
     built from the same integer form.  Other models go to the brute force,
@@ -327,7 +323,8 @@ def macro_distribution(model: EnsembleModel, i: int, j: int) -> MacroDistributio
             counts[(x_value, n - 2 * b)] = choose * int.from_bytes(
                 row[b * width:(b + 1) * width], "little")
         packed = packed * up // down
-    return _on_grid(n, i, j, lambda key: Fraction(counts[key], denominator))
+    return MacroDistribution(n=n, alice_setting=i, bob_setting=j, scale=denominator,
+                             counts=counts)
 
 
 def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
@@ -355,13 +352,8 @@ def macro_distribution_bruteforce(model: EnsembleModel, i: int, j: int) -> Macro
     pair; the settings are checked on every call, before the lookup.
     """
     check_settings(model.s_a, model.s_b, i, j)
-    return model._memoized(("count-law", i, j), lambda: _count_law_grid(model, i, j))
-
-
-def _count_law_grid(model: EnsembleModel, i: int, j: int) -> MacroDistribution:
-    """The uncached body of :func:`macro_distribution_bruteforce`."""
-    law = _as_law(*_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j)))
-    return _on_grid(model.n, i, j, lambda key: law.get(key, ZERO))
+    return model._memoized(("count-law", i, j), lambda: MacroDistribution(
+        model.n, i, j, *_side_sum_counts(model, SettingAssignment.uniform(model.n, i, j))))
 
 
 def macro_moment_general(model: EnsembleModel, i: int, j: int, order: int) -> Fraction:

@@ -702,9 +702,8 @@ class TestDistributionRoutes:
                 "enumeration (k=1,2)") in out
 
         def shifted(model, i, j):
-            probs = {key: F(0) for key in product((-2, 0, 2), repeat=2)}
-            probs[(2, 2)] = F(1)
-            return MacroDistribution(n=2, alice_setting=i, bob_setting=j, probs=probs)
+            return MacroDistribution(n=2, alice_setting=i, bob_setting=j, scale=1,
+                                     counts={(2, 2): 1})
 
         monkeypatch.setattr("macrobox.cli.macro_distribution", shifted)
         code, out, _ = run_cli(capsys, ["verify", "--box", "pr", "--n", "2"])

@@ -534,7 +534,7 @@ class TestSupportKernel:
             dist = macro_distribution_bruteforce(model, i, j)
             literal = literal_law(model, SettingAssignment.uniform(n, i, j),
                                   lambda c: (sum(c[:n]), sum(c[n:])))
-            assert {k: p for k, p in dist.probs.items() if p != 0} == literal
+            assert {(x, y): p for x, y, p in dist.rows() if p != 0} == literal
 
     @settings(max_examples=12, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=3))

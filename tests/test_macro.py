@@ -45,6 +45,7 @@ from tests.conftest import (
     explicit_from_box,
     mixed_denominator_box,
     no_signalling_boxes,
+    pr_relabelings,
 )
 
 F = Fraction
@@ -275,10 +276,14 @@ class TestBruteForceDistribution:
         assert dist.total() == 1
 
     def test_joint_table_matches_product(self):
-        joint = explicit_from_box(make_pr_box(), 3)
-        dist = macro_distribution_bruteforce(joint, 0, 0)
-        assert dist == macro_distribution_bruteforce(independent_pairs(make_pr_box(), 3), 0, 0)
-        assert macro_distribution(joint, 0, 0) == dist
+        # The mixed-denominator table's (0, 0) block counts over 8 and the
+        # product model over 4^3, so the two laws compare equal only after
+        # the gcd reduction.
+        for box in (make_pr_box(), mixed_denominator_box()):
+            joint = explicit_from_box(box, 3)
+            dist = macro_distribution_bruteforce(joint, 0, 0)
+            assert dist == macro_distribution_bruteforce(independent_pairs(box, 3), 0, 0)
+            assert macro_distribution(joint, 0, 0) == dist
 
     @pytest.mark.parametrize("model", [explicit_from_box(make_isotropic_box(F(1, 3)), 2),
                                        independent_pairs(make_isotropic_box(F(1, 3)), 2)],
@@ -295,7 +300,7 @@ class TestBruteForceDistribution:
         assert macro_distribution_bruteforce(model, 0, 1) is not dist
         assert len(scans) == 2
         with pytest.raises(TypeError):
-            dist.probs[(2, 2)] = F(1)
+            dist.counts[(2, 2)] = 1
         with pytest.raises(AttributeError):
             dist.n = 3
         for bad in ((2, 0), (0, 2), (True, 0)):
@@ -303,6 +308,25 @@ class TestBruteForceDistribution:
                 with pytest.raises(DomainError):
                     macro_distribution_bruteforce(model, *bad)
         assert len(scans) == 2
+
+    def test_fractions_only_when_read(self, monkeypatch):
+        """Neither route builds a Fraction, and a moment builds one."""
+        box = make_isotropic_box(F(1, 3))
+        product_model, joint = independent_pairs(box, 4), explicit_from_box(box, 2)
+        built = []
+        fraction = macro.Fraction
+        monkeypatch.setattr(macro, "Fraction",
+                            lambda *args: built.append(args) or fraction(*args))
+        dists = [macro_distribution(product_model, 1, 0),
+                 macro_distribution_bruteforce(product_model, 1, 0),
+                 macro_distribution(joint, 1, 0)]
+        assert built == []
+        for dist in dists:
+            value = dist.moment(2, 1)
+            assert len(built) == 1
+            assert value == sum(x * x * y * p for x, y, p in dist.rows())
+            built.clear()
+        assert dists[0] == dists[1]
 
     def test_csv_layout(self):
         dist = macro_distribution_bruteforce(independent_pairs(make_pr_box(), 1), 0, 0)
@@ -323,7 +347,7 @@ class TestPackedDistribution:
             primary = macro_distribution(model, i, j)
             oracle = macro_distribution_bruteforce(model, i, j)
             assert primary == oracle
-            assert list(primary.probs) == list(oracle.probs)
+            assert list(primary.counts) == list(oracle.counts)
 
     @settings(max_examples=15, deadline=None)
     @given(box=no_signalling_boxes(), n=st.integers(min_value=1, max_value=6))
@@ -517,6 +541,28 @@ class TestRohrlich:
         for n in (1, 3):
             model = independent_pairs(make_deterministic_box(1, 1, 1, 1), n)
             assert rohrlich_conditional_variance(model, 0) == 4 * n * n
+
+    @pytest.mark.parametrize("box, pair_law", [
+        *((box, lambda i, a=a, b=b, c=c: [
+            (F(1, 2), sum(x * (-1) ** (i * j + a * i + b * j + c) for j in (0, 1)))
+            for x in (1, -1)])
+          for (a, b, c), box in zip(product((0, 1), repeat=3), pr_relabelings())),
+        *((make_deterministic_box(x0, x1, y0, y1), lambda i, s=y0 + y1: [(1, s)])
+          for x0, x1, y0, y1 in product((1, -1), repeat=4))])
+    def test_matches_convolution(self, box, pair_law):
+        # Oracle: one pair's law of s = y_0 + y_1 at Alice setting i, as
+        # (probability, s) per Alice outcome from the formula that built the
+        # box (x uniform on a PR box, fixed on a vertex), convolved N times.
+        for i in (0, 1):
+            law = {0: F(1)}
+            for n in range(1, 9):
+                convolved = {}
+                for total, p in law.items():
+                    for q, s in pair_law(i):
+                        convolved[total + s] = convolved.get(total + s, 0) + p * q
+                law = convolved
+                assert rohrlich_conditional_variance(independent_pairs(box, n), i) == \
+                    sum(total * total * p for total, p in law.items())
 
     def test_noisy_box_unsupported(self):
         model = independent_pairs(make_isotropic_box(F(1, 2)), 3)

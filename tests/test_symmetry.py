@@ -880,7 +880,7 @@ class TestSymmetrizedMemo:
         quad = effective_quad(model)
         tables = [(jpd.orbits, next(iter(jpd.orbits))),
                   (quad.table, (0, 0, 1, 1, 1, 1)),
-                  (macro_distribution(model, 0, 0).probs, (4, 4)),
+                  (macro_distribution(model, 0, 0).counts, (4, 4)),
                   (moment_report(model, 0, 0).paths, "correlation")]
         for table, key in tables:
             with pytest.raises(TypeError):
